@@ -15,17 +15,14 @@ from .dense import (BlockDiag, FactorizationError, IdResult, IndefiniteBlockErro
 from .discretize import (CoeffField, GridConfig, ProblemSpec, assemble, build_grid,
                          constant_field, field_to_csv, high_contrast_field,
                          smoothed_staggered_noise)
-from .driver import (GeneralizedLDL, LevelFactor, apply, apply_inverse, densify,
-                     factor_hifde, factor_hifde3x, factor_mf, load_factor,
-                     save_factor)
+from .driver import (GeneralizedLDL, LevelFactor, densify, factor_hifde, factor_hifde3x,
+                     factor_mf, load_factor, save_factor)
 from .factor_ops import EliminationRecord, SkeletonRecord, eliminate_cell, skeletonize_cell
 from .krylov import (EstimateResult, SolveReport, estimate_apply_error,
                      estimate_solve_error, gmres, pcg)
 from .partition import (CellSet, adaptive_interior_cells, assert_noninteracting,
                         cells_to_csv, interface_cells, interior_cells)
-from .sparse import (DenseBlock, DofState, SparseSymMatrix, apply_block_update,
-                     deactivate, neighbor_set, submatrix)
-from .bench import (BenchRow, make_problem, rows_to_csv, run_example,
-                    run_example_full, run_sweep)
+from .sparse import DofState, SparseSymMatrix
+from .bench import BenchRow, make_problem, rows_to_csv, run_example, run_sweep
 
 __version__ = "0.1.0"

@@ -24,11 +24,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .discretize import ProblemSpec, assemble, build_grid, constant_field, high_contrast_field
-from .driver import GeneralizedLDL, densify, factor_hifde, factor_hifde3x, factor_mf, save_factor
+from .driver import densify, factor_hifde, factor_hifde3x, factor_mf, save_factor
 from .krylov import estimate_apply_error, estimate_solve_error, gmres, pcg
 
-__all__ = ["BenchRow", "make_problem", "run_example", "run_example_full",
-           "run_sweep", "rows_to_csv", "CSV_COLUMNS", "ALGORITHMS", "EXAMPLE_DIMS"]
+__all__ = ["BenchRow", "make_problem", "run_example", "run_sweep", "rows_to_csv",
+           "CSV_COLUMNS", "ALGORITHMS", "EXAMPLE_DIMS"]
 
 ALGORITHMS = ("mf", "hifde", "hifde3x")
 EXAMPLE_DIMS = {1: 2, 2: 2, 3: 2, 4: 3, 5: 3, 6: 3}
@@ -95,36 +95,17 @@ def make_problem(example_id: int, n: int, seed: int = 0, m: Optional[int] = None
     return ProblemSpec(grid=grid, field=field, example_id=example_id, seed=seed)
 
 
-def _factor(algorithm: str, a, grid, eps, spd, skip_levels, verify):
-    if algorithm == "mf":
-        return factor_mf(a, grid, spd=spd, verify=verify)
-    if algorithm == "hifde":
-        kw = {} if skip_levels is None else {"skip_levels": skip_levels}
-        return factor_hifde(a, grid, eps, spd=spd, verify=verify, **kw)
-    if algorithm == "hifde3x":
-        kw = {} if skip_levels is None else {"skip_levels": skip_levels}
-        return factor_hifde3x(a, grid, eps, spd=spd, verify=verify, **kw)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def run_example(example_id: int, algorithm: str, n: int,
-                eps: Optional[float] = None, seed: int = 0, **kwargs) -> BenchRow:
+                eps: Optional[float] = None, seed: int = 0, *,
+                spd: Optional[bool] = None, m: Optional[int] = None,
+                skip_levels: Optional[int] = None, kappa: Optional[float] = None,
+                verify: bool = False, export_factor=None,
+                tol: float = 1e-12) -> BenchRow:
     """Run one benchmark instance and return its row.
 
     Factorization failures are reported in the row's status field rather
     than raised, so sweeps can continue.
     """
-    row, _ = run_example_full(example_id, algorithm, n, eps, seed, **kwargs)
-    return row
-
-
-def run_example_full(example_id: int, algorithm: str, n: int,
-                     eps: Optional[float] = None, seed: int = 0, *,
-                     spd: Optional[bool] = None, m: Optional[int] = None,
-                     skip_levels: Optional[int] = None, kappa: Optional[float] = None,
-                     verify: bool = False, export_factor=None,
-                     tol: float = 1e-12) -> tuple[BenchRow, Optional[GeneralizedLDL]]:
-    """run_example, but also returns the factor for further use."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     problem = make_problem(example_id, n, seed, m=m, kappa=kappa)
@@ -144,12 +125,17 @@ def run_example_full(example_id: int, algorithm: str, n: int,
 
     work = assemble(grid, problem.field)
     a_csr = work.to_scipy()
+    kw = {} if skip_levels is None else {"skip_levels": skip_levels}
     try:
-        f = _factor(algorithm, work, grid, 0.0 if eps is None else eps,
-                    spd, skip_levels, verify)
+        if algorithm == "mf":
+            f = factor_mf(work, grid, spd=spd, verify=verify)
+        elif algorithm == "hifde":
+            f = factor_hifde(work, grid, eps, spd=spd, verify=verify, **kw)
+        else:
+            f = factor_hifde3x(work, grid, eps, spd=spd, verify=verify, **kw)
     except Exception as exc:
         row.status = f"factorization failed: {type(exc).__name__}: {exc}"
-        return row, None
+        return row
     row.s_L = f.metrics["s_top"]
     row.t_f = f.metrics["t_f_seconds"]
     row.m_f = f.metrics["m_f_bytes"]
@@ -184,7 +170,7 @@ def run_example_full(example_id: int, algorithm: str, n: int,
             row.status = f"verify failed: dense error {err:.3g} > {bound:.3g}"
     if export_factor is not None:
         save_factor(f, export_factor)
-    return row, f
+    return row
 
 
 def run_sweep(specs: Iterable[dict]) -> Iterable[BenchRow]:

@@ -1,13 +1,17 @@
 """Benchmark command line: reproduce the standard examples at any scale.
 
 Emits one CSV row per (example, n, eps) combination. Exit code is 0 only
-if every row succeeded. Set HIFDE_NUM_THREADS to cap the BLAS worker pool.
+if every row succeeded.
+
+BLAS threads: HIFDE_NUM_THREADS caps them inside the factorization's cell
+loop (default 1 there) when threadpoolctl is importable, and does nothing
+otherwise. OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, set before Python
+starts, cap the whole process.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
@@ -56,21 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cap_threads() -> None:
-    cap = os.environ.get("HIFDE_NUM_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _cap_threads()
 
     from .bench import EXAMPLE_DIMS, run_sweep, rows_to_csv
 

@@ -264,13 +264,14 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
     return IdResult(piv[:k].copy(), piv[k:].copy(), t, k, resid)
 
 
-def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray, ldl_pp: LdlFactor) -> np.ndarray:
-    """B = A_qq - A_qp A_pp^{-1} A_qp^T using two triangular solves.
+def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
+                     ldl_pp: LdlFactor) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling X = D^{-1} L^{-1} A_qp^T and the Schur complement
+    B = A_qq - A_qp A_pp^{-1} A_qp^T, using two triangular solves.
 
-    The result is explicitly symmetrized to suppress rounding asymmetry.
+    B is explicitly symmetrized to suppress rounding asymmetry.
     """
-    if a_qp.size == 0:
-        return np.array(a_qq, dtype=float, copy=True)
     y = ldl_pp.solve_l(np.asarray(a_qp, float).T)
-    b = np.asarray(a_qq, float) - y.T @ ldl_pp.solve_d(y)
-    return 0.5 * (b + b.T)
+    x = ldl_pp.solve_d(y)
+    b = np.asarray(a_qq, float) - y.T @ x
+    return x, 0.5 * (b + b.T)

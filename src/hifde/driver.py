@@ -53,8 +53,6 @@ __all__ = [
     "factor_mf",
     "factor_hifde",
     "factor_hifde3x",
-    "apply",
-    "apply_inverse",
     "densify",
     "save_factor",
     "load_factor",
@@ -97,8 +95,7 @@ class GeneralizedLDL:
         v = np.array(x, dtype=float, copy=True)
         for lf in self.levels:
             for rec in lf.records:
-                (rec.apply_s_inv if isinstance(rec, EliminationRecord)
-                 else rec.apply_u_inv)(v)
+                rec.apply_u_inv(v)
         for lf in self.levels:
             for rec in lf.records:
                 rec.apply_d(v)
@@ -106,8 +103,7 @@ class GeneralizedLDL:
             v[self.top_idx] = self.top.apply(v[self.top_idx])
         for lf in reversed(self.levels):
             for rec in reversed(lf.records):
-                (rec.apply_s_inv_t if isinstance(rec, EliminationRecord)
-                 else rec.apply_u_inv_t)(v)
+                rec.apply_u_inv_t(v)
         return v
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
@@ -115,8 +111,7 @@ class GeneralizedLDL:
         v = np.array(b, dtype=float, copy=True)
         for lf in self.levels:
             for rec in lf.records:
-                (rec.apply_st if isinstance(rec, EliminationRecord)
-                 else rec.apply_ut)(v)
+                rec.apply_ut(v)
         for lf in self.levels:
             for rec in lf.records:
                 rec.solve_d(v)
@@ -124,8 +119,7 @@ class GeneralizedLDL:
             v[self.top_idx] = self.top.solve(v[self.top_idx])
         for lf in reversed(self.levels):
             for rec in reversed(lf.records):
-                (rec.apply_s if isinstance(rec, EliminationRecord)
-                 else rec.apply_u)(v)
+                rec.apply_u(v)
         return v
 
     # -- accounting ---------------------------------------------------------
@@ -147,29 +141,6 @@ class GeneralizedLDL:
         tags = [lf.level for lf in self.levels]
         if any(b <= a for a, b in zip(tags, tags[1:])):
             raise AssertionError("level tags not strictly increasing")
-
-
-def _finish(a: SparseSymMatrix, state: DofState, levels: list[LevelFactor],
-            grid: GridConfig, spd: bool, eps: float, t0: float,
-            active_trace: list[tuple[float, int]],
-            level_times: list[tuple[float, float]]) -> GeneralizedLDL:
-    s_top = np.flatnonzero(a.active)
-    top = ldl(a.gather(s_top, s_top), spd)
-    f = GeneralizedLDL(
-        n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
-        top_idx=s_top, top=top,
-    )
-    f.check_level_tags()
-    if state.eliminated_count() + len(s_top) != a.n:
-        raise AssertionError("eliminated-DOF accounting mismatch")
-    f.metrics = {
-        "s_top": len(s_top),
-        "active_trace": active_trace,
-        "level_seconds": level_times,
-        "m_f_bytes": f.storage_bytes(),
-        "t_f_seconds": time.perf_counter() - t0,
-    }
-    return f
 
 
 def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
@@ -195,7 +166,23 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
             levels.append(LevelFactor(tag, records))
             trace.append((tag, int(a.active.sum())))
             level_times.append((tag, time.perf_counter() - t_level))
-    return _finish(a, state, levels, grid, spd, eps, t0, trace, level_times)
+    s_top = np.flatnonzero(a.active)
+    top = ldl(a.gather(s_top, s_top), spd)
+    f = GeneralizedLDL(
+        n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
+        top_idx=s_top, top=top,
+    )
+    f.check_level_tags()
+    if state.eliminated_count() + len(s_top) != a.n:
+        raise AssertionError("eliminated-DOF accounting mismatch")
+    f.metrics = {
+        "s_top": len(s_top),
+        "active_trace": trace,
+        "level_seconds": level_times,
+        "m_f_bytes": f.storage_bytes(),
+        "t_f_seconds": time.perf_counter() - t0,
+    }
+    return f
 
 
 def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True,
@@ -251,14 +238,6 @@ def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
     return _run_levels(a, grid, spd, eps, schedule, verify)
 
 
-def apply(f: GeneralizedLDL, x: np.ndarray) -> np.ndarray:
-    return f.apply(x)
-
-
-def apply_inverse(f: GeneralizedLDL, b: np.ndarray) -> np.ndarray:
-    return f.apply_inverse(b)
-
-
 def densify(f: GeneralizedLDL) -> np.ndarray:
     """Dense N x N matrix of the factored operator (testing oracle)."""
     return f.apply(np.eye(f.n))
@@ -298,11 +277,9 @@ def _read_ldl(fh) -> LdlFactor:
     perm = _read_arr(fh, "<i8")
     diag = _read_arr(fh, "<f8")
     (npairs,) = struct.unpack("<q", fh.read(8))
-    dd = np.diag(diag)
-    for _ in range(npairs):
-        i, p, c, d = struct.unpack("<q3d", fh.read(32))
-        dd[i, i], dd[i + 1, i], dd[i, i + 1], dd[i + 1, i + 1] = p, c, c, d
-    return LdlFactor("cholesky" if mode_b == 0 else "ldl", lower, BlockDiag(dd), perm)
+    pairs = [struct.unpack("<q3d", fh.read(32)) for _ in range(npairs)]
+    return LdlFactor("cholesky" if mode_b == 0 else "ldl", lower,
+                     BlockDiag.from_parts(diag, pairs), perm)
 
 
 def _write_elim(fh, rec: EliminationRecord) -> None:

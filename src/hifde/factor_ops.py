@@ -9,6 +9,10 @@ operators needed to replay (or invert) the transformation:
   applies the corresponding congruence locally, truncates the residual
   coupling of the redundant DOFs, and eliminates them against the skeletons.
 
+Both end in the same elimination step (``_eliminate``): factor the pivot
+block, replace the neighbor block by its Schur complement, retire the
+pivot DOFs.
+
 Interactions outside the touched cell and its neighbor set are never read
 or written.
 """
@@ -20,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import LdlFactor, interpolative_decomposition, ldl
+from .dense import LdlFactor, interpolative_decomposition, ldl, schur_complement
 from .sparse import DofState, SparseSymMatrix
 
 __all__ = ["EliminationRecord", "SkeletonRecord", "eliminate_cell", "skeletonize_cell"]
@@ -42,27 +46,28 @@ class EliminationRecord:
     def __post_init__(self):
         self.coupling = np.ascontiguousarray(self.coupling)
 
-    # The four unit-triangular actions of S and the middle D block. All
+    # The four unit-triangular actions of S (U = S for a plain elimination,
+    # so the names match SkeletonRecord's) and the middle D block. All
     # operate in place on a full-length vector (or matrix of columns).
-    def apply_s(self, v: np.ndarray) -> None:
+    def apply_u(self, v: np.ndarray) -> None:
         t = v[self.cell]
         if len(self.nbrs):
             t = t - self.coupling @ v[self.nbrs]
         v[self.cell] = self.factor.solve_lt(t)
 
-    def apply_st(self, v: np.ndarray) -> None:
+    def apply_ut(self, v: np.ndarray) -> None:
         t = self.factor.solve_l(v[self.cell])
         if len(self.nbrs):
             v[self.nbrs] -= self.coupling.T @ t
         v[self.cell] = t
 
-    def apply_s_inv(self, v: np.ndarray) -> None:
+    def apply_u_inv(self, v: np.ndarray) -> None:
         t = self.factor.apply_lt(v[self.cell])
         if len(self.nbrs):
             t = t + self.coupling @ v[self.nbrs]
         v[self.cell] = t
 
-    def apply_s_inv_t(self, v: np.ndarray) -> None:
+    def apply_u_inv_t(self, v: np.ndarray) -> None:
         t = v[self.cell]
         if len(self.nbrs):
             v[self.nbrs] += self.coupling.T @ t
@@ -101,22 +106,22 @@ class SkeletonRecord:
     # elimination; rightmost factors act first.
     def apply_u(self, v: np.ndarray) -> None:
         if self.elim is not None:
-            self.elim.apply_s(v)
+            self.elim.apply_u(v)
             v[self.sk] -= self.interp @ v[self.rd]
 
     def apply_ut(self, v: np.ndarray) -> None:
         if self.elim is not None:
             v[self.rd] -= self.interp.T @ v[self.sk]
-            self.elim.apply_st(v)
+            self.elim.apply_ut(v)
 
     def apply_u_inv(self, v: np.ndarray) -> None:
         if self.elim is not None:
             v[self.sk] += self.interp @ v[self.rd]
-            self.elim.apply_s_inv(v)
+            self.elim.apply_u_inv(v)
 
     def apply_u_inv_t(self, v: np.ndarray) -> None:
         if self.elim is not None:
-            self.elim.apply_s_inv_t(v)
+            self.elim.apply_u_inv_t(v)
             v[self.rd] += self.interp.T @ v[self.sk]
 
     def apply_d(self, v: np.ndarray) -> None:
@@ -135,6 +140,24 @@ class SkeletonRecord:
         return self.rd
 
 
+def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
+               q: np.ndarray, m_pp: np.ndarray, m_qp: np.ndarray,
+               m_qq: np.ndarray, level: float, spd: bool) -> EliminationRecord:
+    """Eliminate the DOFs p against their neighbors q, given the blocks of
+    the working matrix over (p, q): factor A_pp, replace A_qq by its Schur
+    complement, and retire p."""
+    fac = ldl(m_pp, spd)
+    x, b = schur_complement(m_qq, m_qp, fac)
+    if len(q):
+        # replacement is the same arithmetic as adding the Schur update
+        # onto the stored neighbor block, entry by entry
+        a.replace_rows(q, np.concatenate([p, q]), q, b)
+    a.clear_rows(p)
+    a.active[p] = False
+    state.mark_eliminated(p, level)
+    return EliminationRecord(p, q, fac, x)
+
+
 def eliminate_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
                    level: float, spd: bool) -> EliminationRecord:
     """Eliminate the buffered cell c: Schur-update its neighbors, retire c."""
@@ -143,20 +166,8 @@ def eliminate_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     nc = len(c)
     pq = np.concatenate([c, q])
     m = a.gather(pq, pq)
-    fac = ldl(m[:nc, :nc], spd)
-    if len(q):
-        y = fac.solve_l(m[nc:, :nc].T)
-        x = fac.solve_d(y)
-        b = m[nc:, nc:] - y.T @ x
-        # replacement is the same arithmetic as adding the Schur update
-        # onto the stored neighbor block, entry by entry
-        a.replace_rows(q, pq, q, 0.5 * (b + b.T))
-    else:
-        x = np.zeros((nc, 0))
-    a.clear_rows(c)
-    a.active[c] = False
-    state.mark_eliminated(c, level, DofState.TAG_INTERIOR)
-    return EliminationRecord(c, q, fac, x)
+    return _eliminate(a, state, c, q, m[:nc, :nc], m[nc:, :nc], m[nc:, nc:],
+                      level, spd)
 
 
 def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
@@ -180,7 +191,6 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     t = idr.t[np.ix_(sk_ord, rd_ord)]
 
     if len(rdl) == 0:
-        state.mark_skeleton(skl)
         return SkeletonRecord(c, skl, rdl, t, None)
 
     app = m[:nc]
@@ -190,25 +200,13 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     b_rr = a_rr - t.T @ a_sr - a_sr.T @ t + t.T @ (a_ss @ t)
     b_rr = 0.5 * (b_rr + b_rr.T)
     b_sr = a_sr - a_ss @ t
+    a.drop_cols(q, rdl)
     try:
-        fac = ldl(b_rr, spd)
+        elim = _eliminate(a, state, rdl, skl, b_rr, b_sr, a_ss, level, spd)
     except (ValueError, ArithmeticError):
         raise
     except Exception as exc:
         raise type(exc)(
             f"{exc} (skeletonizing group of {len(c)} DOFs at level {level})"
         ) from exc
-    if len(skl):
-        y = fac.solve_l(b_sr.T)
-        x = fac.solve_d(y)
-        b_ss = a_ss - y.T @ x
-        a.replace_rows(skl, c, skl, 0.5 * (b_ss + b_ss.T))
-    else:
-        x = np.zeros((len(rdl), 0))
-    a.drop_cols(q, rdl)
-    a.clear_rows(rdl)
-    a.active[rdl] = False
-    state.mark_eliminated(rdl, level, DofState.TAG_REDUNDANT)
-    state.mark_skeleton(skl)
-    return SkeletonRecord(c, skl, rdl, t,
-                          EliminationRecord(rdl, skl, fac, x))
+    return SkeletonRecord(c, skl, rdl, t, elim)

@@ -62,6 +62,7 @@ def pcg(a, b, precond=None, tol: float = 1e-12, max_iter: int = 1000) -> SolveRe
     z = mmat(r)
     p = z.copy()
     rz = float(r @ z)
+    res = 1.0  # relative residual of the zero start
     for it in range(1, max_iter + 1):
         ap = amat(p)
         alpha = rz / float(p @ ap)

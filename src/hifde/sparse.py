@@ -3,69 +3,40 @@
 The matrix is stored as one sorted (index, value) array pair per DOF,
 mirrored so both (i, j) and (j, i) are present; the canonical row <= col
 view is used for nonzero counts and Matrix Market export. An active flag
-per DOF tracks which rows still participate; deactivation purges all
-off-diagonal storage between the retired DOFs and the rest, which is what
-enforces the block-diagonal structure of the factored-out levels.
+per DOF tracks which rows still participate: neighbor queries see active
+DOFs only. The factorization retires a set of DOFs by writing its Schur
+complement over the neighbors with ``replace_rows`` (which also drops the
+neighbors' couplings to the retired set), emptying the retired rows with
+``clear_rows`` and clearing their active flags, so no storage is left
+between retired and active DOFs.
 
 Fill-in entries are stored even when exactly zero: dropping happens only
-through the explicit truncation step of skeletonization, never by value.
+through the explicit truncation step of skeletonization (``drop_cols``),
+never by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "DenseBlock",
-    "DofState",
-    "SparseSymMatrix",
-    "submatrix",
-    "neighbor_set",
-    "apply_block_update",
-    "deactivate",
-]
+__all__ = ["DofState", "SparseSymMatrix"]
 
 _EMPTY_I = np.empty(0, dtype=np.int32)
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
-@dataclass
-class DenseBlock:
-    """Dense copy of a submatrix together with its row/column index sets."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        assert self.values.shape == (len(self.rows), len(self.cols))
-
-
 class DofState:
-    """Bookkeeping of when and how each DOF left the active set."""
-
-    TAG_NONE = 0
-    TAG_INTERIOR = 1
-    TAG_SKELETON = 2
-    TAG_REDUNDANT = 3
+    """Bookkeeping of the level at which each DOF left the active set."""
 
     def __init__(self, n: int):
-        self.n = n
         self.elim_level = np.full(n, np.nan)
-        self.tag = np.zeros(n, dtype=np.int8)
 
-    def mark_eliminated(self, c: np.ndarray, level: float, tag: int) -> None:
+    def mark_eliminated(self, c: np.ndarray, level: float) -> None:
         c = np.asarray(c, dtype=np.int64)
         if np.any(np.isfinite(self.elim_level[c])):
             raise ValueError("DOF eliminated twice")
         self.elim_level[c] = level
-        self.tag[c] = tag
-
-    def mark_skeleton(self, c: np.ndarray) -> None:
-        self.tag[np.asarray(c, dtype=np.int64)] = self.TAG_SKELETON
 
     def eliminated_count(self) -> int:
         return int(np.isfinite(self.elim_level).sum())
@@ -91,6 +62,8 @@ class SparseSymMatrix:
         s = sp.csr_matrix(s)
         s.sum_duplicates()
         s.sort_indices()
+        if not np.all(np.isfinite(s.data)):
+            raise ValueError("matrix has non-finite entries")
         if (s != s.T).nnz != 0:
             raise ValueError("matrix is not symmetric")
         a = cls(s.shape[0])
@@ -116,13 +89,6 @@ class SparseSymMatrix:
             out[i, ix] = v
         return out
 
-    def copy(self) -> "SparseSymMatrix":
-        a = SparseSymMatrix(self.n)
-        a.row_idx = [ix.copy() for ix in self.row_idx]
-        a.row_val = [v.copy() for v in self.row_val]
-        a.active = self.active.copy()
-        return a
-
     # -- queries -----------------------------------------------------------
 
     def nnz(self) -> int:
@@ -139,12 +105,12 @@ class SparseSymMatrix:
         return self._cur
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense copy of the (rows, cols) submatrix."""
+        """Dense copy of the (rows, cols) block."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if (len(rows) and (rows.min() < 0 or rows.max() >= self.n)) or \
            (len(cols) and (cols.min() < 0 or cols.max() >= self.n)):
-            raise IndexError("submatrix index out of range")
+            raise IndexError("gather index out of range")
         tok_val = self._stamp(cols)
         out = np.zeros((len(rows), len(cols)))
         if not len(rows) or not len(cols):
@@ -174,33 +140,6 @@ class SparseSymMatrix:
 
     # -- mutation ----------------------------------------------------------
 
-    def add_block(self, q: np.ndarray, delta: np.ndarray) -> None:
-        """A[q, q] += delta entrywise, creating entries as needed."""
-        q = np.asarray(q, dtype=np.int64)
-        if delta.shape != (len(q), len(q)):
-            raise ValueError("block shape mismatch")
-        tok_val = self._stamp(q)
-        tok, pos = self._tok, self._pos
-        q32 = q.astype(np.int32)
-        for i, r in enumerate(q):
-            ix = self.row_idx[r]
-            drow = delta[i]
-            if len(ix):
-                mask = tok[ix] == tok_val
-                hit = pos[ix[mask]]
-                vals = self.row_val[r]
-                vals[mask] += drow[hit]
-                newmask = np.ones(len(q), dtype=bool)
-                newmask[hit] = False
-            else:
-                newmask = np.ones(len(q), dtype=bool)
-            if newmask.any():
-                cat_i = np.concatenate([ix, q32[newmask]])
-                cat_v = np.concatenate([self.row_val[r], drow[newmask]])
-                order = np.argsort(cat_i, kind="stable")
-                self.row_idx[r] = cat_i[order]
-                self.row_val[r] = cat_v[order]
-
     def drop_cols(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Remove any stored (r, c) entries for r in rows, c in cols."""
         cols = np.asarray(cols, dtype=np.int64)
@@ -214,12 +153,6 @@ class SparseSymMatrix:
             if not keep.all():
                 self.row_idx[r] = ix[keep]
                 self.row_val[r] = self.row_val[r][keep]
-
-    def set_rows_block(self, rows: np.ndarray, cols: np.ndarray,
-                       block: np.ndarray) -> None:
-        """Overwrite the (rows, cols) block: old entries in cols are
-        discarded and replaced by the dense block values."""
-        self.replace_rows(rows, cols, cols, block)
 
     def replace_rows(self, rows: np.ndarray, drop: np.ndarray,
                      cols: np.ndarray, block: np.ndarray) -> None:
@@ -266,18 +199,6 @@ class SparseSymMatrix:
             self.row_idx[r] = _EMPTY_I
             self.row_val[r] = _EMPTY_F
 
-    def deactivate(self, c: np.ndarray) -> None:
-        """Retire the DOFs c: purge all storage coupling c to the rest."""
-        c = np.asarray(c, dtype=np.int64)
-        if not len(c):
-            return
-        if not self.active[c].all():
-            raise ValueError("deactivating an already inactive DOF")
-        others = self.neighbors(c)
-        self.drop_cols(others, c)
-        self.clear_rows(c)
-        self.active[c] = False
-
     # -- persistence -------------------------------------------------------
 
     def save_matrix_market(self, path) -> None:
@@ -289,25 +210,3 @@ class SparseSymMatrix:
         from scipy.io import mmread
         return cls.from_scipy(mmread(path))
 
-
-# -- module-level operation names, matching the rest of the package --------
-
-def submatrix(a: SparseSymMatrix, p, q) -> DenseBlock:
-    p = np.asarray(p, dtype=np.int64)
-    q = np.asarray(q, dtype=np.int64)
-    return DenseBlock(p, q, a.gather(p, q))
-
-
-def neighbor_set(a: SparseSymMatrix, c) -> np.ndarray:
-    return a.neighbors(c)
-
-
-def apply_block_update(a: SparseSymMatrix, q, delta) -> None:
-    a.add_block(np.asarray(q, dtype=np.int64), np.asarray(delta, dtype=float))
-
-
-def deactivate(a: SparseSymMatrix, state: DofState, c, level_tag: float,
-               tag: int = DofState.TAG_INTERIOR) -> None:
-    c = np.asarray(c, dtype=np.int64)
-    a.deactivate(c)
-    state.mark_eliminated(c, level_tag, tag)

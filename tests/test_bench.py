@@ -2,13 +2,16 @@
 
 import csv
 import io
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hifde import load_factor, make_problem, rows_to_csv, run_example, run_example_full, run_sweep
+from hifde import (assemble, factor_hifde, load_factor, make_problem, rows_to_csv, run_example,
+                   run_sweep)
 from hifde.bench import CSV_COLUMNS
 
 TIMING_COLS = {"t_f", "t_a", "t_s"}
@@ -60,8 +63,10 @@ class TestRunExample:
 
     def test_export_factor(self, tmp_path):
         path = tmp_path / "f.bin"
-        row, f = run_example_full(1, "hifde", 16, eps=1e-6, export_factor=path)
+        row = run_example(1, "hifde", 16, eps=1e-6, export_factor=path)
         assert row.status == "ok"
+        problem = make_problem(1, 16)
+        f = factor_hifde(assemble(problem.grid, problem.field), problem.grid, 1e-6)
         f2 = load_factor(path)
         x = np.random.default_rng(0).random(f.n)
         assert np.array_equal(f.apply(x), f2.apply(x))
@@ -142,3 +147,18 @@ class TestCli:
                            "--n", "16", "--eps", "1e-6")
         assert out.returncode == 1
         assert "error" in out.stdout
+
+
+class TestPerfbenchSmoke:
+    def test_smoke_run_correct(self):
+        """The benchmark's tiny-grid run, traced rounds included, still
+        finds every name it patches and every check passes."""
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "run.py"), "--smoke"],
+            capture_output=True, text=True, timeout=120, cwd=root)
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True
+        assert result["failed"] == 0
+        assert result["attempted"] > 0

@@ -131,14 +131,17 @@ class TestSchurComplement:
         rng = np.random.default_rng(21)
         a_qq = random_symmetric(rng, 6)
         fac = ldl(random_spd(rng, 4), spd_mode=True)
-        out = schur_complement(a_qq, np.zeros((6, 4)), fac)
+        x, out = schur_complement(a_qq, np.zeros((6, 4)), fac)
         assert np.array_equal(out, a_qq)
+        assert x.shape == (4, 6) and not x.any()
 
     def test_2x2_hand_value(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         fac = ldl(a[:1, :1], spd_mode=True)
-        out = schur_complement(a[1:, 1:], a[1:, :1], fac)
+        x, out = schur_complement(a[1:, 1:], a[1:, :1], fac)
         assert np.allclose(out, [[1.5]])
+        # X = D^{-1} L^{-1} A_qp^T, so L^{-T} X = A_pp^{-1} A_qp^T = 1/2
+        assert np.allclose(fac.solve_lt(x), [[0.5]])
 
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(22)
@@ -146,7 +149,11 @@ class TestSchurComplement:
         p = np.arange(6)
         q = np.arange(6, 15)
         fac = ldl(a[np.ix_(p, p)], spd_mode=True)
-        out = schur_complement(a[np.ix_(q, q)], a[np.ix_(q, p)], fac)
-        oracle = a[np.ix_(q, q)] - a[np.ix_(q, p)] @ np.linalg.inv(a[np.ix_(p, p)]) @ a[np.ix_(p, q)]
+        x, out = schur_complement(a[np.ix_(q, q)], a[np.ix_(q, p)], fac)
+        a_pp_inv = np.linalg.inv(a[np.ix_(p, p)])
+        oracle = a[np.ix_(q, q)] - a[np.ix_(q, p)] @ a_pp_inv @ a[np.ix_(p, q)]
         assert np.linalg.norm(out - oracle, 2) <= 1e-12 * np.linalg.norm(a, 2)
         assert np.array_equal(out, out.T)
+        x_oracle = a_pp_inv @ a[np.ix_(p, q)]
+        bound = 1e-12 * np.linalg.norm(a_pp_inv, 2) * np.linalg.norm(a, 2)
+        assert np.linalg.norm(fac.solve_lt(x) - x_oracle, 2) <= bound

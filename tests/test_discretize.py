@@ -163,6 +163,20 @@ class TestAssemble:
         assert d[4, 1] == pytest.approx(-ay[1, 1] * inv_h2)
         assert d[4, 7] == pytest.approx(-ay[1, 2] * inv_h2)
 
+    def test_nan_coefficient_rejected(self):
+        g = build_grid(2, 8, 2)
+        f = constant_field(g, 1.0, 0.0)
+        f.a[0][2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble(g, f)
+
+    def test_inf_reaction_term_rejected(self):
+        g = build_grid(2, 8, 2)
+        f = constant_field(g, 1.0, 0.0)
+        f.b[1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble(g, f)
+
     def test_field_csv_export(self, tmp_path):
         g = build_grid(2, 4, 2)
         f = constant_field(g, 1.0, 0.0)

@@ -48,6 +48,13 @@ class TestPcg:
         rep = pcg(a, b, precond=None, tol=1e-14, max_iter=3)
         assert not rep.converged and rep.n_i == 3
 
+    def test_zero_iterations_unconverged(self):
+        b = np.ones(6)
+        rep = pcg(tridiag(6), b, max_iter=0)
+        assert not rep.converged
+        assert rep.n_i == 0 and rep.residual == 1.0
+        assert np.array_equal(rep.x, np.zeros(6))
+
     def test_mf_preconditioner_is_exact(self):
         g = build_grid(2, 16, 4)
         a = assemble(g, constant_field(g, 1.0, 0.0))

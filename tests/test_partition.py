@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from hifde import (DofState, SparseSymMatrix, adaptive_interior_cells, assemble,
                    assert_noninteracting, build_grid, cells_to_csv, constant_field,
-                   eliminate_cell, interface_cells, interior_cells, neighbor_set)
+                   eliminate_cell, interface_cells, interior_cells)
 
 
 def laplace(dim, n, m):
@@ -121,7 +121,7 @@ class TestInterfaceCells:
             else:
                 lo = np.array([center[0] - w, center[1] - w / 2])
                 hi = np.array([center[0] + w, center[1] + w / 2])
-            nb = neighbor_set(a, members)
+            nb = a.neighbors(members)
             assert np.all((coords[nb] >= lo) & (coords[nb] <= hi)), \
                 "a group interacts beyond its two adjoining cells"
 
