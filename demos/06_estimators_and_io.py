@@ -2,8 +2,8 @@
 
 e_a estimates the forward operator error ||A - F|| / ||A|| and e_s the
 solve error ||I - A F^{-1}||, both by power iteration. Factors persist to
-a versioned binary format and reload bit-exactly; matrices and coefficient
-fields export to standard text formats.
+a versioned .npz archive, checked on load, and reload bit-exactly;
+matrices and coefficient fields export to standard text formats.
 """
 
 import os

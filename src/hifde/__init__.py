@@ -17,7 +17,7 @@ from .discretize import (CoeffField, GridConfig, ProblemSpec, assemble, build_gr
                          smoothed_staggered_noise)
 from .driver import (GeneralizedLDL, LevelFactor, densify, factor_hifde, factor_hifde3x,
                      factor_mf, load_factor, save_factor)
-from .factor_ops import EliminationRecord, SkeletonRecord, eliminate_cell, skeletonize_cell
+from .factor_ops import Record, eliminate_cell, skeletonize_cell
 from .krylov import (EstimateResult, SolveReport, estimate_apply_error,
                      estimate_solve_error, gmres, pcg)
 from .partition import (CellSet, adaptive_interior_cells, assert_noninteracting,

@@ -8,14 +8,14 @@ column-pivoted QR. These are the only places the package touches LAPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dtrsm as _dtrsm
 
 
-def _tri_solve(tri: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
+def _solve_unit_lower(tri: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
     """Unit-lower-triangular solve via BLAS trsm (thin wrapper, low overhead)."""
     vec = b.ndim == 1
     rhs = b[:, None] if vec else b
@@ -53,34 +53,24 @@ class SingularBlockError(FactorizationError):
 class BlockDiag:
     """Block-diagonal matrix with 1x1 and 2x2 blocks.
 
-    Stores the diagonal and the positions/entries of any 2x2 pivot blocks
-    produced by Bunch-Kaufman pivoting. Supports apply and solve on vectors
-    or matrices without densifying.
+    Built from the diagonal and the subdiagonal, which is nonzero only at
+    the first row of each 2x2 pivot block produced by Bunch-Kaufman
+    pivoting. Supports apply and solve on vectors or matrices without
+    densifying.
     """
 
-    def __init__(self, dense_d: np.ndarray):
-        n = dense_d.shape[0]
-        self.n = n
-        self.diag = np.diagonal(dense_d).copy()
-        if n > 1:
-            sub = np.diagonal(dense_d, -1)
-            starts = np.flatnonzero(sub)
-            self.pairs = [(int(i), dense_d[i, i], dense_d[i + 1, i],
-                           dense_d[i + 1, i + 1]) for i in starts]
-        else:
-            self.pairs = []
+    def __init__(self, diag: np.ndarray, sub=()):
+        self.n = len(diag)
+        self.diag = np.asarray(diag, dtype=float)
+        self.pairs = [(int(i), self.diag[i], sub[i], self.diag[i + 1])
+                      for i in np.flatnonzero(sub)]
 
-    @classmethod
-    def from_parts(cls, diag: np.ndarray, pairs: list) -> "BlockDiag":
-        out = cls.__new__(cls)
-        out.n = len(diag)
-        out.diag = np.asarray(diag, dtype=float)
-        out.pairs = pairs
+    def subdiag(self) -> np.ndarray:
+        """The subdiagonal, padded with a zero to length n."""
+        out = np.zeros(self.n)
+        for i, _, c, _ in self.pairs:
+            out[i] = c
         return out
-
-    @property
-    def has_2x2(self) -> bool:
-        return bool(self.pairs)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         out = (self.diag * b.T).T if b.ndim == 2 else self.diag * b
@@ -118,70 +108,69 @@ class BlockDiag:
 
 @dataclass
 class LdlFactor:
-    """Factored form A = L D L^T with L unit triangular up to row permutation.
+    """Factored form P A P^T = L D L^T with L unit lower triangular.
 
     ``mode`` is "cholesky" (SPD path, no pivoting, positive 1x1 D) or "ldl"
-    (Bunch-Kaufman partial pivoting, 1x1/2x2 pivot blocks). ``lower`` holds
-    the possibly row-permuted unit factor; ``lower[perm]`` is triangular.
+    (Bunch-Kaufman partial pivoting, 1x1/2x2 pivot blocks). ``perm`` is the
+    row order of P (``(P b) = b[perm]``), the identity for Cholesky.
     """
 
     mode: str
     lower: np.ndarray
     d: BlockDiag
     perm: np.ndarray
-    _tri: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # fixed memory layout so applies are bit-reproducible across
         # construction and reload
         self.lower = np.ascontiguousarray(self.lower)
-        self._tri = np.ascontiguousarray(self.lower[self.perm])
 
     @property
     def n(self) -> int:
         return self.lower.shape[0]
 
-    # L and L^T act in factored coordinates; the permutation is internal.
+    # P^T L and L^T P act in factored coordinates; the permutation is internal.
     def solve_l(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if self.n == 0 or b.size == 0:
             return b.copy()
-        return _tri_solve(self._tri, b[self.perm], trans=False)
+        return _solve_unit_lower(self.lower, b[self.perm], trans=False)
 
     def solve_lt(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if self.n == 0 or b.size == 0:
             return b.copy()
-        y = _tri_solve(self._tri, b, trans=True)
+        y = _solve_unit_lower(self.lower, b, trans=True)
         out = np.empty_like(y)
         out[self.perm] = y
         return out
 
     def apply_l(self, b: np.ndarray) -> np.ndarray:
-        return self.lower @ b
+        y = self.lower @ b
+        out = np.empty_like(y)
+        out[self.perm] = y
+        return out
 
     def apply_lt(self, b: np.ndarray) -> np.ndarray:
-        return self.lower.T @ b
-
-    def solve_d(self, b: np.ndarray) -> np.ndarray:
-        return self.d.solve(b)
-
-    def apply_d(self, b: np.ndarray) -> np.ndarray:
-        return self.d.apply(b)
+        return self.lower.T @ b[self.perm]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b via L, D, L^T solves."""
-        return self.solve_lt(self.solve_d(self.solve_l(b)))
+        return self.solve_lt(self.d.solve(self.solve_l(b)))
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """A b from the factored form."""
-        return self.apply_l(self.apply_d(self.apply_lt(b)))
-
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(np.eye(self.n))
+        return self.apply_l(self.d.apply(self.apply_lt(b)))
 
     def nfloats(self) -> int:
         return self.lower.size + self.d.nfloats()
+
+
+# The factor of a 0x0 block in each mode (keyed by spd_mode), shared by every
+# record that eliminates nothing.
+EMPTY_FACTOR = {spd: LdlFactor("cholesky" if spd else "ldl", np.zeros((0, 0)),
+                               BlockDiag(np.zeros(0)), np.arange(0))
+                for spd in (True, False)}
 
 
 def ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
@@ -197,9 +186,7 @@ def ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
     if block.ndim != 2 or block.shape[1] != n:
         raise ValueError("block must be square")
     if n == 0:
-        return LdlFactor("cholesky" if spd_mode else "ldl",
-                         np.zeros((0, 0)), BlockDiag(np.zeros((0, 0))),
-                         np.arange(0))
+        return EMPTY_FACTOR[spd_mode]
     scale = float(np.max(np.abs(np.diag(block))))
     if scale == 0.0:
         scale = float(np.max(np.abs(block)))
@@ -210,11 +197,11 @@ def ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
             raise IndefiniteBlockError(str(exc)) from exc
         dc = np.diagonal(c).copy()
         lower = c * (1.0 / dc)[None, :]
-        d = BlockDiag.from_parts(dc * dc, [])
-        fac = LdlFactor("cholesky", lower, d, np.arange(n))
+        fac = LdlFactor("cholesky", lower, BlockDiag(dc * dc), np.arange(n))
     else:
         lu, dd, perm = sla.ldl(block, lower=True, check_finite=False)
-        fac = LdlFactor("ldl", lu, BlockDiag(dd), np.asarray(perm))
+        d = BlockDiag(np.diagonal(dd).copy(), np.diagonal(dd, -1))
+        fac = LdlFactor("ldl", lu[perm], d, np.asarray(perm))
     fac.d.check_nonsingular(scale)
     return fac
 
@@ -272,6 +259,6 @@ def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
     B is explicitly symmetrized to suppress rounding asymmetry.
     """
     y = ldl_pp.solve_l(np.asarray(a_qp, float).T)
-    x = ldl_pp.solve_d(y)
+    x = ldl_pp.d.solve(y)
     b = np.asarray(a_qq, float) - y.T @ x
     return x, 0.5 * (b + b.T)

@@ -12,14 +12,18 @@ Three constructions over a uniform grid hierarchy:
 
 The result is a GeneralizedLDL: an ordered chain of per-level operators
 plus a terminal block-diagonal middle factor, applied as a product of
-easily invertible triangular/interpolation maps. The input matrix is
-consumed (mutated) during construction.
+easily invertible triangular/interpolation maps. Each level holds one
+``Record`` per group (an elimination, after an interpolation on a
+skeletonized group). The input matrix is consumed (mutated) during
+construction.
+
+save_factor/load_factor persist a factor as an ``.npz`` archive of flat
+arrays; load_factor checks the archive and refuses a corrupted one.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -40,9 +44,9 @@ def _cell_loop_threads():
     cap = os.environ.get("HIFDE_NUM_THREADS")
     return _threadpool_limits(limits=int(cap) if cap else 1)
 
-from .dense import BlockDiag, LdlFactor, ldl
+from .dense import EMPTY_FACTOR, BlockDiag, LdlFactor, ldl
 from .discretize import GridConfig
-from .factor_ops import EliminationRecord, SkeletonRecord, eliminate_cell, skeletonize_cell
+from .factor_ops import Record, eliminate_cell, skeletonize_cell
 from .partition import (adaptive_interior_cells, assert_noninteracting,
                         interface_cells, interior_cells)
 from .sparse import DofState, SparseSymMatrix
@@ -90,57 +94,54 @@ class GeneralizedLDL:
 
     # -- operator actions --------------------------------------------------
 
+    def records(self) -> list[Record]:
+        """Every record, in the order the levels made them."""
+        return [rec for lf in self.levels for rec in lf.records]
+
+    # A record's D block acts on its eliminated DOFs, which no later record
+    # reads or writes, so it is applied right after the record's U action.
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y ~= A x through the factored chain."""
         v = np.array(x, dtype=float, copy=True)
-        for lf in self.levels:
-            for rec in lf.records:
-                rec.apply_u_inv(v)
-        for lf in self.levels:
-            for rec in lf.records:
-                rec.apply_d(v)
-        if len(self.top_idx):
-            v[self.top_idx] = self.top.apply(v[self.top_idx])
-        for lf in reversed(self.levels):
-            for rec in reversed(lf.records):
-                rec.apply_u_inv_t(v)
+        recs = self.records()
+        for rec in recs:
+            rec.apply_u_inv(v)
+            rec.apply_d(v)
+        v[self.top_idx] = self.top.apply(v[self.top_idx])
+        for rec in reversed(recs):
+            rec.apply_u_inv_t(v)
         return v
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
         """x ~= A^{-1} b through the factored chain."""
         v = np.array(b, dtype=float, copy=True)
-        for lf in self.levels:
-            for rec in lf.records:
-                rec.apply_ut(v)
-        for lf in self.levels:
-            for rec in lf.records:
-                rec.solve_d(v)
-        if len(self.top_idx):
-            v[self.top_idx] = self.top.solve(v[self.top_idx])
-        for lf in reversed(self.levels):
-            for rec in reversed(lf.records):
-                rec.apply_u(v)
+        recs = self.records()
+        for rec in recs:
+            rec.apply_ut(v)
+            rec.solve_d(v)
+        v[self.top_idx] = self.top.solve(v[self.top_idx])
+        for rec in reversed(recs):
+            rec.apply_u(v)
         return v
 
     # -- accounting ---------------------------------------------------------
 
     def nfloats(self) -> int:
-        total = self.top.nfloats()
-        for lf in self.levels:
-            total += sum(r.nfloats() for r in lf.records)
-        return total
+        return self.top.nfloats() + sum(rec.nfloats() for rec in self.records())
 
     def storage_bytes(self) -> int:
         return 8 * self.nfloats()
 
-    def eliminated_accounting(self) -> int:
-        """Eliminated DOFs across all records plus the terminal block."""
-        return sum(lf.eliminated_count() for lf in self.levels) + len(self.top_idx)
-
-    def check_level_tags(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError unless the level tags strictly increase and the
+        eliminated DOFs and ``top_idx`` cover 0..n-1 exactly once."""
         tags = [lf.level for lf in self.levels]
         if any(b <= a for a, b in zip(tags, tags[1:])):
-            raise AssertionError("level tags not strictly increasing")
+            raise ValueError("level tags not strictly increasing")
+        idx = np.concatenate([rec.rd for rec in self.records()] + [self.top_idx])
+        if len(idx) != self.n or np.any(np.bincount(idx, minlength=self.n) != 1):
+            raise ValueError("eliminated DOFs and top block do not cover "
+                             f"0..{self.n - 1} exactly once")
 
 
 def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
@@ -172,9 +173,7 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
         n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
         top_idx=s_top, top=top,
     )
-    f.check_level_tags()
-    if state.eliminated_count() + len(s_top) != a.n:
-        raise AssertionError("eliminated-DOF accounting mismatch")
+    f.check()
     f.metrics = {
         "s_top": len(s_top),
         "active_trace": trace,
@@ -245,109 +244,108 @@ def densify(f: GeneralizedLDL) -> np.ndarray:
 
 # -- serialization -----------------------------------------------------------
 
-_MAGIC = b"GLDL"
-_VERSION = 1
+_VERSION = 2
+_FIELDS = frozenset("""version n dim spd eps level_tags level_sizes rd_len sk_len
+    has_interp rd sk coupling interp top_idx lower perm diag sub""".split())
 
 
-def _write_arr(fh, arr: np.ndarray, dtype: str) -> None:
-    a = np.ascontiguousarray(arr, dtype=dtype)
-    fh.write(struct.pack("<q", a.size))
-    fh.write(a.tobytes())
+def _flat(parts, dtype) -> np.ndarray:
+    flat = np.concatenate([np.ravel(p) for p in parts] + [np.zeros(0, dtype)])
+    return flat.astype(dtype, copy=False)
 
 
-def _read_arr(fh, dtype: str, shape=None) -> np.ndarray:
-    (size,) = struct.unpack("<q", fh.read(8))
-    a = np.frombuffer(fh.read(size * np.dtype(dtype).itemsize), dtype=dtype).copy()
-    return a.reshape(shape) if shape is not None else a
-
-
-def _write_ldl(fh, fac: LdlFactor) -> None:
-    fh.write(struct.pack("<Bq", 0 if fac.mode == "cholesky" else 1, fac.n))
-    _write_arr(fh, fac.lower, "<f8")
-    _write_arr(fh, fac.perm, "<i8")
-    _write_arr(fh, fac.d.diag, "<f8")
-    fh.write(struct.pack("<q", len(fac.d.pairs)))
-    for i, p, c, d in fac.d.pairs:
-        fh.write(struct.pack("<q3d", i, p, c, d))
-
-
-def _read_ldl(fh) -> LdlFactor:
-    mode_b, n = struct.unpack("<Bq", fh.read(9))
-    lower = _read_arr(fh, "<f8", (n, n))
-    perm = _read_arr(fh, "<i8")
-    diag = _read_arr(fh, "<f8")
-    (npairs,) = struct.unpack("<q", fh.read(8))
-    pairs = [struct.unpack("<q3d", fh.read(32)) for _ in range(npairs)]
-    return LdlFactor("cholesky" if mode_b == 0 else "ldl", lower,
-                     BlockDiag.from_parts(diag, pairs), perm)
-
-
-def _write_elim(fh, rec: EliminationRecord) -> None:
-    _write_arr(fh, rec.cell, "<i8")
-    _write_arr(fh, rec.nbrs, "<i8")
-    _write_ldl(fh, rec.factor)
-    _write_arr(fh, rec.coupling, "<f8")
-
-
-def _read_elim(fh) -> EliminationRecord:
-    cell = _read_arr(fh, "<i8")
-    nbrs = _read_arr(fh, "<i8")
-    fac = _read_ldl(fh)
-    coupling = _read_arr(fh, "<f8", (len(cell), len(nbrs)))
-    return EliminationRecord(cell, nbrs, fac, coupling)
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
+    # slicing, not np.split, which costs ~4 us a piece
+    ends = np.cumsum(sizes).tolist()
+    return [flat[e - k:e] for k, e in zip(sizes.tolist(), ends)]
 
 
 def save_factor(f: GeneralizedLDL, path) -> None:
-    """Versioned little-endian binary dump of the factor."""
+    """Write the factor to ``path`` as an uncompressed ``.npz`` archive.
+
+    The records of all levels are stored back to back as flat arrays plus
+    per-record lengths; the top block's factor follows the records'. The
+    block mode is not stored: it is Cholesky exactly when ``f.spd``.
+    """
+    recs = f.records()
+    facs = [r.factor for r in recs] + [f.top]
+    arrays = dict(
+        version=_VERSION, n=f.n, dim=f.dim, spd=f.spd, eps=f.eps,
+        level_tags=_flat([lf.level for lf in f.levels], "<f8"),
+        level_sizes=_flat([len(lf.records) for lf in f.levels], "<i8"),
+        rd_len=_flat([len(r.rd) for r in recs], "<i8"),
+        sk_len=_flat([len(r.sk) for r in recs], "<i8"),
+        has_interp=_flat([r.interp is not None for r in recs], "?"),
+        rd=_flat([r.rd for r in recs], "<i8"), sk=_flat([r.sk for r in recs], "<i8"),
+        coupling=_flat([r.coupling for r in recs], "<f8"),
+        interp=_flat([r.interp for r in recs if r.interp is not None], "<f8"),
+        top_idx=_flat([f.top_idx], "<i8"),
+        lower=_flat([fac.lower for fac in facs], "<f8"),
+        perm=_flat([fac.perm for fac in facs], "<i8"),
+        diag=_flat([fac.d.diag for fac in facs], "<f8"),
+        sub=_flat([fac.d.subdiag() for fac in facs], "<f8"),
+    )
+    # a file handle, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IiqdBq", _VERSION, f.dim, f.n, f.eps,
-                             int(f.spd), len(f.levels)))
-        for lf in f.levels:
-            fh.write(struct.pack("<dq", lf.level, len(lf.records)))
-            for rec in lf.records:
-                if isinstance(rec, EliminationRecord):
-                    fh.write(b"E")
-                    _write_elim(fh, rec)
-                else:
-                    fh.write(b"S")
-                    _write_arr(fh, rec.cell, "<i8")
-                    _write_arr(fh, rec.sk, "<i8")
-                    _write_arr(fh, rec.rd, "<i8")
-                    _write_arr(fh, rec.interp, "<f8")
-                    fh.write(struct.pack("<B", rec.elim is not None))
-                    if rec.elim is not None:
-                        _write_elim(fh, rec.elim)
-        _write_arr(fh, f.top_idx, "<i8")
-        _write_ldl(fh, f.top)
+        np.savez(fh, **arrays)
 
 
 def load_factor(path) -> GeneralizedLDL:
+    """Read a factor written by save_factor. A file that is not one (a
+    truncated or corrupted archive, a version-1 file, inconsistent lengths,
+    an index outside [0, n), a broken DOF partition) raises ValueError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a factor file")
-        version, dim, n, eps, spd, nlevels = struct.unpack("<IiqdBq", fh.read(33))
-        if version != _VERSION:
-            raise ValueError(f"unsupported factor version {version}")
-        levels = []
-        for _ in range(nlevels):
-            tag, nrec = struct.unpack("<dq", fh.read(16))
-            records = []
-            for _ in range(nrec):
-                kind = fh.read(1)
-                if kind == b"E":
-                    records.append(_read_elim(fh))
-                else:
-                    cell = _read_arr(fh, "<i8")
-                    sk = _read_arr(fh, "<i8")
-                    rd = _read_arr(fh, "<i8")
-                    interp = _read_arr(fh, "<f8", (len(sk), len(rd)))
-                    (has_elim,) = struct.unpack("<B", fh.read(1))
-                    elim = _read_elim(fh) if has_elim else None
-                    records.append(SkeletonRecord(cell, sk, rd, interp, elim))
-            levels.append(LevelFactor(tag, records))
-        top_idx = _read_arr(fh, "<i8")
-        top = _read_ldl(fh)
-    f = GeneralizedLDL(n=n, dim=dim, spd=bool(spd), eps=eps, levels=levels,
-                       top_idx=top_idx, top=top)
+        if fh.read(4) == b"GLDL":
+            raise ValueError(f"{path}: version-1 factor files are no longer "
+                             "read; factor the matrix again")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as z:
+                a = {k: z[k] for k in z.files}
+        except Exception as exc:
+            # zip CRC-32 mismatches, truncation and non-archives all land here
+            raise ValueError(f"{path}: not a readable factor archive ({exc})") from exc
+
+    def need(ok, what):
+        if not ok:
+            raise ValueError(f"{path}: {what}")
+
+    need(a.get("version") == _VERSION and a.keys() == _FIELDS,
+         f"not a version-{_VERSION} factor archive")
+    n, spd, top_idx = int(a["n"]), bool(a["spd"]), a["top_idx"]
+    rd_len, sk_len, has_interp = a["rd_len"], a["sk_len"], a["has_interp"]
+    need(len(sk_len) == len(has_interp) == len(rd_len) == a["level_sizes"].sum()
+         and len(a["level_tags"]) == len(a["level_sizes"])
+         and np.concatenate([rd_len, sk_len, a["level_sizes"]]).min(initial=0) >= 0,
+         "record counts disagree")
+    m, k_rd = np.append(rd_len, len(top_idx)), rd_len * sk_len
+    sizes = dict(rd=rd_len.sum(), sk=sk_len.sum(), coupling=k_rd.sum(),
+                 interp=k_rd[has_interp].sum(), lower=(m * m).sum(), perm=m.sum(),
+                 diag=m.sum(), sub=m.sum())
+    need(all(a[k].size == v for k, v in sizes.items()),
+         "array lengths disagree with the record lengths")
+    for key in ("rd", "sk", "top_idx"):
+        need(np.all((a[key] >= 0) & (a[key] < n)), f"{key} index outside [0, {n})")
+    start, size = np.repeat(np.cumsum(m) - m, m), np.repeat(m, m)
+    need(np.all((a["perm"] >= 0) & (a["perm"] < size))
+         and np.all(np.bincount(a["perm"] + start, minlength=len(start)) == 1),
+         "pivot order is not a permutation")
+
+    mode = "cholesky" if spd else "ldl"
+    facs = [LdlFactor(mode, lower.reshape(mi, mi), BlockDiag(diag, sub[:-1]), perm)
+            if mi else EMPTY_FACTOR[spd]
+            for mi, lower, perm, diag, sub in zip(
+                m, _split(a["lower"], m * m), _split(a["perm"], m), _split(a["diag"], m),
+                _split(a["sub"], m))]
+    interps = iter(_split(a["interp"], k_rd[has_interp]))
+    records = [Record(rd, sk, fac, x.reshape(len(rd), len(sk)),
+                      next(interps).reshape(len(sk), len(rd)) if hi else None)
+               for rd, sk, fac, x, hi in zip(_split(a["rd"], rd_len), _split(a["sk"], sk_len),
+                                             facs, _split(a["coupling"], k_rd), has_interp)]
+    ends = np.cumsum(a["level_sizes"])
+    levels = [LevelFactor(float(tag), records[e - c:e])
+              for tag, c, e in zip(a["level_tags"], a["level_sizes"], ends)]
+    f = GeneralizedLDL(n=n, dim=int(a["dim"]), spd=spd, eps=float(a["eps"]),
+                       levels=levels, top_idx=top_idx, top=facs[-1])
+    f.check()
     return f

@@ -1,7 +1,7 @@
 """Per-cell elimination and skeletonization of the working matrix.
 
-Both operations mutate the matrix in place and return a record holding the
-operators needed to replay (or invert) the transformation:
+Both operations mutate the matrix in place and return a ``Record`` holding
+the operators needed to replay (or invert) the transformation:
 
 * eliminate_cell factors the principal block of a buffered cell, pushes its
   Schur complement onto the neighbor block, and retires the cell.
@@ -11,7 +11,8 @@ operators needed to replay (or invert) the transformation:
 
 Both end in the same elimination step (``_eliminate``): factor the pivot
 block, replace the neighbor block by its Schur complement, retire the
-pivot DOFs.
+pivot DOFs. A record is therefore one elimination S of ``rd`` against
+``sk``, preceded on a skeletonized group by the interpolation Q.
 
 Interactions outside the touched cell and its neighbor set are never read
 or written.
@@ -20,121 +21,87 @@ or written.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .dense import LdlFactor, interpolative_decomposition, ldl, schur_complement
+from .dense import EMPTY_FACTOR, LdlFactor, interpolative_decomposition, ldl, schur_complement
 from .sparse import DofState, SparseSymMatrix
 
-__all__ = ["EliminationRecord", "SkeletonRecord", "eliminate_cell", "skeletonize_cell"]
+__all__ = ["Record", "eliminate_cell", "skeletonize_cell"]
 
 
 @dataclass
-class EliminationRecord:
-    """One application of the elimination operator S over (cell, nbrs).
+class Record:
+    """U = Q S for one group: the elimination S of the DOFs ``rd`` against
+    ``sk``, after the interpolation Q when the group was skeletonized.
 
-    ``coupling`` is X = D^{-1} L^{-1} A_{qp}^T with shape (|cell|, |nbrs|),
-    so S = [[L^{-T}, -L^{-T} X], [0, I]] in (cell, nbrs) coordinates.
+    ``coupling`` is X = D^{-1} L^{-1} A_{sk,rd}^T with shape (|rd|, |sk|),
+    so S = [[L^{-T}, -L^{-T} X], [0, I]] in (rd, sk) coordinates.
+    ``interp`` is None for a cell elimination, whose ``sk`` are the cell's
+    neighbors. On a skeletonized group it is the ID's T with shape
+    (|sk|, |rd|), so that the group's coupling to its neighbors q satisfies
+    A_{q,rd} ~= A_{q,sk} T, and Q = [[I, 0], [-T, I]]. A group the ID did
+    not compress has an empty ``rd`` and acts as the identity.
     """
 
-    cell: np.ndarray
-    nbrs: np.ndarray
+    rd: np.ndarray
+    sk: np.ndarray
     factor: LdlFactor
     coupling: np.ndarray
+    interp: np.ndarray | None = None
 
     def __post_init__(self):
         self.coupling = np.ascontiguousarray(self.coupling)
+        if self.interp is not None:
+            self.interp = np.ascontiguousarray(self.interp)
 
-    # The four unit-triangular actions of S (U = S for a plain elimination,
-    # so the names match SkeletonRecord's) and the middle D block. All
-    # operate in place on a full-length vector (or matrix of columns).
+    # The four unit-triangular actions of U and the middle D block. All
+    # operate in place on a full-length vector (or matrix of columns);
+    # rightmost factors act first.
     def apply_u(self, v: np.ndarray) -> None:
-        t = v[self.cell]
-        if len(self.nbrs):
-            t = t - self.coupling @ v[self.nbrs]
-        v[self.cell] = self.factor.solve_lt(t)
-
-    def apply_ut(self, v: np.ndarray) -> None:
-        t = self.factor.solve_l(v[self.cell])
-        if len(self.nbrs):
-            v[self.nbrs] -= self.coupling.T @ t
-        v[self.cell] = t
-
-    def apply_u_inv(self, v: np.ndarray) -> None:
-        t = self.factor.apply_lt(v[self.cell])
-        if len(self.nbrs):
-            t = t + self.coupling @ v[self.nbrs]
-        v[self.cell] = t
-
-    def apply_u_inv_t(self, v: np.ndarray) -> None:
-        t = v[self.cell]
-        if len(self.nbrs):
-            v[self.nbrs] += self.coupling.T @ t
-        v[self.cell] = self.factor.apply_l(t)
-
-    def apply_d(self, v: np.ndarray) -> None:
-        v[self.cell] = self.factor.apply_d(v[self.cell])
-
-    def solve_d(self, v: np.ndarray) -> None:
-        v[self.cell] = self.factor.solve_d(v[self.cell])
-
-    def nfloats(self) -> int:
-        return self.factor.nfloats() + self.coupling.size
-
-    def eliminated(self) -> np.ndarray:
-        return self.cell
-
-
-@dataclass
-class SkeletonRecord:
-    """ID-based sparsification of one group followed by elimination of its
-    redundant half. ``interp`` maps skeleton to redundant columns
-    (shape (k, |rd|)); ``elim`` is the inner elimination of rd against sk
-    and is None when the ID found no redundancy."""
-
-    cell: np.ndarray
-    sk: np.ndarray
-    rd: np.ndarray
-    interp: np.ndarray
-    elim: Optional[EliminationRecord]
-
-    def __post_init__(self):
-        self.interp = np.ascontiguousarray(self.interp)
-
-    # U = Q S with Q the interpolation congruence and S the inner
-    # elimination; rightmost factors act first.
-    def apply_u(self, v: np.ndarray) -> None:
-        if self.elim is not None:
-            self.elim.apply_u(v)
+        if not len(self.rd):
+            return
+        t = v[self.rd] - self.coupling @ v[self.sk]
+        v[self.rd] = self.factor.solve_lt(t)
+        if self.interp is not None:
             v[self.sk] -= self.interp @ v[self.rd]
 
     def apply_ut(self, v: np.ndarray) -> None:
-        if self.elim is not None:
+        if not len(self.rd):
+            return
+        if self.interp is not None:
             v[self.rd] -= self.interp.T @ v[self.sk]
-            self.elim.apply_ut(v)
+        t = self.factor.solve_l(v[self.rd])
+        v[self.sk] -= self.coupling.T @ t
+        v[self.rd] = t
 
     def apply_u_inv(self, v: np.ndarray) -> None:
-        if self.elim is not None:
+        if not len(self.rd):
+            return
+        if self.interp is not None:
             v[self.sk] += self.interp @ v[self.rd]
-            self.elim.apply_u_inv(v)
+        v[self.rd] = self.factor.apply_lt(v[self.rd]) + self.coupling @ v[self.sk]
 
     def apply_u_inv_t(self, v: np.ndarray) -> None:
-        if self.elim is not None:
-            self.elim.apply_u_inv_t(v)
+        if not len(self.rd):
+            return
+        t = v[self.rd]
+        v[self.sk] += self.coupling.T @ t
+        v[self.rd] = self.factor.apply_l(t)
+        if self.interp is not None:
             v[self.rd] += self.interp.T @ v[self.sk]
 
     def apply_d(self, v: np.ndarray) -> None:
-        if self.elim is not None:
-            self.elim.apply_d(v)
+        if len(self.rd):
+            v[self.rd] = self.factor.d.apply(v[self.rd])
 
     def solve_d(self, v: np.ndarray) -> None:
-        if self.elim is not None:
-            self.elim.solve_d(v)
+        if len(self.rd):
+            v[self.rd] = self.factor.d.solve(v[self.rd])
 
     def nfloats(self) -> int:
-        base = self.interp.size
-        return base + (self.elim.nfloats() if self.elim is not None else 0)
+        extra = self.interp.size if self.interp is not None else 0
+        return self.factor.nfloats() + self.coupling.size + extra
 
     def eliminated(self) -> np.ndarray:
         return self.rd
@@ -142,7 +109,8 @@ class SkeletonRecord:
 
 def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
                q: np.ndarray, m_pp: np.ndarray, m_qp: np.ndarray,
-               m_qq: np.ndarray, level: float, spd: bool) -> EliminationRecord:
+               m_qq: np.ndarray, level: float, spd: bool,
+               interp: np.ndarray | None = None) -> Record:
     """Eliminate the DOFs p against their neighbors q, given the blocks of
     the working matrix over (p, q): factor A_pp, replace A_qq by its Schur
     complement, and retire p."""
@@ -155,11 +123,11 @@ def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
     a.clear_rows(p)
     a.active[p] = False
     state.mark_eliminated(p, level)
-    return EliminationRecord(p, q, fac, x)
+    return Record(p, q, fac, x, interp)
 
 
 def eliminate_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
-                   level: float, spd: bool) -> EliminationRecord:
+                   level: float, spd: bool) -> Record:
     """Eliminate the buffered cell c: Schur-update its neighbors, retire c."""
     c = np.asarray(c, dtype=np.int64)
     q = a.neighbors(c)
@@ -171,7 +139,7 @@ def eliminate_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
 
 
 def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
-                     eps: float, level: float, spd: bool) -> SkeletonRecord:
+                     eps: float, level: float, spd: bool) -> Record:
     """Skeletonize the group c at ID tolerance eps and eliminate the
     redundant DOFs. The coupling of rd to anything outside c is deleted
     (truncated), so afterwards rd interacts with nothing outside c."""
@@ -191,7 +159,7 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     t = idr.t[np.ix_(sk_ord, rd_ord)]
 
     if len(rdl) == 0:
-        return SkeletonRecord(c, skl, rdl, t, None)
+        return Record(rdl, skl, EMPTY_FACTOR[spd], np.zeros((0, len(skl))), t)
 
     app = m[:nc]
     a_rr = app[np.ix_(lrd, lrd)]
@@ -202,11 +170,10 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     b_sr = a_sr - a_ss @ t
     a.drop_cols(q, rdl)
     try:
-        elim = _eliminate(a, state, rdl, skl, b_rr, b_sr, a_ss, level, spd)
+        return _eliminate(a, state, rdl, skl, b_rr, b_sr, a_ss, level, spd, t)
     except (ValueError, ArithmeticError):
         raise
     except Exception as exc:
         raise type(exc)(
             f"{exc} (skeletonizing group of {len(c)} DOFs at level {level})"
         ) from exc
-    return SkeletonRecord(c, skl, rdl, t, elim)

@@ -38,9 +38,6 @@ class DofState:
             raise ValueError("DOF eliminated twice")
         self.elim_level[c] = level
 
-    def eliminated_count(self) -> int:
-        return int(np.isfinite(self.elim_level).sum())
-
 
 class SparseSymMatrix:
     """Order-N symmetric sparse matrix over an active DOF set."""

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 
 from hifde import (SparseSymMatrix, DofState, eliminate_cell, skeletonize_cell,
                    interpolative_decomposition)
-from hifde.factor_ops import EliminationRecord, SkeletonRecord
+from hifde import Record
 
 
 def random_symmetric(rng, n: int, scale: float = 1.0) -> np.ndarray:
@@ -53,9 +53,9 @@ def svd_rank(m: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def dense_s(rec: EliminationRecord, n: int) -> np.ndarray:
+def dense_s(rec: Record, n: int) -> np.ndarray:
     """Explicit elimination operator S over the full index space."""
-    p, q = rec.cell, rec.nbrs
+    p, q = rec.rd, rec.sk
     s = np.eye(n)
     linv_t = rec.factor.solve_lt(np.eye(len(p)))
     s[np.ix_(p, p)] = linv_t
@@ -64,9 +64,9 @@ def dense_s(rec: EliminationRecord, n: int) -> np.ndarray:
     return s
 
 
-def dense_s_inv_t(rec: EliminationRecord, n: int) -> np.ndarray:
+def dense_s_inv_t(rec: Record, n: int) -> np.ndarray:
     """S^{-T} = [[L, 0], [X^T, I]] over the full index space."""
-    p, q = rec.cell, rec.nbrs
+    p, q = rec.rd, rec.sk
     s = np.eye(n)
     s[np.ix_(p, p)] = rec.factor.apply_l(np.eye(len(p)))
     if len(q):
@@ -74,7 +74,7 @@ def dense_s_inv_t(rec: EliminationRecord, n: int) -> np.ndarray:
     return s
 
 
-def dense_q(rec: SkeletonRecord, n: int) -> np.ndarray:
+def dense_q(rec: Record, n: int) -> np.ndarray:
     """Interpolation congruence Q = [[I, 0], [-T, I]] over (rd, sk)."""
     qm = np.eye(n)
     if len(rec.rd) and len(rec.sk):
@@ -82,26 +82,18 @@ def dense_q(rec: SkeletonRecord, n: int) -> np.ndarray:
     return qm
 
 
-def dense_q_inv_t(rec: SkeletonRecord, n: int) -> np.ndarray:
+def dense_q_inv_t(rec: Record, n: int) -> np.ndarray:
     qm = np.eye(n)
     if len(rec.rd) and len(rec.sk):
         qm[np.ix_(rec.rd, rec.sk)] = rec.interp.T
     return qm
 
 
-def dense_after_elimination(a: SparseSymMatrix, rec: EliminationRecord) -> np.ndarray:
+def dense_after(a: SparseSymMatrix, rec: Record) -> np.ndarray:
     """Post-state as a dense matrix, with the decoupled D block restored."""
     out = a.to_dense()
-    p = rec.cell
-    out[np.ix_(p, p)] = rec.factor.apply_d(np.eye(len(p)))
-    return out
-
-
-def dense_after_skeletonization(a: SparseSymMatrix, rec: SkeletonRecord) -> np.ndarray:
-    out = a.to_dense()
-    if rec.elim is not None:
-        rd = rec.rd
-        out[np.ix_(rd, rd)] = rec.elim.factor.apply_d(np.eye(len(rd)))
+    rd = rec.rd
+    out[np.ix_(rd, rd)] = rec.factor.d.apply(np.eye(len(rd)))
     return out
 
 
@@ -166,7 +158,7 @@ def check_elimination_properties(ncases: int, seed: int = 5678) -> None:
             continue  # randomly singular pivot in indefinite mode
         s = dense_s(rec, n)
         expected = s.T @ dense_before @ s
-        got = dense_after_elimination(a, rec)
+        got = dense_after(a, rec)
         scale = np.linalg.norm(dense_before, 2)
         assert np.linalg.norm(expected - got, 2) <= 1e-11 * scale
         # c fully decoupled in storage
@@ -197,12 +189,9 @@ def check_skeletonization_properties(ncases: int, seed: int = 9012) -> None:
             rec = skeletonize_cell(a, state, c, eps, 0.0, spd)
         except Exception:
             continue  # B_rr randomly singular in indefinite mode
-        after = dense_after_skeletonization(a, rec)
-        if rec.elim is not None:
-            stilde = dense_q_inv_t(rec, n) @ dense_s_inv_t(rec.elim, n)
-            recon = stilde @ after @ stilde.T
-        else:
-            recon = after
+        after = dense_after(a, rec)
+        stilde = dense_q_inv_t(rec, n) @ dense_s_inv_t(rec, n)
+        recon = stilde @ after @ stilde.T
         scale = np.linalg.norm(dense_before, 2)
         err = np.linalg.norm(dense_before - recon, 2)
         assert err <= max(c_factor * eps * scale, 1e-10 * scale), \

@@ -12,7 +12,6 @@ import pytest
 
 from hifde import (CoeffField, assemble, build_grid, constant_field, densify,
                    factor_hifde, factor_mf, run_example, smoothed_staggered_noise)
-from hifde.factor_ops import EliminationRecord
 
 from oracles import (check_elimination_properties, check_id_properties,
                      check_skeletonization_properties)
@@ -166,9 +165,7 @@ def test_criterion_10_spd_preservation():
     f = factor_hifde(a, g, 1e-9, spd=True)
     for lf in f.levels:
         for rec in lf.records:
-            fac = rec.factor if isinstance(rec, EliminationRecord) else \
-                (rec.elim.factor if rec.elim is not None else None)
-            assert fac is None or fac.mode == "cholesky"
+            assert rec.factor.mode == "cholesky"
     assert f.top.mode == "cholesky"
     rng = np.random.default_rng(10)
     quad_min = np.inf

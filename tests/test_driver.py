@@ -7,7 +7,6 @@ from hifde import (GridConfig, IndefiniteBlockError, SingularBlockError,
                    assemble, build_grid, constant_field, densify, factor_hifde,
                    factor_hifde3x, factor_mf, high_contrast_field, load_factor,
                    save_factor)
-from hifde.factor_ops import EliminationRecord
 
 
 def laplace(dim, n, m):
@@ -42,7 +41,7 @@ class TestMultifrontal:
     def test_conservation_and_tags(self):
         g, a, _ = laplace(2, 16, 2)
         f = factor_mf(a, g)
-        assert f.eliminated_accounting() == g.ndof
+        f.check()
         tags = [lf.level for lf in f.levels]
         assert tags == sorted(tags) and len(set(tags)) == len(tags)
 
@@ -65,9 +64,9 @@ class TestHifde:
             assert lf1.level == lf2.level
             assert len(lf1.records) == len(lf2.records)
             for r1, r2 in zip(lf1.records, lf2.records):
-                assert isinstance(r1, EliminationRecord)
-                assert np.array_equal(r1.cell, r2.cell)
-                assert np.array_equal(r1.nbrs, r2.nbrs)
+                assert r1.interp is None
+                assert np.array_equal(r1.rd, r2.rd)
+                assert np.array_equal(r1.sk, r2.sk)
                 assert np.array_equal(r1.factor.lower, r2.factor.lower)
                 assert np.array_equal(r1.coupling, r2.coupling)
         assert np.array_equal(f_skip.top_idx, f_mf.top_idx)
@@ -114,7 +113,7 @@ class TestHifde3d:
         dense = csr.toarray()
         err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-7
-        assert f.eliminated_accounting() == g.ndof
+        f.check()
 
     def test_hifde3x_near_exact_limit(self):
         g, a, csr = laplace(3, 8, 2)
@@ -193,9 +192,7 @@ class TestApply:
         f = factor_hifde(a, g, 1e-9, spd=True)
         for lf in f.levels:
             for rec in lf.records:
-                fac = rec.factor if isinstance(rec, EliminationRecord) else \
-                    (rec.elim.factor if rec.elim is not None else None)
-                assert fac is None or fac.mode == "cholesky"
+                assert rec.factor.mode == "cholesky"
         assert f.top.mode == "cholesky"
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -247,4 +244,98 @@ class TestSerialization:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(ValueError):
+            load_factor(path)
+
+    @pytest.mark.parametrize("as_str", [False, True])
+    def test_writes_exactly_the_given_path(self, tmp_path, as_str):
+        g, a, _ = laplace(2, 8, 2)
+        f = factor_hifde(a, g, 1e-6)
+        path = tmp_path / "factor-1.gldl"
+        save_factor(f, str(path) if as_str else path)
+        assert [p.name for p in tmp_path.iterdir()] == ["factor-1.gldl"]
+        assert load_factor(path).n == f.n
+
+    @pytest.mark.parametrize("spd", [True, False])
+    def test_block_mode_follows_spd(self, tmp_path, spd):
+        g, a, _ = laplace(2, 16, 4)
+        f = factor_hifde(a, g, 1e-6, spd=spd)
+        path = tmp_path / "factor.gldl"
+        save_factor(f, path)
+        mode = "cholesky" if spd else "ldl"
+        for fac in (f, load_factor(path)):
+            assert fac.spd == spd
+            records = [rec for lf in fac.levels for rec in lf.records]
+            assert any(len(rec.rd) == 0 for rec in records)
+            assert all(rec.factor.mode == mode for rec in records)
+            assert fac.top.mode == mode
+
+
+class TestCorruptedFile:
+    """load_factor refuses a damaged or inconsistent file with a ValueError
+    that names the problem."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        g, a, _ = laplace(2, 16, 4)
+        f = factor_hifde(a, g, 1e-6)
+        path = tmp_path / "factor.gldl"
+        save_factor(f, path)
+        return f, path
+
+    @staticmethod
+    def rewrite(path, **changes):
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays.update(changes)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    def test_truncated(self, saved):
+        _, path = saved
+        path.write_bytes(path.read_bytes()[:-200])
+        with pytest.raises(ValueError, match="not a readable factor archive"):
+            load_factor(path)
+
+    def test_flipped_payload_bit(self, saved):
+        _, path = saved
+        raw = bytearray(path.read_bytes())
+        with np.load(path) as z:
+            lower = z["lower"].tobytes()
+        at = raw.find(lower) + len(lower) // 2
+        raw[at] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="CRC-32"):
+            load_factor(path)
+
+    def test_version_1_file(self, tmp_path):
+        path = tmp_path / "old.gldl"
+        path.write_bytes(b"GLDL" + (1).to_bytes(4, "little") + b"\0" * 64)
+        with pytest.raises(ValueError, match="version-1"):
+            load_factor(path)
+
+    def test_index_out_of_range(self, saved):
+        f, path = saved
+        with np.load(path) as z:
+            sk = z["sk"].copy()
+        sk[0] = f.n
+        self.rewrite(path, sk=sk)
+        with pytest.raises(ValueError, match=r"sk index outside \[0, "):
+            load_factor(path)
+
+    def test_level_tags_not_increasing(self, saved):
+        _, path = saved
+        with np.load(path) as z:
+            tags = z["level_tags"].copy()
+        tags[1] = tags[0]
+        self.rewrite(path, level_tags=tags)
+        with pytest.raises(ValueError, match="level tags not strictly increasing"):
+            load_factor(path)
+
+    def test_dofs_not_covered_once(self, saved):
+        _, path = saved
+        with np.load(path) as z:
+            rd = z["rd"].copy()
+        rd[1] = rd[0]
+        self.rewrite(path, rd=rd)
+        with pytest.raises(ValueError, match="exactly once"):
             load_factor(path)

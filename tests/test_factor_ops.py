@@ -8,7 +8,7 @@ from hifde import (DofState, SparseSymMatrix, assemble, build_grid, constant_fie
                    eliminate_cell, interior_cells, skeletonize_cell)
 
 from oracles import (check_elimination_properties, check_skeletonization_properties,
-                     dense_after_skeletonization, dense_q_inv_t, dense_s,
+                     dense_after, dense_q_inv_t, dense_s,
                      dense_s_inv_t, random_spd)
 
 
@@ -27,13 +27,13 @@ class TestEliminateCell:
         assert d[1, 1] == pytest.approx(1.5)
         assert d[1, 2] == 1.0 and d[2, 2] == 2.0
         assert not a.active[0] and a.active[1] and a.active[2]
-        assert rec.nbrs.tolist() == [1]
+        assert rec.sk.tolist() == [1] and rec.interp is None
 
     def test_diagonal_matrix_no_fill(self):
         a = from_dense(np.diag([3.0, 4.0, 5.0, 6.0]))
         before = a.to_dense()
         rec = eliminate_cell(a, DofState(4), np.array([1, 2]), 0.0, True)
-        assert len(rec.nbrs) == 0
+        assert len(rec.sk) == 0
         d = a.to_dense()
         others = [0, 3]
         assert np.array_equal(d[np.ix_(others, others)],
@@ -96,7 +96,7 @@ class TestSkeletonizeCell:
         a = from_dense(d)
         state = DofState(7)
         rec = skeletonize_cell(a, state, np.arange(3), 1e-9, 0.5, True)
-        assert rec.elim is not None
+        assert rec.factor.n == 3
         assert len(rec.sk) == 0 and rec.rd.tolist() == [0, 1, 2]
         assert not a.active[:3].any()
         assert np.array_equal(a.to_dense()[3:, 3:], blk2)
@@ -121,8 +121,8 @@ class TestSkeletonizeCell:
         others = np.setdiff1d(np.arange(n), rec.rd)
         assert not a.gather(rec.rd, others).any()
         # dense congruence oracle: S~ A_after S~^T == A_before (E is exactly 0)
-        after = dense_after_skeletonization(a, rec)
-        stilde = dense_q_inv_t(rec, n) @ dense_s_inv_t(rec.elim, n)
+        after = dense_after(a, rec)
+        stilde = dense_q_inv_t(rec, n) @ dense_s_inv_t(rec, n)
         recon = stilde @ after @ stilde.T
         assert np.linalg.norm(recon - d, 2) <= 1e-12 * np.linalg.norm(d, 2)
 
@@ -140,12 +140,12 @@ class TestSkeletonizeCell:
         a2 = from_dense(base)
         rec_s = skeletonize_cell(a1, DofState(10), c, 1.0, 0.0, True)
         rec_e = eliminate_cell(a2, DofState(10), c, 0.0, True)
-        assert rec_s.elim is not None and len(rec_s.sk) == 0
+        assert rec_s.factor.n == 3 and len(rec_s.sk) == 0
         # identical factorization of the cell block
-        assert np.array_equal(rec_s.elim.factor.lower, rec_e.factor.lower)
-        assert np.array_equal(rec_s.elim.factor.d.diag, rec_e.factor.d.diag)
+        assert np.array_equal(rec_s.factor.lower, rec_e.factor.lower)
+        assert np.array_equal(rec_s.factor.d.diag, rec_e.factor.d.diag)
         # the two results differ on (q, q) by exactly the Schur correction
-        q = rec_e.nbrs
+        q = rec_e.sk
         diff = a1.to_dense() - a2.to_dense()
         cpp = base[np.ix_(c, c)]
         cqp = base[np.ix_(q, c)]
@@ -162,7 +162,7 @@ class TestSkeletonizeCell:
         before = a.to_dense()
         state = DofState(6)
         rec = skeletonize_cell(a, state, np.arange(3), 1e-14, 0.5, True)
-        assert rec.elim is None
+        assert rec.factor.n == 0 and rec.coupling.shape == (0, 3)
         assert len(rec.rd) == 0 and len(rec.sk) == 3
         assert np.array_equal(a.to_dense(), before)
         assert a.active.all()
@@ -179,10 +179,9 @@ class TestSkeletonizeCell:
         cs = interface_cells(g, 0, a.active, "edge")
         eps = 1e-6
         rec = skeletonize_cell(a, state, cs.cells[10], eps, 0.5, True)
-        after = dense_after_skeletonization(a, rec)
-        if rec.elim is not None:
-            stilde = dense_q_inv_t(rec, a.n) @ dense_s_inv_t(rec.elim, a.n)
-            after = stilde @ after @ stilde.T
+        after = dense_after(a, rec)
+        stilde = dense_q_inv_t(rec, a.n) @ dense_s_inv_t(rec, a.n)
+        after = stilde @ after @ stilde.T
         err = np.linalg.norm(after - before, 2) / np.linalg.norm(before, 2)
         assert err <= 100 * eps
 
