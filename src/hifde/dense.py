@@ -1,9 +1,10 @@
 """Dense factorization and compression kernels.
 
 Everything here operates on small dense blocks extracted from the sparse
-working matrix: symmetric LDL/Cholesky factorization, triangular solves,
-Schur complements, and the interpolative decomposition (ID) built on a
-column-pivoted QR. These are the only places the package touches LAPACK.
+working matrix, or on stacks of them: symmetric LDL/Cholesky
+factorization, triangular solves, Schur complements, and the
+interpolative decomposition (ID) built on a column-pivoted QR. These are
+the only places the package touches LAPACK.
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ from scipy.linalg.blas import dtrsm as _dtrsm
 
 
 def _solve_unit_lower(tri: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
-    """Unit-lower-triangular solve via BLAS trsm (thin wrapper, low overhead)."""
+    """Unit-lower-triangular solve via BLAS trsm (thin wrapper, low overhead).
+
+    A C-ordered L is handed to BLAS as the Fortran-ordered upper triangle
+    L^T, with the transpose flag flipped: passing L itself would copy it to
+    Fortran order on every call."""
     vec = b.ndim == 1
     rhs = b[:, None] if vec else b
-    out = _dtrsm(1.0, tri, rhs, side=0, lower=1, trans_a=1 if trans else 0, diag=1)
+    out = _dtrsm(1.0, tri.T, rhs, side=0, lower=0, trans_a=0 if trans else 1, diag=1)
     return out[:, 0] if vec else out
+
 
 __all__ = [
     "FactorizationError",
@@ -32,6 +38,7 @@ __all__ = [
     "ldl",
     "interpolative_decomposition",
     "schur_complement",
+    "solve_unit_lower_stack",
 ]
 
 # Relative pivot threshold below which a diagonal block is reported singular.
@@ -39,7 +46,22 @@ SINGULAR_PIVOT_RTOL = 1e-14
 
 
 class FactorizationError(Exception):
-    """Base class for factorization failures."""
+    """Base class for factorization failures.
+
+    The driver that hits one names where: ``level`` (the level tag, None
+    for the top block), ``group`` (the group's index within its level) and
+    ``block_size`` (the group's DOF count), also appended to the message.
+    """
+
+    level: float | None = None
+    group: int | None = None
+    block_size: int | None = None
+
+    def locate(self, level: float | None, group: int | None, block_size: int) -> None:
+        self.level, self.group, self.block_size = level, group, block_size
+        where = "top block" if level is None else f"level {level:.4g}, group {group}"
+        msg = self.args[0] if self.args else ""
+        self.args = (f"{msg} ({where}, {block_size} DOFs)", *self.args[1:])
 
 
 class IndefiniteBlockError(FactorizationError):
@@ -63,7 +85,7 @@ class BlockDiag:
         self.n = len(diag)
         self.diag = np.asarray(diag, dtype=float)
         self.pairs = [(int(i), self.diag[i], sub[i], self.diag[i + 1])
-                      for i in np.flatnonzero(sub)]
+                      for i in np.nonzero(sub)[0]]
 
     def subdiag(self) -> np.ndarray:
         """The subdiagonal, padded with a zero to length n."""
@@ -262,3 +284,26 @@ def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
     x = ldl_pp.d.solve(y)
     b = np.asarray(a_qq, float) - y.T @ x
     return x, 0.5 * (b + b.T)
+
+
+def solve_unit_lower_stack(lower: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
+    """Solve L y = b (L^T y = b when ``trans``) for each block of a stack of
+    unit lower triangular ``lower`` (k, r, r) and right-hand sides ``b``
+    (k, r, m). ``b`` may be overwritten.
+
+    Substitution across the stack takes r - 1 NumPy steps whatever k is;
+    one trsm per block takes k calls. So a stack of many small blocks
+    (r <= k) is solved by substitution, one row at a time as a stacked dot
+    product (measured faster than the column-oriented form), and a stack of
+    a few large blocks by trsm.
+    """
+    k, r = lower.shape[:2]
+    if r > k:
+        return np.stack([_solve_unit_lower(tri, y, trans) for tri, y in zip(lower, b)])
+    if trans:
+        for i in range(r - 2, -1, -1):
+            b[:, i] -= (lower[:, None, i + 1:, i] @ b[:, i + 1:])[:, 0]
+    else:
+        for i in range(1, r):
+            b[:, i] -= (lower[:, i, None, :i] @ b[:, :i])[:, 0]
+    return b

@@ -17,14 +17,24 @@ easily invertible triangular/interpolation maps. Each level holds one
 skeletonized group). The input matrix is consumed (mutated) during
 construction.
 
+The records of one level commute, so apply/apply_inverse do not visit them
+one by one: each level is compiled into a solve plan of ``Group``s, runs of
+records with the same shape whose arrays are stacked, and a sweep step
+applies a whole group with stacked matmuls and triangular solves. A level's
+arrays are held once: its records are views of its groups' stacks.
+
 save_factor/load_factor persist a factor as an ``.npz`` archive of flat
-arrays; load_factor checks the archive and refuses a corrupted one.
+arrays in the same record order, so each group is a contiguous run that
+load_factor reshapes into its stacks without copying; load_factor checks
+the archive and refuses a corrupted one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
+import zipfile
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -44,7 +54,8 @@ def _cell_loop_threads():
     cap = os.environ.get("HIFDE_NUM_THREADS")
     return _threadpool_limits(limits=int(cap) if cap else 1)
 
-from .dense import EMPTY_FACTOR, BlockDiag, LdlFactor, ldl
+from .dense import (EMPTY_FACTOR, BlockDiag, FactorizationError, LdlFactor, ldl,
+                    solve_unit_lower_stack)
 from .discretize import GridConfig
 from .factor_ops import Record, eliminate_cell, skeletonize_cell
 from .partition import (adaptive_interior_cells, assert_noninteracting,
@@ -52,6 +63,7 @@ from .partition import (adaptive_interior_cells, assert_noninteracting,
 from .sparse import DofState, SparseSymMatrix
 
 __all__ = [
+    "Group",
     "LevelFactor",
     "GeneralizedLDL",
     "factor_mf",
@@ -63,12 +75,99 @@ __all__ = [
 ]
 
 
+class Group:
+    """The k records of one level that share |rd| = r, |sk| = s and their
+    kind, with their arrays stacked: ``rd`` (k, r), ``sk`` (k, s),
+    ``coupling`` X (k, r, s), ``lower`` L (k, r, r), ``diag`` and ``sub``
+    of D (k, r), and on a skeletonized group ``interp`` T (k, s, r) (None
+    on a cell elimination). The pivot orders ``perm`` (k, r) are kept
+    composed with ``rd`` as ``prd``.
+
+    The records of a level commute, so each sweep step applies a whole
+    group at once. A skeletonized group's records touch only their own
+    DOFs; cell eliminations share their neighbor DOFs ``sk``, so their
+    updates to ``sk`` are accumulated with ufunc.at, in record order.
+    Each step acts in place on v, an (N, m) array of columns.
+    """
+
+    def __init__(self, rd, sk, coupling, lower, perm, diag, sub, interp):
+        self.rd, self.sk, self.coupling, self.lower = rd, sk, coupling, lower
+        self.diag, self.sub, self.interp = diag, sub, interp
+        # rd in pivot order: P applied to v[rd] is v[prd]
+        self.prd = np.take_along_axis(rd, perm, axis=1)
+        g, i = np.nonzero(sub)
+        self.pairs = (g, i) if len(g) else None   # the 2x2 pivots of D
+
+    def _d(self, t: np.ndarray, inverse: bool) -> np.ndarray:
+        """D t, or D^{-1} t, for t of shape (k, r, m)."""
+        diag = self.diag[:, :, None]
+        out = t / diag if inverse else t * diag
+        if self.pairs is not None:
+            g, i = self.pairs
+            a, c, d = self.diag[g, i, None], self.sub[g, i, None], self.diag[g, i + 1, None]
+            ti, tj = t[g, i], t[g, i + 1]
+            if inverse:
+                det = a * d - c * c
+                out[g, i], out[g, i + 1] = (d * ti - c * tj) / det, (a * tj - c * ti) / det
+            else:
+                out[g, i], out[g, i + 1] = a * ti + c * tj, c * ti + d * tj
+        return out
+
+    def _add_to_sk(self, v: np.ndarray, vals: np.ndarray, ufunc) -> None:
+        """v[sk] = ufunc(v[sk], vals), summing in record order where the
+        records share DOFs."""
+        if self.interp is not None:
+            v[self.sk] = ufunc(v[self.sk], vals)
+            return
+        m = v.shape[1]
+        # one flat 1-D index, the fast path of ufunc.at
+        idx = (self.sk[:, :, None] * m + np.arange(m)).ravel() if m > 1 else self.sk.ravel()
+        ufunc.at(v.reshape(-1), idx, vals.ravel())
+
+    def solve_forward(self, v: np.ndarray) -> None:
+        """v <- D^{-1} U^T v: the first sweep of apply_inverse."""
+        if self.interp is not None:
+            v[self.rd] -= _mT(self.interp) @ v[self.sk]
+        t = solve_unit_lower_stack(self.lower, v[self.prd], trans=False)
+        self._add_to_sk(v, _mT(self.coupling) @ t, np.subtract)
+        v[self.rd] = self._d(t, inverse=True)
+
+    def solve_backward(self, v: np.ndarray) -> None:
+        """v <- U v: the second sweep of apply_inverse."""
+        t = v[self.rd] - self.coupling @ v[self.sk]
+        v[self.prd] = solve_unit_lower_stack(self.lower, t, trans=True)
+        if self.interp is not None:
+            v[self.sk] -= self.interp @ v[self.rd]
+
+    def apply_forward(self, v: np.ndarray) -> None:
+        """v <- D U^{-1} v: the first sweep of apply."""
+        if self.interp is not None:
+            v[self.sk] += self.interp @ v[self.rd]
+        t = _mT(self.lower) @ v[self.prd] + self.coupling @ v[self.sk]
+        v[self.rd] = self._d(t, inverse=False)
+
+    def apply_backward(self, v: np.ndarray) -> None:
+        """v <- U^{-T} v: the second sweep of apply."""
+        t = v[self.rd]
+        self._add_to_sk(v, _mT(self.coupling) @ t, np.add)
+        v[self.prd] = self.lower @ t
+        if self.interp is not None:
+            v[self.rd] += _mT(self.interp) @ v[self.sk]
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return a.transpose(0, 2, 1)
+
+
 @dataclass
 class LevelFactor:
-    """All records produced at one (possibly fractional) level."""
+    """All records produced at one (possibly fractional) level, and the
+    solve plan: the groups of the records that eliminate something."""
 
     level: float
     records: list
+    groups: list
 
     def eliminated_count(self) -> int:
         return sum(len(r.eliminated()) for r in self.records)
@@ -79,8 +178,10 @@ class GeneralizedLDL:
     """Approximate generalized LDL factorization of a sparse symmetric matrix.
 
     apply() multiplies by the factored operator, apply_inverse() by its
-    inverse; both cost one sweep through the stored records. ``top`` is the
-    factored dense block over the DOFs still active at the end (``top_idx``).
+    inverse; both sweep the levels' groups forward and back. Either takes
+    a vector or an (N, m) block of columns and returns the same shape.
+    ``top`` is the factored dense block over the DOFs still active at the
+    end (``top_idx``).
     """
 
     n: int
@@ -98,31 +199,32 @@ class GeneralizedLDL:
         """Every record, in the order the levels made them."""
         return [rec for lf in self.levels for rec in lf.records]
 
-    # A record's D block acts on its eliminated DOFs, which no later record
-    # reads or writes, so it is applied right after the record's U action.
+    def _groups(self) -> list[Group]:
+        return [g for lf in self.levels for g in lf.groups]
+
+    # A group's D block acts on its eliminated DOFs, which no later group
+    # reads or writes, so it is applied right after the group's U action.
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y ~= A x through the factored chain."""
-        v = np.array(x, dtype=float, copy=True)
-        recs = self.records()
-        for rec in recs:
-            rec.apply_u_inv(v)
-            rec.apply_d(v)
+        v = _columns(x)
+        groups = self._groups()
+        for g in groups:
+            g.apply_forward(v)
         v[self.top_idx] = self.top.apply(v[self.top_idx])
-        for rec in reversed(recs):
-            rec.apply_u_inv_t(v)
-        return v
+        for g in reversed(groups):
+            g.apply_backward(v)
+        return v.reshape(np.shape(x))
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
         """x ~= A^{-1} b through the factored chain."""
-        v = np.array(b, dtype=float, copy=True)
-        recs = self.records()
-        for rec in recs:
-            rec.apply_ut(v)
-            rec.solve_d(v)
+        v = _columns(b)
+        groups = self._groups()
+        for g in groups:
+            g.solve_forward(v)
         v[self.top_idx] = self.top.solve(v[self.top_idx])
-        for rec in reversed(recs):
-            rec.apply_u(v)
-        return v
+        for g in reversed(groups):
+            g.solve_backward(v)
+        return v.reshape(np.shape(b))
 
     # -- accounting ---------------------------------------------------------
 
@@ -146,29 +248,43 @@ class GeneralizedLDL:
 
 def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
                 schedule, verify: bool) -> GeneralizedLDL:
-    """Common driver loop: ``schedule`` yields (level_tag, cellset, kind)."""
+    """Common driver loop: ``schedule`` yields (level_tag, cellset, kind).
+
+    A FactorizationError is given the level tag, the group's index and its
+    size (``FactorizationError.locate``)."""
     t0 = time.perf_counter()
     state = DofState(a.n)
     levels: list[LevelFactor] = []
     trace: list[tuple[float, int]] = [(-1.0, int(a.active.sum()))]
     level_times: list[tuple[float, float]] = []
-    with _cell_loop_threads():
-        for tag, cs, is_skel in schedule(a):
-            t_level = time.perf_counter()
-            records = []
-            if not is_skel:
-                if verify:
+    where = None
+    try:
+        with _cell_loop_threads():
+            for tag, cs, is_skel in schedule(a):
+                t_level = time.perf_counter()
+                if verify and not is_skel:
                     assert_noninteracting(a, cs)
-                for members in cs.cells:
-                    records.append(eliminate_cell(a, state, members, tag, spd))
-            else:
-                for members in cs.cells:
-                    records.append(skeletonize_cell(a, state, members, eps, tag, spd))
-            levels.append(LevelFactor(tag, records))
-            trace.append((tag, int(a.active.sum())))
-            level_times.append((tag, time.perf_counter() - t_level))
-    s_top = np.flatnonzero(a.active)
-    top = ldl(a.gather(s_top, s_top), spd)
+                records = []
+                for i, members in enumerate(cs.cells):
+                    where = (tag, i, len(members))
+                    if is_skel:
+                        records.append(skeletonize_cell(a, state, members, eps, tag, spd))
+                    else:
+                        records.append(eliminate_cell(a, state, members, tag, spd))
+                # the level's arrays move into its group stacks, so they are
+                # held once; file order is this sorted order
+                records.sort(key=lambda r: (len(r.rd), len(r.sk), r.interp is not None))
+                flats = {key: _flat(*spec) for key, spec in
+                         _pack(records, [r.factor for r in records]).items()}
+                levels.append(_level(tag, spd, flats))
+                trace.append((tag, int(a.active.sum())))
+                level_times.append((tag, time.perf_counter() - t_level))
+        s_top = np.flatnonzero(a.active)
+        where = (None, None, len(s_top))
+        top = ldl(a.gather(s_top, s_top), spd)
+    except FactorizationError as exc:
+        exc.locate(*where)
+        raise
     f = GeneralizedLDL(
         n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
         top_idx=s_top, top=top,
@@ -182,6 +298,12 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
         "t_f_seconds": time.perf_counter() - t0,
     }
     return f
+
+
+def _columns(x) -> np.ndarray:
+    """A C-ordered float copy of x as an (N, m) array of columns."""
+    v = np.array(x, dtype=float, order="C")
+    return v.reshape(len(v), -1)
 
 
 def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True,
@@ -249,9 +371,9 @@ _FIELDS = frozenset("""version n dim spd eps level_tags level_sizes rd_len sk_le
     has_interp rd sk coupling interp top_idx lower perm diag sub""".split())
 
 
-def _flat(parts, dtype) -> np.ndarray:
-    flat = np.concatenate([np.ravel(p) for p in parts] + [np.zeros(0, dtype)])
-    return flat.astype(dtype, copy=False)
+def _flat(parts: list, dtype) -> np.ndarray:
+    """The arrays ``parts``, each raveled, joined into one of ``dtype``."""
+    return np.concatenate(parts + [np.zeros(0, dtype)], axis=None, dtype=dtype)
 
 
 def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
@@ -260,40 +382,94 @@ def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
     return [flat[e - k:e] for k, e in zip(sizes.tolist(), ends)]
 
 
+def _pack(recs: list[Record], facs: list[LdlFactor]) -> dict:
+    """The file layout of the records ``recs`` and the block factors
+    ``facs``: for each flat array, its parts in order and its dtype."""
+    return dict(
+        rd_len=([np.array([len(r.rd) for r in recs], "<i8")], "<i8"),
+        sk_len=([np.array([len(r.sk) for r in recs], "<i8")], "<i8"),
+        has_interp=([np.array([r.interp is not None for r in recs], "?")], "?"),
+        rd=([r.rd for r in recs], "<i8"), sk=([r.sk for r in recs], "<i8"),
+        coupling=([r.coupling for r in recs], "<f8"),
+        interp=([r.interp for r in recs if r.interp is not None], "<f8"),
+        lower=([fac.lower for fac in facs], "<f8"),
+        perm=([fac.perm for fac in facs], "<i8"),
+        diag=([fac.d.diag for fac in facs], "<f8"),
+        sub=([fac.d.subdiag() for fac in facs], "<f8"),
+    )
+
+
+def _record_sizes(r: np.ndarray, s: np.ndarray, hi: np.ndarray) -> dict:
+    """Each record's length in the flat arrays of _pack, from |rd|, |sk|
+    and whether it has an interpolation."""
+    return dict(rd=r, sk=s, coupling=r * s, interp=r * s * hi, lower=r * r,
+                perm=r, diag=r, sub=r)
+
+
+def _level(tag: float, spd: bool, p: dict) -> LevelFactor:
+    """One level's records and groups as views of its flat arrays ``p``
+    (laid out by _pack). A group is a run of adjacent records with equal
+    (|rd|, |sk|, has interp) and a nonempty rd."""
+    r, s, hi = p["rd_len"], p["sk_len"], p["has_interp"]
+    sizes = _record_sizes(r, s, hi)
+    mode = "cholesky" if spd else "ldl"
+    records = [
+        Record(rd, sk, LdlFactor(mode, lower.reshape(m, m), BlockDiag(diag, sub[:-1]), perm)
+               if m else EMPTY_FACTOR[spd], x.reshape(m, n), t.reshape(n, m) if h else None)
+        for m, n, h, rd, sk, x, t, lower, perm, diag, sub in zip(
+            r.tolist(), s.tolist(), hi.tolist(),
+            *(_split(p[key], size) for key, size in sizes.items()))]
+
+    starts = {key: np.cumsum(size) - size for key, size in sizes.items()}
+    keys = np.stack([r, s, hi])
+    cuts = np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1
+    edges = [0, *cuts.tolist(), len(r)] if len(r) else []
+    groups = []
+    for a, b in zip(edges, edges[1:]):
+        m, n, k = int(r[a]), int(s[a]), b - a
+        if not m:
+            continue
+        shapes = dict(rd=(m,), sk=(n,), coupling=(m, n), lower=(m, m), perm=(m,),
+                      diag=(m,), sub=(m,), interp=(n, m) if hi[a] else None)
+        groups.append(Group(**{
+            key: p[key][starts[key][a]:][:k * math.prod(shape)].reshape(k, *shape)
+            if shape else None for key, shape in shapes.items()}))
+    return LevelFactor(tag, records, groups)
+
+
 def save_factor(f: GeneralizedLDL, path) -> None:
     """Write the factor to ``path`` as an uncompressed ``.npz`` archive.
 
     The records of all levels are stored back to back as flat arrays plus
-    per-record lengths; the top block's factor follows the records'. The
-    block mode is not stored: it is Cholesky exactly when ``f.spd``.
+    per-record lengths, in ``lf.records`` order, so each group is a
+    contiguous run; the top block's factor follows the records'. The block
+    mode is not stored: it is Cholesky exactly when ``f.spd``.
     """
     recs = f.records()
-    facs = [r.factor for r in recs] + [f.top]
-    arrays = dict(
+    members = dict(
         version=_VERSION, n=f.n, dim=f.dim, spd=f.spd, eps=f.eps,
-        level_tags=_flat([lf.level for lf in f.levels], "<f8"),
-        level_sizes=_flat([len(lf.records) for lf in f.levels], "<i8"),
-        rd_len=_flat([len(r.rd) for r in recs], "<i8"),
-        sk_len=_flat([len(r.sk) for r in recs], "<i8"),
-        has_interp=_flat([r.interp is not None for r in recs], "?"),
-        rd=_flat([r.rd for r in recs], "<i8"), sk=_flat([r.sk for r in recs], "<i8"),
-        coupling=_flat([r.coupling for r in recs], "<f8"),
-        interp=_flat([r.interp for r in recs if r.interp is not None], "<f8"),
-        top_idx=_flat([f.top_idx], "<i8"),
-        lower=_flat([fac.lower for fac in facs], "<f8"),
-        perm=_flat([fac.perm for fac in facs], "<i8"),
-        diag=_flat([fac.d.diag for fac in facs], "<f8"),
-        sub=_flat([fac.d.subdiag() for fac in facs], "<f8"),
+        level_tags=np.array([lf.level for lf in f.levels], "<f8"),
+        level_sizes=np.array([len(lf.records) for lf in f.levels], "<i8"),
+        top_idx=f.top_idx.astype("<i8"),
+        **_pack(recs, [r.factor for r in recs] + [f.top]),
     )
-    # a file handle, because np.savez appends ".npz" to a path without it
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # what np.savez writes, but each flat array is joined only when it is
+    # written, so at most one is held beside the factor
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+        for key, value in members.items():
+            with zf.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, _flat(*value) if isinstance(value, tuple) else np.asanyarray(value),
+                    allow_pickle=False)
 
 
 def load_factor(path) -> GeneralizedLDL:
     """Read a factor written by save_factor. A file that is not one (a
     truncated or corrupted archive, a version-1 file, inconsistent lengths,
-    an index outside [0, n), a broken DOF partition) raises ValueError."""
+    an index outside [0, n), a broken DOF partition) raises ValueError.
+
+    Records and groups are views of the archive's arrays. A file whose
+    records are not in group order loads too, into more, shorter groups."""
     with open(path, "rb") as fh:
         if fh.read(4) == b"GLDL":
             raise ValueError(f"{path}: version-1 factor files are no longer "
@@ -318,34 +494,33 @@ def load_factor(path) -> GeneralizedLDL:
          and len(a["level_tags"]) == len(a["level_sizes"])
          and np.concatenate([rd_len, sk_len, a["level_sizes"]]).min(initial=0) >= 0,
          "record counts disagree")
-    m, k_rd = np.append(rd_len, len(top_idx)), rd_len * sk_len
-    sizes = dict(rd=rd_len.sum(), sk=sk_len.sum(), coupling=k_rd.sum(),
-                 interp=k_rd[has_interp].sum(), lower=(m * m).sum(), perm=m.sum(),
-                 diag=m.sum(), sub=m.sum())
-    need(all(a[k].size == v for k, v in sizes.items()),
+    # the top block's factor follows the records' in lower/perm/diag/sub
+    mt = len(top_idx)
+    one = np.ones_like(rd_len)
+    per_record = dict(rd_len=one, sk_len=one, has_interp=one,
+                      **_record_sizes(rd_len, sk_len, has_interp))
+    top_len = dict(lower=mt * mt, perm=mt, diag=mt, sub=mt)
+    need(all(a[k].size == size.sum() + top_len.get(k, 0) for k, size in per_record.items()),
          "array lengths disagree with the record lengths")
     for key in ("rd", "sk", "top_idx"):
         need(np.all((a[key] >= 0) & (a[key] < n)), f"{key} index outside [0, {n})")
+    m = np.append(rd_len, mt)
     start, size = np.repeat(np.cumsum(m) - m, m), np.repeat(m, m)
     need(np.all((a["perm"] >= 0) & (a["perm"] < size))
          and np.all(np.bincount(a["perm"] + start, minlength=len(start)) == 1),
          "pivot order is not a permutation")
 
-    mode = "cholesky" if spd else "ldl"
-    facs = [LdlFactor(mode, lower.reshape(mi, mi), BlockDiag(diag, sub[:-1]), perm)
-            if mi else EMPTY_FACTOR[spd]
-            for mi, lower, perm, diag, sub in zip(
-                m, _split(a["lower"], m * m), _split(a["perm"], m), _split(a["diag"], m),
-                _split(a["sub"], m))]
-    interps = iter(_split(a["interp"], k_rd[has_interp]))
-    records = [Record(rd, sk, fac, x.reshape(len(rd), len(sk)),
-                      next(interps).reshape(len(sk), len(rd)) if hi else None)
-               for rd, sk, fac, x, hi in zip(_split(a["rd"], rd_len), _split(a["sk"], sk_len),
-                                             facs, _split(a["coupling"], k_rd), has_interp)]
-    ends = np.cumsum(a["level_sizes"])
-    levels = [LevelFactor(float(tag), records[e - c:e])
-              for tag, c, e in zip(a["level_tags"], a["level_sizes"], ends)]
+    # each flat array cut at the level boundaries
+    level_ends = np.append(0, np.cumsum(a["level_sizes"]))
+    cut = {key: np.append(0, np.cumsum(size))[level_ends].tolist()
+           for key, size in per_record.items()}
+    levels = [_level(float(tag), spd, {key: a[key][c[i]:c[i + 1]] for key, c in cut.items()})
+              for i, tag in enumerate(a["level_tags"])]
+    lo, pd = cut["lower"][-1], cut["perm"][-1]
+    top = (LdlFactor("cholesky" if spd else "ldl", a["lower"][lo:].reshape(mt, mt),
+                     BlockDiag(a["diag"][pd:], a["sub"][pd:-1]), a["perm"][pd:])
+           if mt else EMPTY_FACTOR[spd])
     f = GeneralizedLDL(n=n, dim=int(a["dim"]), spd=spd, eps=float(a["eps"]),
-                       levels=levels, top_idx=top_idx, top=facs[-1])
+                       levels=levels, top_idx=top_idx, top=top)
     f.check()
     return f

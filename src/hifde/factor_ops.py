@@ -12,7 +12,9 @@ the operators needed to replay (or invert) the transformation:
 Both end in the same elimination step (``_eliminate``): factor the pivot
 block, replace the neighbor block by its Schur complement, retire the
 pivot DOFs. A record is therefore one elimination S of ``rd`` against
-``sk``, preceded on a skeletonized group by the interpolation Q.
+``sk``, preceded on a skeletonized group by the interpolation Q. A record
+holds data only: the driver applies a level's records together, stacked
+by shape (``driver.Group``).
 
 Interactions outside the touched cell and its neighbor set are never read
 or written.
@@ -42,6 +44,9 @@ class Record:
     (|sk|, |rd|), so that the group's coupling to its neighbors q satisfies
     A_{q,rd} ~= A_{q,sk} T, and Q = [[I, 0], [-T, I]]. A group the ID did
     not compress has an empty ``rd`` and acts as the identity.
+
+    In a finished factor the arrays are views of the level's stacked
+    arrays (``driver.Group``), which the solve sweeps use.
     """
 
     rd: np.ndarray
@@ -49,55 +54,6 @@ class Record:
     factor: LdlFactor
     coupling: np.ndarray
     interp: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.coupling = np.ascontiguousarray(self.coupling)
-        if self.interp is not None:
-            self.interp = np.ascontiguousarray(self.interp)
-
-    # The four unit-triangular actions of U and the middle D block. All
-    # operate in place on a full-length vector (or matrix of columns);
-    # rightmost factors act first.
-    def apply_u(self, v: np.ndarray) -> None:
-        if not len(self.rd):
-            return
-        t = v[self.rd] - self.coupling @ v[self.sk]
-        v[self.rd] = self.factor.solve_lt(t)
-        if self.interp is not None:
-            v[self.sk] -= self.interp @ v[self.rd]
-
-    def apply_ut(self, v: np.ndarray) -> None:
-        if not len(self.rd):
-            return
-        if self.interp is not None:
-            v[self.rd] -= self.interp.T @ v[self.sk]
-        t = self.factor.solve_l(v[self.rd])
-        v[self.sk] -= self.coupling.T @ t
-        v[self.rd] = t
-
-    def apply_u_inv(self, v: np.ndarray) -> None:
-        if not len(self.rd):
-            return
-        if self.interp is not None:
-            v[self.sk] += self.interp @ v[self.rd]
-        v[self.rd] = self.factor.apply_lt(v[self.rd]) + self.coupling @ v[self.sk]
-
-    def apply_u_inv_t(self, v: np.ndarray) -> None:
-        if not len(self.rd):
-            return
-        t = v[self.rd]
-        v[self.sk] += self.coupling.T @ t
-        v[self.rd] = self.factor.apply_l(t)
-        if self.interp is not None:
-            v[self.rd] += self.interp.T @ v[self.sk]
-
-    def apply_d(self, v: np.ndarray) -> None:
-        if len(self.rd):
-            v[self.rd] = self.factor.d.apply(v[self.rd])
-
-    def solve_d(self, v: np.ndarray) -> None:
-        if len(self.rd):
-            v[self.rd] = self.factor.d.solve(v[self.rd])
 
     def nfloats(self) -> int:
         extra = self.interp.size if self.interp is not None else 0
@@ -169,11 +125,4 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     b_rr = 0.5 * (b_rr + b_rr.T)
     b_sr = a_sr - a_ss @ t
     a.drop_cols(q, rdl)
-    try:
-        return _eliminate(a, state, rdl, skl, b_rr, b_sr, a_ss, level, spd, t)
-    except (ValueError, ArithmeticError):
-        raise
-    except Exception as exc:
-        raise type(exc)(
-            f"{exc} (skeletonizing group of {len(c)} DOFs at level {level})"
-        ) from exc
+    return _eliminate(a, state, rdl, skl, b_rr, b_sr, a_ss, level, spd, t)

@@ -97,6 +97,84 @@ def dense_after(a: SparseSymMatrix, rec: Record) -> np.ndarray:
     return out
 
 
+# -- reference sweep: the factored operator one record at a time ------------
+# The per-record actions of U = Q S and of D. Each acts in place on v, a
+# vector or an (N, m) array of columns; rightmost factors act first.
+
+def apply_u(rec: Record, v: np.ndarray) -> None:
+    if not len(rec.rd):
+        return
+    t = v[rec.rd] - rec.coupling @ v[rec.sk]
+    v[rec.rd] = rec.factor.solve_lt(t)
+    if rec.interp is not None:
+        v[rec.sk] -= rec.interp @ v[rec.rd]
+
+
+def apply_ut(rec: Record, v: np.ndarray) -> None:
+    if not len(rec.rd):
+        return
+    if rec.interp is not None:
+        v[rec.rd] -= rec.interp.T @ v[rec.sk]
+    t = rec.factor.solve_l(v[rec.rd])
+    v[rec.sk] -= rec.coupling.T @ t
+    v[rec.rd] = t
+
+
+def apply_u_inv(rec: Record, v: np.ndarray) -> None:
+    if not len(rec.rd):
+        return
+    if rec.interp is not None:
+        v[rec.sk] += rec.interp @ v[rec.rd]
+    v[rec.rd] = rec.factor.apply_lt(v[rec.rd]) + rec.coupling @ v[rec.sk]
+
+
+def apply_u_inv_t(rec: Record, v: np.ndarray) -> None:
+    if not len(rec.rd):
+        return
+    t = v[rec.rd]
+    v[rec.sk] += rec.coupling.T @ t
+    v[rec.rd] = rec.factor.apply_l(t)
+    if rec.interp is not None:
+        v[rec.rd] += rec.interp.T @ v[rec.sk]
+
+
+def apply_d(rec: Record, v: np.ndarray) -> None:
+    if len(rec.rd):
+        v[rec.rd] = rec.factor.d.apply(v[rec.rd])
+
+
+def solve_d(rec: Record, v: np.ndarray) -> None:
+    if len(rec.rd):
+        v[rec.rd] = rec.factor.d.solve(v[rec.rd])
+
+
+def reference_apply(f, x: np.ndarray) -> np.ndarray:
+    """A x through the factor's records one at a time (GeneralizedLDL.apply)."""
+    v = np.array(x, dtype=float, copy=True)
+    recs = f.records()
+    for rec in recs:
+        apply_u_inv(rec, v)
+        apply_d(rec, v)
+    v[f.top_idx] = f.top.apply(v[f.top_idx])
+    for rec in reversed(recs):
+        apply_u_inv_t(rec, v)
+    return v
+
+
+def reference_apply_inverse(f, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b through the factor's records one at a time
+    (GeneralizedLDL.apply_inverse)."""
+    v = np.array(b, dtype=float, copy=True)
+    recs = f.records()
+    for rec in recs:
+        apply_ut(rec, v)
+        solve_d(rec, v)
+    v[f.top_idx] = f.top.solve(v[f.top_idx])
+    for rec in reversed(recs):
+        apply_u(rec, v)
+    return v
+
+
 # -- randomized property suites (shared with the acceptance gate) -----------
 
 def check_id_properties(ncases: int, seed: int = 1234) -> None:

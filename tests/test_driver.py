@@ -6,7 +6,7 @@ import pytest
 from hifde import (GridConfig, IndefiniteBlockError, SingularBlockError,
                    assemble, build_grid, constant_field, densify, factor_hifde,
                    factor_hifde3x, factor_mf, high_contrast_field, load_factor,
-                   save_factor)
+                   make_problem, save_factor)
 
 
 def laplace(dim, n, m):
@@ -207,16 +207,32 @@ class TestErrors:
         # zero out a leaf-cell diagonal: b_j = -(sum of a)/h^2 at DOF (1,1)
         field.b[0, 0] = -4.0 * 16.0
         a = assemble(g, field)
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(SingularBlockError, match=r"\(level 0, group 0, 1 DOFs\)") as info:
             factor_mf(a, g, spd=False)
+        assert (info.value.level, info.value.group, info.value.block_size) == (0.0, 0, 1)
 
     def test_indefinite_in_spd_mode(self):
         g = build_grid(2, 4, 2)
         field = constant_field(g, 1.0, 0.0)
         field.b[0, 0] = -1e4
         a = assemble(g, field)
-        with pytest.raises(IndefiniteBlockError):
+        with pytest.raises(IndefiniteBlockError, match=r"\(level 0, group 0, 1 DOFs\)"):
             factor_mf(a, g, spd=True)
+
+    @pytest.mark.parametrize("algo", ["mf", "hifde"])
+    def test_failure_names_its_location(self, algo):
+        # Example 3 (Helmholtz) is indefinite; its Cholesky fails in the top block
+        problem = make_problem(3, 32)
+        a = assemble(problem.grid, problem.field)
+        with pytest.raises(IndefiniteBlockError) as info:
+            if algo == "mf":
+                factor_mf(a, problem.grid, spd=True)
+            else:
+                factor_hifde(a, problem.grid, 1e-6, spd=True)
+        exc = info.value
+        # the failed top block is what the working matrix still has active
+        assert (exc.level, exc.group, exc.block_size) == (None, None, int(a.active.sum()))
+        assert str(exc).endswith(f"not positive definite (top block, {exc.block_size} DOFs)")
 
 
 class TestSerialization:

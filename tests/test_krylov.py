@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hifde import (assemble, build_grid, constant_field, estimate_apply_error,
-                   estimate_solve_error, factor_mf, gmres, pcg)
+                   estimate_solve_error, factor_hifde, factor_mf, gmres, make_problem, pcg)
 
 from oracles import random_spd
 
@@ -36,6 +36,19 @@ class TestPcg:
         true_res = np.linalg.norm(b - a @ rep.x) / np.linalg.norm(b)
         assert rep.converged
         assert true_res <= 10 * max(rep.residual, 1e-12)
+
+    def test_converged_means_true_residual_within_tol(self):
+        # Example 2 (contrast 1e4) preconditioned by a loose factor: here the
+        # recursively updated residual passes tol before b - A x does
+        problem = make_problem(2, 128)
+        a = assemble(problem.grid, problem.field).to_scipy()
+        f = factor_hifde(assemble(problem.grid, problem.field), problem.grid, 1e-2)
+        b = np.random.default_rng(0).standard_normal(problem.grid.ndof)
+        rep = pcg(a, b, f.apply_inverse, tol=1e-12)
+        true_res = np.linalg.norm(b - a @ rep.x) / np.linalg.norm(b)
+        assert rep.converged
+        assert true_res <= 1e-12
+        assert rep.residual == pytest.approx(true_res, rel=1e-12)
 
     def test_zero_rhs(self):
         rep = pcg(tridiag(5), np.zeros(5))

@@ -1,0 +1,120 @@
+"""The level-batched solve plan: GeneralizedLDL.apply/apply_inverse against
+the per-record reference sweep, reproducibility, one stored copy of each
+array, and (N, m) blocks of right-hand sides."""
+
+import numpy as np
+import pytest
+
+from hifde import (assemble, factor_hifde, factor_hifde3x, factor_mf, load_factor,
+                   make_problem, save_factor)
+from hifde.bench import EXAMPLE_SPD
+
+from oracles import reference_apply, reference_apply_inverse
+
+# (example, algorithm, n): SPD and Bunch-Kaufman, 2D and 3D, hifde3x's 2x2
+# pivots, and an exact factor
+CASES = {
+    "ex1-hifde-2d": (1, "hifde", 64),
+    "ex3-hifde-2d": (3, "hifde", 64),
+    "ex4-hifde-3d": (4, "hifde", 16),
+    "ex6-hifde3x-3d": (6, "hifde3x", 16),
+    "ex2-mf-2d": (2, "mf", 32),
+}
+FACTORS = {"mf": factor_mf, "hifde": factor_hifde, "hifde3x": factor_hifde3x}
+
+
+def build(example, algo, n):
+    problem = make_problem(example, n)
+    a = assemble(problem.grid, problem.field)
+    args = () if algo == "mf" else (1e-6,)
+    return FACTORS[algo](a, problem.grid, *args, spd=EXAMPLE_SPD[example])
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def factor(request):
+    return build(*CASES[request.param])
+
+
+def columns(f, m, seed=0):
+    return np.random.default_rng(seed).standard_normal((f.n, m))
+
+
+def relative_gap(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def test_matches_reference_sweep(factor):
+    # the plan sums separator updates in another order than the record loop
+    for b in columns(factor, 3).T:
+        assert relative_gap(factor.apply_inverse(b), reference_apply_inverse(factor, b)) <= 1e-13
+        assert relative_gap(factor.apply(b), reference_apply(factor, b)) <= 1e-13
+
+
+def test_repeated_calls_bit_identical(factor):
+    b = columns(factor, 1)[:, 0]
+    assert np.array_equal(factor.apply_inverse(b), factor.apply_inverse(b))
+    assert np.array_equal(factor.apply(b), factor.apply(b))
+
+
+def test_reload_bit_identical(factor, tmp_path):
+    path = tmp_path / "factor.gldl"
+    save_factor(factor, path)
+    g = load_factor(path)
+    for b in (columns(factor, 1)[:, 0], columns(factor, 3)):
+        assert np.array_equal(factor.apply_inverse(b), g.apply_inverse(b))
+        assert np.array_equal(factor.apply(b), g.apply(b))
+
+
+def test_records_are_views_of_group_stacks(factor, tmp_path):
+    path = tmp_path / "factor.gldl"
+    save_factor(factor, path)
+    for f in (factor, load_factor(path)):
+        for lf in f.levels:
+            rows = [(g, j) for g in lf.groups for j in range(len(g.rd))]
+            recs = [rec for rec in lf.records if len(rec.rd)]
+            assert len(rows) == len(recs)
+            for (g, j), rec in zip(rows, recs):
+                assert np.shares_memory(rec.factor.lower, g.lower[j])
+                assert np.shares_memory(rec.coupling, g.coupling[j])
+                assert np.shares_memory(rec.factor.d.diag, g.diag[j])
+                assert np.array_equal(rec.rd, g.rd[j])
+                if rec.interp is not None:
+                    assert np.shares_memory(rec.interp, g.interp[j])
+
+
+def test_file_out_of_group_order_loads(factor, tmp_path):
+    # a file whose records are not sorted by shape (as earlier versions
+    # wrote them) loads into more, shorter groups with the same operator
+    rng = np.random.default_rng(3)
+    sorted_records = [lf.records for lf in factor.levels]
+    for lf in factor.levels:
+        lf.records = [lf.records[i] for i in rng.permutation(len(lf.records))]
+    try:
+        path = tmp_path / "factor.gldl"
+        save_factor(factor, path)
+        g = load_factor(path)
+    finally:
+        for lf, records in zip(factor.levels, sorted_records):
+            lf.records = records
+    assert (sum(len(lf.groups) for lf in g.levels)
+            >= sum(len(lf.groups) for lf in factor.levels))
+    b = columns(factor, 1)[:, 0]
+    assert relative_gap(g.apply_inverse(b), factor.apply_inverse(b)) <= 1e-13
+    assert relative_gap(g.apply(b), factor.apply(b)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["ex1-hifde-2d", "ex3-hifde-2d"])
+def test_block_of_columns(case):
+    # SPD (Cholesky) and indefinite (Bunch-Kaufman) factors
+    f = build(*CASES[case])
+    cols = columns(f, 5)
+    for op in (f.apply_inverse, f.apply):
+        block = op(cols)
+        singles = np.column_stack([op(b) for b in cols.T])
+        assert block.shape == cols.shape
+        assert np.abs(block - singles).max() <= 1e-12 * np.abs(singles).max()
+        assert np.array_equal(op(np.asfortranarray(cols)), block)
+        assert op(cols[:, 0]).shape == (f.n,)
+        one = op(cols[:, :1])
+        assert one.shape == (f.n, 1)
+        assert np.array_equal(one[:, 0], op(cols[:, 0]))
