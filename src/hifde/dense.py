@@ -10,10 +10,14 @@ the only places the package touches LAPACK.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dtrsm as _dtrsm
+from scipy.linalg.lapack import dgeqp3 as _dgeqp3
+from scipy.linalg.lapack import dpotrf as _dpotrf
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 
 def _solve_unit_lower(tri: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
@@ -36,8 +40,11 @@ __all__ = [
     "LdlFactor",
     "IdResult",
     "ldl",
+    "ldl_stack",
     "interpolative_decomposition",
     "schur_complement",
+    "schur_stack",
+    "d_stack",
     "solve_unit_lower_stack",
 ]
 
@@ -228,6 +235,52 @@ def ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
     return fac
 
 
+def ldl_stack(blocks: np.ndarray, spd_mode: bool):
+    """Factor each block of a stack (k, n, n) as ``ldl`` does, bit for bit.
+
+    Returns the stacked factors ``lower`` (k, n, n), ``perm`` (k, n) and
+    ``diag``, ``sub`` (k, n) (sub zero-padded), and the failures: the
+    (index, FactorizationError) pairs of the blocks ``ldl`` refuses, in
+    block order. In SPD mode each block is one LAPACK potrf call and the
+    rest of the work is stacked; Bunch-Kaufman blocks go through ``ldl``.
+    """
+    k, n = blocks.shape[:2]
+    failures = []
+    if not spd_mode:
+        lower, diag, sub = np.empty((k, n, n)), np.empty((k, n)), np.empty((k, n))
+        perm = np.empty((k, n), dtype=np.int64)
+        for j in range(k):
+            try:
+                fac = ldl(blocks[j], False)
+            except FactorizationError as exc:
+                failures.append((j, exc))
+                continue
+            lower[j], perm[j], diag[j], sub[j] = fac.lower, fac.perm, fac.d.diag, fac.d.subdiag()
+        return lower, perm, diag, sub, failures
+    c = np.empty((k, n, n))
+    for j in range(k):
+        cj, info = _dpotrf(blocks[j], lower=1, clean=1)
+        if info > 0:
+            # sla.cholesky's message
+            failures.append((j, IndefiniteBlockError(
+                f"{info}-th leading minor of the array is not positive definite")))
+            cj = np.eye(n)
+        c[j] = cj
+    dc = np.diagonal(c, axis1=1, axis2=2).copy()
+    lower = c * (1.0 / dc)[:, None, :]
+    diag = dc * dc
+    scale = np.abs(np.diagonal(blocks, axis1=1, axis2=2)).max(axis=1)
+    zero = scale == 0.0
+    if zero.any():
+        scale[zero] = np.abs(blocks[zero]).max(axis=(1, 2))
+    failed = {j for j, _ in failures}
+    bad = np.abs(diag).min(axis=1) <= SINGULAR_PIVOT_RTOL * np.maximum(scale, 1e-300)
+    failures += [(j, SingularBlockError("singular pivot"))
+                 for j in np.flatnonzero(bad).tolist() if j not in failed]
+    failures.sort(key=lambda f: f[0])
+    return lower, np.tile(np.arange(n), (k, 1)), diag, np.zeros((k, n)), failures
+
+
 @dataclass
 class IdResult:
     """Interpolative decomposition of the columns of a dense matrix.
@@ -245,12 +298,26 @@ class IdResult:
     resid: float
 
 
+@lru_cache(maxsize=1024)
+def _geqp3_lwork(m: int, n: int) -> int:
+    """geqp3's optimal workspace for an m x n block, from a workspace query,
+    as scipy.linalg.qr sizes it (geqp3's blocking, and so its rounding,
+    depends on the workspace)."""
+    return int(_dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
+
+
 def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
     """Column ID at relative precision ``eps`` via column-pivoted QR.
 
     The rank is the first index at which the pivot magnitude |R_kk| drops
     to eps * |R_11| (k = 0 for a zero matrix). eps = 0 selects the numerical
     exact rank, with the cutoff at max(m, n) machine epsilons.
+
+    LAPACK is called directly: geqp3 for the pivoted QR (Q is never formed)
+    and trtrs for T = R_11^{-1} R_12, handed R_11 the way scipy's
+    solve_triangular hands it a C-ordered R (transposed, with the lower and
+    trans flags set), so the result is bit-identical to the
+    ``sla.qr``/``sla.solve_triangular`` formulation.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -258,7 +325,8 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
     ncols = m.shape[1]
     if m.size == 0 or not np.any(m):
         return IdResult(np.arange(0), np.arange(ncols), np.zeros((0, ncols)), 0, 0.0)
-    _, r, piv = sla.qr(m, mode="economic", pivoting=True, check_finite=False)
+    r, piv, _, _, _ = _dgeqp3(m, lwork=_geqp3_lwork(*m.shape))
+    piv -= 1
     rdiag = np.abs(np.diag(r))
     r11 = rdiag[0]
     if eps > 0.0:
@@ -267,8 +335,14 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
         thr = max(m.shape) * np.finfo(float).eps * r11
     below = np.nonzero(rdiag <= thr)[0]
     k = int(below[0]) if below.size else rdiag.size
-    t = sla.solve_triangular(r[:k, :k], r[:k, k:], lower=False, check_finite=False) \
-        if k else np.zeros((0, ncols))
+    if k == 0:
+        t = np.zeros((0, ncols))
+    elif k == ncols:
+        t = np.empty((k, 0))
+    elif k == 1:
+        t = _dtrtrs(r[:1, :1], r[:1, 1:])[0]
+    else:
+        t = _dtrtrs(r[:k, :k].T, r[:k, k:], lower=1, trans=1)[0]
     resid = float(rdiag[k] / r11) if k < rdiag.size else 0.0
     return IdResult(piv[:k].copy(), piv[k:].copy(), t, k, resid)
 
@@ -284,6 +358,44 @@ def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
     x = ldl_pp.d.solve(y)
     b = np.asarray(a_qq, float) - y.T @ x
     return x, 0.5 * (b + b.T)
+
+
+def d_stack(diag: np.ndarray, sub: np.ndarray, pairs, t: np.ndarray,
+            inverse: bool) -> np.ndarray:
+    """D t, or D^{-1} t, for a stack of block diagonals D given by ``diag``
+    and ``sub`` (k, r) and t (k, r, m), as BlockDiag.apply and solve do per
+    block; ``pairs`` = np.nonzero(sub) locates the 2x2 pivots."""
+    diag3 = diag[:, :, None]
+    out = t / diag3 if inverse else t * diag3
+    g, i = pairs
+    if len(g):
+        a, c, d = diag[g, i, None], sub[g, i, None], diag[g, i + 1, None]
+        ti, tj = t[g, i], t[g, i + 1]
+        if inverse:
+            det = a * d - c * c
+            out[g, i], out[g, i + 1] = (d * ti - c * tj) / det, (a * tj - c * ti) / det
+        else:
+            out[g, i], out[g, i + 1] = a * ti + c * tj, c * ti + d * tj
+    return out
+
+
+def schur_stack(a_qp: np.ndarray, lower: np.ndarray, perm: np.ndarray,
+                diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """schur_complement for each block of a stack, bit for bit, given the
+    factors of ldl_stack and A_qp (k, q, p): returns X (k, p, q) and the
+    update U = Y^T X (k, q, q), where Y = L^{-1} P A_qp^T (one trsm per
+    block) and X = D^{-1} Y. The Schur complement is A_qq - U, symmetrized.
+    """
+    k, q, p = a_qp.shape
+    yt = np.empty((k, q, p))
+    if q:
+        for j in range(k):
+            yt[j] = _solve_unit_lower(lower[j], a_qp[j].T[perm[j]], trans=False).T
+    # each block of x is Fortran-ordered (elementwise results keep the
+    # layout of the transposed yt), as X is in schur_complement, so the
+    # matmul makes the same BLAS calls and rounds the same
+    x = d_stack(diag, sub, np.nonzero(sub), yt.transpose(0, 2, 1), inverse=True)
+    return x, yt @ x
 
 
 def solve_unit_lower_stack(lower: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:

@@ -14,8 +14,18 @@ The result is a GeneralizedLDL: an ordered chain of per-level operators
 plus a terminal block-diagonal middle factor, applied as a product of
 easily invertible triangular/interpolation maps. Each level holds one
 ``Record`` per group (an elimination, after an interpolation on a
-skeletonized group). The input matrix is consumed (mutated) during
-construction.
+skeletonized group). The input matrix is consumed: its entries move into
+a CSR snapshot (``sparse.CsrMatrix``), and what is left of it at the end,
+the top block, is written back into it.
+
+Each level is one level-synchronous step on the snapshot
+(``factor_ops.eliminate_level``, ``factor_ops.skeletonize_level``): the
+fronts of all its groups are gathered in vectorized passes, the dense
+blocks are factored as stacks, and the snapshot is rebuilt once. The
+result is bit-identical to eliminating or skeletonizing the groups one by
+one (``eliminate_cell``, ``skeletonize_cell``), the reference the tests
+compare against; the steps write each level's records straight into the
+flat arrays its groups are views of.
 
 The records of one level commute, so apply/apply_inverse do not visit them
 one by one: each level is compiled into a solve plan of ``Group``s, runs of
@@ -47,20 +57,23 @@ except ImportError:  # pragma: no cover
 
 
 def _cell_loop_threads():
-    """BLAS context for the per-cell sweep: the blocks are small, so one
+    """BLAS context for the level steps: the blocks are small, so one
     thread is fastest unless HIFDE_NUM_THREADS overrides."""
     if _threadpool_limits is None:
         return nullcontext()
     cap = os.environ.get("HIFDE_NUM_THREADS")
     return _threadpool_limits(limits=int(cap) if cap else 1)
 
-from .dense import (EMPTY_FACTOR, BlockDiag, FactorizationError, LdlFactor, ldl,
+from .dense import (EMPTY_FACTOR, BlockDiag, FactorizationError, LdlFactor, d_stack, ldl,
                     solve_unit_lower_stack)
 from .discretize import GridConfig
-from .factor_ops import Record, eliminate_cell, skeletonize_cell
+# eliminate_cell and skeletonize_cell, the per-cell reference of the level
+# steps, are not called here; perfbench/tracing.py patches these names
+from .factor_ops import (Record, eliminate_cell, eliminate_level,  # noqa: F401
+                         skeletonize_cell, skeletonize_level)
 from .partition import (adaptive_interior_cells, assert_noninteracting,
                         interface_cells, interior_cells)
-from .sparse import DofState, SparseSymMatrix
+from .sparse import CsrMatrix, SparseSymMatrix
 
 __all__ = [
     "Group",
@@ -95,23 +108,11 @@ class Group:
         self.diag, self.sub, self.interp = diag, sub, interp
         # rd in pivot order: P applied to v[rd] is v[prd]
         self.prd = np.take_along_axis(rd, perm, axis=1)
-        g, i = np.nonzero(sub)
-        self.pairs = (g, i) if len(g) else None   # the 2x2 pivots of D
+        self.pairs = np.nonzero(sub)   # the 2x2 pivots of D
 
     def _d(self, t: np.ndarray, inverse: bool) -> np.ndarray:
         """D t, or D^{-1} t, for t of shape (k, r, m)."""
-        diag = self.diag[:, :, None]
-        out = t / diag if inverse else t * diag
-        if self.pairs is not None:
-            g, i = self.pairs
-            a, c, d = self.diag[g, i, None], self.sub[g, i, None], self.diag[g, i + 1, None]
-            ti, tj = t[g, i], t[g, i + 1]
-            if inverse:
-                det = a * d - c * c
-                out[g, i], out[g, i + 1] = (d * ti - c * tj) / det, (a * tj - c * ti) / det
-            else:
-                out[g, i], out[g, i + 1] = a * ti + c * tj, c * ti + d * tj
-        return out
+        return d_stack(self.diag, self.sub, self.pairs, t, inverse)
 
     def _add_to_sk(self, v: np.ndarray, vals: np.ndarray, ufunc) -> None:
         """v[sk] = ufunc(v[sk], vals), summing in record order where the
@@ -248,43 +249,38 @@ class GeneralizedLDL:
 
 def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
                 schedule, verify: bool) -> GeneralizedLDL:
-    """Common driver loop: ``schedule`` yields (level_tag, cellset, kind).
+    """Common driver loop: ``schedule`` yields (level_tag, cellset,
+    is_skeleton) from the working matrix, a CSR snapshot of ``a`` that
+    each level's step replaces; the last one is written back into ``a``.
 
     A FactorizationError is given the level tag, the group's index and its
     size (``FactorizationError.locate``)."""
     t0 = time.perf_counter()
-    state = DofState(a.n)
+    w = CsrMatrix.take(a)
     levels: list[LevelFactor] = []
-    trace: list[tuple[float, int]] = [(-1.0, int(a.active.sum()))]
+    trace: list[tuple[float, int]] = [(-1.0, int(w.active.sum()))]
     level_times: list[tuple[float, float]] = []
-    where = None
     try:
         with _cell_loop_threads():
-            for tag, cs, is_skel in schedule(a):
+            for tag, cs, is_skel in schedule(w):
                 t_level = time.perf_counter()
                 if verify and not is_skel:
-                    assert_noninteracting(a, cs)
-                records = []
-                for i, members in enumerate(cs.cells):
-                    where = (tag, i, len(members))
-                    if is_skel:
-                        records.append(skeletonize_cell(a, state, members, eps, tag, spd))
-                    else:
-                        records.append(eliminate_cell(a, state, members, tag, spd))
-                # the level's arrays move into its group stacks, so they are
-                # held once; file order is this sorted order
-                records.sort(key=lambda r: (len(r.rd), len(r.sk), r.interp is not None))
-                flats = {key: _flat(*spec) for key, spec in
-                         _pack(records, [r.factor for r in records]).items()}
+                    assert_noninteracting(w, cs)
+                if is_skel:
+                    flats = skeletonize_level(w, cs.cells, eps, tag, spd)
+                else:
+                    flats = eliminate_level(w, cs.cells, tag, spd)
                 levels.append(_level(tag, spd, flats))
-                trace.append((tag, int(a.active.sum())))
+                trace.append((tag, int(w.active.sum())))
                 level_times.append((tag, time.perf_counter() - t_level))
-        s_top = np.flatnonzero(a.active)
-        where = (None, None, len(s_top))
-        top = ldl(a.gather(s_top, s_top), spd)
-    except FactorizationError as exc:
-        exc.locate(*where)
-        raise
+        s_top = np.flatnonzero(w.active)
+        try:
+            top = ldl(w.block(s_top), spd)
+        except FactorizationError as exc:
+            exc.locate(None, None, len(s_top))
+            raise
+    finally:
+        w.store(a)
     f = GeneralizedLDL(
         n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
         top_idx=s_top, top=top,
@@ -306,21 +302,17 @@ def _columns(x) -> np.ndarray:
     return v.reshape(len(v), -1)
 
 
-def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True,
-              verify: bool = False) -> GeneralizedLDL:
-    """Multifrontal factorization: exact to rounding."""
+# The schedules: each yields (level_tag, cellset, is_skeleton) per level
+# from the working matrix ``mat`` as the factorization reaches that level.
 
+def _mf_schedule(grid: GridConfig):
     def schedule(mat):
         for ell in range(grid.nlevels):
             yield float(ell), interior_cells(grid, ell, mat.active), False
+    return schedule
 
-    return _run_levels(a, grid, spd, 0.0, schedule, verify)
 
-
-def factor_hifde(a: SparseSymMatrix, grid: GridConfig, eps: float,
-                 spd: bool = True, skip_levels: int = 0,
-                 verify: bool = False) -> GeneralizedLDL:
-    """Interior elimination plus edge (2D) / face (3D) skeletonization."""
+def _hifde_schedule(grid: GridConfig, skip_levels: int):
     kind = "edge" if grid.dim == 2 else "face"
 
     def schedule(mat):
@@ -329,8 +321,34 @@ def factor_hifde(a: SparseSymMatrix, grid: GridConfig, eps: float,
             if ell >= skip_levels:
                 cs = interface_cells(grid, ell, mat.active, kind)
                 yield ell + 0.5, cs, True
+    return schedule
 
-    return _run_levels(a, grid, spd, eps, schedule, verify)
+
+def _hifde3x_schedule(grid: GridConfig, skip_levels: int):
+    def schedule(mat):
+        for ell in range(grid.nlevels):
+            if ell == 0:
+                cells = interior_cells(grid, ell, mat.active)
+            else:
+                cells = adaptive_interior_cells(mat, grid, ell)
+            yield float(ell), cells, False
+            yield ell + 1.0 / 3.0, interface_cells(grid, ell, mat.active, "face"), True
+            if ell >= skip_levels:
+                yield ell + 2.0 / 3.0, interface_cells(grid, ell, mat.active, "edge"), True
+    return schedule
+
+
+def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True,
+              verify: bool = False) -> GeneralizedLDL:
+    """Multifrontal factorization: exact to rounding."""
+    return _run_levels(a, grid, spd, 0.0, _mf_schedule(grid), verify)
+
+
+def factor_hifde(a: SparseSymMatrix, grid: GridConfig, eps: float,
+                 spd: bool = True, skip_levels: int = 0,
+                 verify: bool = False) -> GeneralizedLDL:
+    """Interior elimination plus edge (2D) / face (3D) skeletonization."""
+    return _run_levels(a, grid, spd, eps, _hifde_schedule(grid, skip_levels), verify)
 
 
 def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
@@ -344,19 +362,7 @@ def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
     """
     if grid.dim != 3:
         raise ValueError("factor_hifde3x requires a 3D grid")
-
-    def schedule(mat):
-        for ell in range(grid.nlevels):
-            if ell == 0:
-                cells = interior_cells(grid, ell, mat.active)
-            else:
-                cells = adaptive_interior_cells(mat, grid, ell)
-            yield float(ell), cells, False
-            yield ell + 1.0 / 3.0, interface_cells(grid, ell, mat.active, "face"), True
-            if ell >= skip_levels:
-                yield ell + 2.0 / 3.0, interface_cells(grid, ell, mat.active, "edge"), True
-
-    return _run_levels(a, grid, spd, eps, schedule, verify)
+    return _run_levels(a, grid, spd, eps, _hifde3x_schedule(grid, skip_levels), verify)
 
 
 def densify(f: GeneralizedLDL) -> np.ndarray:

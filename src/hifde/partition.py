@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discretize import GridConfig
-from .sparse import SparseSymMatrix
+from .sparse import row_entries
 
 __all__ = [
     "CellSet",
@@ -181,14 +181,14 @@ def interface_cells(grid: GridConfig, ell: int, active: np.ndarray,
                    np.array(centers, dtype=float).reshape(len(cells), dim))
 
 
-def adaptive_interior_cells(a: SparseSymMatrix, grid: GridConfig,
-                            ell: int) -> CellSet:
+def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
     """Interior cells with minimal separators built from the sparsity.
 
     Active DOFs are Voronoi-assigned to the level-ell cell centers; each
     cell, taken in ascending center order, then sheds the members that
     still couple to any other current cell. The resulting cells are
-    mutually non-interacting.
+    mutually non-interacting. ``a`` is the working matrix, a
+    SparseSymMatrix or the factorization's CsrMatrix snapshot.
     """
     w = (1 << ell) * grid.m
     k = grid.n // w
@@ -203,19 +203,16 @@ def adaptive_interior_cells(a: SparseSymMatrix, grid: GridConfig,
         mul *= k
     cell_of = np.full(a.n, -1, dtype=np.int64)
     cell_of[act] = keys
+    s = a.to_scipy()
 
     groups = list(_group_by_key(act, keys))
     cells, centers = [], []
     for key, members in groups:
-        shed = []
-        for i in members:
-            nb = a.row_idx[i]
-            if len(nb):
-                cnb = cell_of[nb]
-                if np.any((cnb != -1) & (cnb != key)):
-                    shed.append(i)
-        if shed:
-            cell_of[np.asarray(shed)] = -1
+        owner, at = row_entries(s.indptr, members)
+        cnb = cell_of[s.indices[at]]
+        shed = members[np.unique(owner[(cnb != -1) & (cnb != key)])]
+        if len(shed):
+            cell_of[shed] = -1
             keep = members[cell_of[members] == key]
         else:
             keep = members
@@ -227,18 +224,20 @@ def adaptive_interior_cells(a: SparseSymMatrix, grid: GridConfig,
                    np.array(centers, dtype=float).reshape(len(cells), grid.dim))
 
 
-def assert_noninteracting(a: SparseSymMatrix, cs: CellSet) -> None:
-    """Check A_{c,c'} = 0 for all distinct cells of an interior CellSet."""
+def assert_noninteracting(a, cs: CellSet) -> None:
+    """Check A_{c,c'} = 0 for all distinct cells of an interior CellSet;
+    ``a`` as in adaptive_interior_cells."""
+    if not cs.cells:
+        return
+    members = cs.all_members()
+    owner = np.repeat(np.arange(cs.ncells), [len(c) for c in cs.cells])
     cell_of = np.full(a.n, -1, dtype=np.int64)
-    for cid, members in enumerate(cs.cells):
-        cell_of[members] = cid
-    for cid, members in enumerate(cs.cells):
-        nbs = [a.row_idx[i] for i in members if len(a.row_idx[i])]
-        if not nbs:
-            continue
-        cnb = cell_of[np.concatenate(nbs)]
-        if np.any((cnb != -1) & (cnb != cid)):
-            raise AssertionError(f"cells interact at level {cs.level}")
+    cell_of[members] = owner
+    s = a.to_scipy()
+    row, at = row_entries(s.indptr, members)
+    cnb = cell_of[s.indices[at]]
+    if np.any((cnb != -1) & (cnb != owner[row])):
+        raise AssertionError(f"cells interact at level {cs.level}")
 
 
 def cells_to_csv(cs: CellSet, path) -> None:

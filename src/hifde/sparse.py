@@ -1,18 +1,23 @@
-"""Symmetric sparse storage for the evolving working matrix.
+"""Symmetric sparse storage for the working matrix.
 
-The matrix is stored as one sorted (index, value) array pair per DOF,
-mirrored so both (i, j) and (j, i) are present; the canonical row <= col
-view is used for nonzero counts and Matrix Market export. An active flag
-per DOF tracks which rows still participate: neighbor queries see active
-DOFs only. The factorization retires a set of DOFs by writing its Schur
-complement over the neighbors with ``replace_rows`` (which also drops the
-neighbors' couplings to the retired set), emptying the retired rows with
-``clear_rows`` and clearing their active flags, so no storage is left
-between retired and active DOFs.
+``SparseSymMatrix`` is the matrix as assembled: one sorted (index, value)
+array pair per DOF, mirrored so both (i, j) and (j, i) are present; the
+canonical row <= col view is used for nonzero counts and Matrix Market
+export. An active flag per DOF tracks which rows still participate:
+neighbor queries see active DOFs only. Its row-list methods (``gather``,
+``neighbors``, ``replace_rows``, ``drop_cols``, ``clear_rows``) are the
+storage of the per-cell elimination and skeletonization of ``factor_ops``
+(``eliminate_cell``, ``skeletonize_cell``), the reference that the
+factorization is tested against.
+
+The factorization itself works on ``CsrMatrix``, one CSR snapshot of the
+working matrix per level (``CsrMatrix.take`` of the assembled matrix,
+then one ``CsrMatrix.rebuilt`` at the end of each level), and writes the
+final snapshot back into the row lists (``CsrMatrix.store``). A retired
+DOF keeps no stored entry, so storage only ever couples active DOFs.
 
 Fill-in entries are stored even when exactly zero: dropping happens only
-through the explicit truncation step of skeletonization (``drop_cols``),
-never by value.
+through the explicit truncation step of skeletonization, never by value.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["DofState", "SparseSymMatrix"]
+__all__ = ["CsrMatrix", "DofState", "SparseSymMatrix"]
 
 _EMPTY_I = np.empty(0, dtype=np.int32)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -74,11 +79,12 @@ class SparseSymMatrix:
 
     def to_scipy(self) -> sp.csr_matrix:
         """Full symmetric CSR copy (active and inactive rows alike)."""
-        rows = np.concatenate([np.full(len(ix), i, dtype=np.int64)
-                               for i, ix in enumerate(self.row_idx)] or [_EMPTY_I])
-        cols = np.concatenate([ix.astype(np.int64) for ix in self.row_idx] or [_EMPTY_I])
-        vals = np.concatenate(self.row_val or [_EMPTY_F])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        lens = np.fromiter(map(len, self.row_idx), np.int64, self.n)
+        s = sp.csr_matrix((np.concatenate(self.row_val + [_EMPTY_F]),
+                           np.concatenate(self.row_idx + [_EMPTY_I]),
+                           np.concatenate([[0], np.cumsum(lens)])), shape=(self.n, self.n))
+        s.sum_duplicates()      # sorts and sums any row that is not canonical
+        return s
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -90,10 +96,10 @@ class SparseSymMatrix:
 
     def nnz(self) -> int:
         """Number of stored entries in the canonical row <= col view."""
-        total = sum(len(ix) for ix in self.row_idx)
-        ndiag = sum(1 for i, ix in enumerate(self.row_idx)
-                    if len(ix) and ix.searchsorted(i) < len(ix) and ix[ix.searchsorted(i)] == i)
-        return (total + ndiag) // 2
+        lens = np.fromiter(map(len, self.row_idx), np.int64, self.n)
+        cols = np.concatenate(self.row_idx + [_EMPTY_I])
+        ndiag = np.count_nonzero(cols == np.repeat(np.arange(self.n), lens))
+        return (len(cols) + ndiag) // 2
 
     def _stamp(self, cols: np.ndarray) -> int:
         self._cur += 1
@@ -207,3 +213,144 @@ class SparseSymMatrix:
         from scipy.io import mmread
         return cls.from_scipy(mmread(path))
 
+
+# entries (row entries, dense block entries, new pattern entries) handled at
+# once by a step of the factorization
+CHUNK = 1 << 17
+
+
+def spans(costs: np.ndarray, budget: int = CHUNK) -> list[tuple[int, int]]:
+    """Consecutive index ranges [a, b) whose costs sum to at most budget, or
+    of one item."""
+    ends = np.cumsum(costs)
+    out, a = [], 0
+    while a < len(costs):
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        out.append((a, b))
+        a = b
+    return out
+
+
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique by sorting (np.unique hashes, which is slower here)."""
+    x = np.sort(x)
+    return x[np.r_[True, x[1:] != x[:-1]]] if len(x) else x
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries of ``rows`` in a CSR structure: for each entry, the
+    index into ``rows`` of its row and its position in the CSR arrays."""
+    lo = indptr[rows]
+    lens = indptr[np.asarray(rows) + 1] - lo
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return owner, np.arange(len(owner)) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+
+
+class CsrMatrix:
+    """A CSR snapshot of the working matrix: ``indptr``, column ``indices``
+    (int32, ascending in each row) and ``data``, symmetric and mirrored like
+    SparseSymMatrix, plus the ``active`` flags, shared with the matrix it
+    was taken from. The factorization reads a whole level's fronts from one
+    snapshot and replaces the stored entries once, at the level's end."""
+
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray, active: np.ndarray):
+        self.n, self.active = n, active
+        self.indptr, self.indices, self.data = indptr, indices, data
+
+    @classmethod
+    def take(cls, a: SparseSymMatrix) -> "CsrMatrix":
+        """A snapshot of ``a`` that takes over its entries: the rows of
+        ``a`` are left empty until ``store`` writes them back."""
+        s = a.to_scipy()
+        s.sort_indices()
+        a.row_idx, a.row_val = [_EMPTY_I] * a.n, [_EMPTY_F] * a.n
+        return cls(a.n, s.indptr.astype(np.int64), s.indices.astype(np.int32), s.data, a.active)
+
+    def to_scipy(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries of ``rows``: the index into ``rows`` of each
+        entry's row, its column and its value."""
+        owner, at = row_entries(self.indptr, rows)
+        return owner, self.indices[at], self.data[at]
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """Dense copy of the (idx, idx) block."""
+        owner, cols, vals = self.entries(idx)
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[idx] = np.arange(len(idx))
+        keep = pos[cols] >= 0
+        out = np.zeros((len(idx), len(idx)))
+        out[owner[keep], pos[cols[keep]]] = vals[keep]
+        return out
+
+    def rebuilt(self, retired: np.ndarray, cliques: np.ndarray,
+                sizes: np.ndarray) -> "CsrMatrix":
+        """A new snapshot, sharing ``active``: the stored entries that couple
+        no DOF of the boolean mask ``retired``, and every pair (i, j) of
+        each clique (``cliques`` flat, ``sizes`` each), zero where nothing
+        was stored. Built a block of rows at a time, each block's new
+        entries found by sorting keys (row - first row) * n + col."""
+        n = self.n
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        by_row = np.argsort(cliques, kind="stable")
+        inc_row, inc_clique = cliques[by_row], owner[by_row]
+        start = np.cumsum(sizes) - sizes
+        old_len = np.diff(self.indptr)
+        keep = np.repeat(~retired, old_len)
+        keep &= ~retired[self.indices]
+        cost = old_len + np.bincount(inc_row, weights=sizes[inc_clique], minlength=n)
+        blocks = spans(cost)
+
+        def block(r0, r1):
+            # the block's kept entries and new keys, (row - r0) * n + col
+            lo, hi = self.indptr[r0], self.indptr[r1]
+            k = keep[lo:hi]
+            kept = np.repeat(np.arange(r1 - r0), old_len[r0:r1])[k] * n + self.indices[lo:hi][k]
+            a, b = np.searchsorted(inc_row, [r0, r1])
+            c = sizes[inc_clique[a:b]]
+            local = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+            pairs = (np.repeat(inc_row[a:b] - r0, c) * n
+                     + cliques[np.repeat(start[inc_clique[a:b]], c) + local])
+            return k, kept, sorted_unique(np.concatenate([kept, pairs]))
+
+        # two passes, so that the new arrays are allocated once, up front
+        new_len = np.zeros(n, dtype=np.int64)
+        for r0, r1 in blocks:
+            new_len[r0:r1] = np.bincount(block(r0, r1)[2] // n, minlength=r1 - r0)
+        indptr = np.concatenate([[0], np.cumsum(new_len)])
+        indices, data = np.empty(indptr[-1], dtype=np.int32), np.zeros(indptr[-1])
+        for r0, r1 in blocks:
+            k, kept, keys = block(r0, r1)
+            lo = indptr[r0]
+            indices[lo:lo + len(keys)] = keys % n
+            data[lo + np.searchsorted(keys, kept)] = self.data[self.indptr[r0]:self.indptr[r1]][k]
+        return CsrMatrix(n, indptr, indices, data, self.active)
+
+    def find(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The positions in ``indices``/``data`` of the stored entries
+        (rows[k], cols[k]), which must be stored: a vectorized binary
+        search in each row."""
+        lo, hi = self.indptr[rows], self.indptr[rows + 1]
+        last = len(self.indices) - 1
+        for _ in range(int(np.diff(self.indptr).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            go = (lo < hi) & (self.indices[np.minimum(mid, last)] < cols)
+            lo = np.where(go, mid + 1, lo)
+            hi = np.where(go, hi, mid)
+        return lo
+
+    def update(self, other: "CsrMatrix") -> None:
+        """Take over the stored entries of ``other``."""
+        self.indptr, self.indices, self.data = other.indptr, other.indices, other.data
+
+    def store(self, a: SparseSymMatrix) -> None:
+        """Write the stored entries into the row lists of ``a``."""
+        a.row_idx, a.row_val = [_EMPTY_I] * self.n, [_EMPTY_F] * self.n
+        ends = self.indptr.tolist()
+        for r in np.flatnonzero(np.diff(self.indptr)).tolist():
+            a.row_idx[r] = self.indices[ends[r]:ends[r + 1]]
+            a.row_val[r] = self.data[ends[r]:ends[r + 1]]

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 
 from hifde import (SparseSymMatrix, DofState, eliminate_cell, skeletonize_cell,
                    interpolative_decomposition)
-from hifde import Record
+from hifde import IdResult, Record
 
 
 def random_symmetric(rng, n: int, scale: float = 1.0) -> np.ndarray:
@@ -95,6 +95,39 @@ def dense_after(a: SparseSymMatrix, rec: Record) -> np.ndarray:
     rd = rec.rd
     out[np.ix_(rd, rd)] = rec.factor.d.apply(np.eye(len(rd)))
     return out
+
+
+def reference_id(m: np.ndarray, eps: float) -> IdResult:
+    """The column ID through scipy's wrappers (sla.qr, which also forms the
+    economic Q, and sla.solve_triangular): what
+    interpolative_decomposition must reproduce bit for bit."""
+    m = np.asarray(m, dtype=float)
+    ncols = m.shape[1]
+    if m.size == 0 or not np.any(m):
+        return IdResult(np.arange(0), np.arange(ncols), np.zeros((0, ncols)), 0, 0.0)
+    _, r, piv = sla.qr(m, mode="economic", pivoting=True, check_finite=False)
+    rdiag = np.abs(np.diag(r))
+    r11 = rdiag[0]
+    thr = eps * r11 if eps > 0.0 else max(m.shape) * np.finfo(float).eps * r11
+    below = np.nonzero(rdiag <= thr)[0]
+    k = int(below[0]) if below.size else rdiag.size
+    t = sla.solve_triangular(r[:k, :k], r[:k, k:], lower=False, check_finite=False) \
+        if k else np.zeros((0, ncols))
+    resid = float(rdiag[k] / r11) if k < rdiag.size else 0.0
+    return IdResult(piv[:k].copy(), piv[k:].copy(), t, k, resid)
+
+
+def reference_csr(a: SparseSymMatrix):
+    """SparseSymMatrix.to_scipy and nnz as a loop over the rows."""
+    import scipy.sparse as sp
+    rows = np.concatenate([np.full(len(ix), i, dtype=np.int64)
+                           for i, ix in enumerate(a.row_idx)] or [np.zeros(0, np.int32)])
+    cols = np.concatenate([ix.astype(np.int64) for ix in a.row_idx] or [np.zeros(0, np.int32)])
+    vals = np.concatenate(a.row_val or [np.zeros(0)])
+    csr = sp.coo_matrix((vals, (rows, cols)), shape=(a.n, a.n)).tocsr()
+    ndiag = sum(1 for i, ix in enumerate(a.row_idx)
+                if len(ix) and ix.searchsorted(i) < len(ix) and ix[ix.searchsorted(i)] == i)
+    return csr, (sum(len(ix) for ix in a.row_idx) + ndiag) // 2
 
 
 # -- reference sweep: the factored operator one record at a time ------------
@@ -279,3 +312,83 @@ def check_skeletonization_properties(ncases: int, seed: int = 9012) -> None:
             assert not a.gather(rec.rd, others).any()
         if len(far):
             assert np.array_equal(a.gather(far, far), far_before)
+
+
+# -- reference factorization: the per-cell loop --------------------------------
+
+def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
+                     skip_levels: int | None = None, verify: bool = False):
+    """The factor of ``factor_<algo>`` built group by group with
+    eliminate_cell and skeletonize_cell on the row-list matrix ``a``, over
+    the same schedule: the per-cell loop the level steps must reproduce."""
+    from hifde import driver
+    from hifde.dense import FactorizationError, ldl
+    from hifde.partition import assert_noninteracting
+
+    if algo == "mf":
+        schedule = driver._mf_schedule(grid)
+    elif algo == "hifde":
+        schedule = driver._hifde_schedule(grid, skip_levels or 0)
+    else:
+        schedule = driver._hifde3x_schedule(grid, 1 if skip_levels is None else skip_levels)
+    state = DofState(a.n)
+    levels = []
+    for tag, cs, is_skel in schedule(a):
+        if verify and not is_skel:
+            assert_noninteracting(a, cs)
+        records = []
+        for i, members in enumerate(cs.cells):
+            try:
+                if is_skel:
+                    records.append(skeletonize_cell(a, state, members, eps, tag, spd))
+                else:
+                    records.append(eliminate_cell(a, state, members, tag, spd))
+            except FactorizationError as exc:
+                exc.locate(tag, i, len(members))
+                raise
+        records.sort(key=lambda r: (len(r.rd), len(r.sk), r.interp is not None))
+        packed = driver._pack(records, [r.factor for r in records])
+        levels.append(driver._level(tag, spd, {k: driver._flat(*v) for k, v in packed.items()}))
+    s_top = np.flatnonzero(a.active)
+    try:
+        top = ldl(a.gather(s_top, s_top), spd)
+    except FactorizationError as exc:
+        exc.locate(None, None, len(s_top))
+        raise
+    f = driver.GeneralizedLDL(n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
+                              top_idx=s_top, top=top)
+    f.check()
+    return f
+
+
+def factor_digest(f) -> str:
+    """sha256 over every record's rd, sk, coupling, interp, lower, perm,
+    diag and sub (as int64 / float64 bytes, with the shapes), then
+    ``top_idx`` and the top block's factor."""
+    import hashlib
+    h = hashlib.sha256()
+
+    def put(x, dtype):
+        x = np.ascontiguousarray(x, dtype=dtype)
+        h.update(repr(x.shape).encode())
+        h.update(x.tobytes())
+
+    for lf in f.levels:
+        h.update(repr(lf.level).encode())
+        for rec in lf.records:
+            fac = rec.factor
+            put(rec.rd, np.int64)
+            put(rec.sk, np.int64)
+            put(rec.coupling, np.float64)
+            put(np.zeros((0, 0)) if rec.interp is None else rec.interp, np.float64)
+            h.update(b"I" if rec.interp is not None else b"-")
+            put(fac.lower, np.float64)
+            put(fac.perm, np.int64)
+            put(fac.d.diag, np.float64)
+            put(fac.d.subdiag(), np.float64)
+    put(f.top_idx, np.int64)
+    put(f.top.lower, np.float64)
+    put(f.top.perm, np.int64)
+    put(f.top.d.diag, np.float64)
+    put(f.top.d.subdiag(), np.float64)
+    return h.hexdigest()

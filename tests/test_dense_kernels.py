@@ -6,7 +6,8 @@ import pytest
 from hifde import (IndefiniteBlockError, SingularBlockError,
                    interpolative_decomposition, ldl, schur_complement)
 
-from oracles import check_id_properties, random_spd, random_symmetric, svd_rank
+from oracles import (check_id_properties, random_spd, random_symmetric, reference_id,
+                     svd_rank)
 
 
 class TestLdl:
@@ -70,7 +71,30 @@ class TestLdl:
         assert not spd_fac.d.pairs
 
 
+def same_id(x, y):
+    return (x.k == y.k and x.resid == y.resid and x.t.shape == y.t.shape
+            and np.array_equal(x.t, y.t) and x.sk.dtype == y.sk.dtype
+            and np.array_equal(x.sk, y.sk) and np.array_equal(x.rd, y.rd))
+
+
 class TestInterpolativeDecomposition:
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-6, 1e-2])
+    def test_bitwise_equal_to_qr_formulation(self, eps):
+        # direct geqp3/trtrs calls against sla.qr + sla.solve_triangular
+        rng = np.random.default_rng(11)
+        cases = [np.zeros((4, 3)), np.zeros((0, 3)), np.zeros((3, 0)), np.ones((1, 1)),
+                 rng.standard_normal((7, 1)), rng.standard_normal((1, 7)),
+                 rng.standard_normal((300, 160)) * np.geomspace(1.0, 1e-12, 160)]
+        for _ in range(60):
+            m, n = (int(v) for v in rng.integers(1, 40, 2))
+            r = int(rng.integers(1, min(m, n) + 1))
+            cases += [rng.standard_normal((m, n)),                                 # full rank
+                      rng.standard_normal((m, r)) @ rng.standard_normal((r, n)),   # deficient
+                      rng.standard_normal((m, n)) * np.geomspace(1.0, 1e-13, n)]   # graded
+        for m in cases:
+            assert same_id(interpolative_decomposition(m, eps), reference_id(m, eps)), m.shape
+
+
     def test_proportional_columns(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         res = interpolative_decomposition(m, 1e-12)

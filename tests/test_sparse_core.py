@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from hifde import DofState, SparseSymMatrix, eliminate_cell
 
-from oracles import random_sparse_sym
+from oracles import random_sparse_sym, reference_csr
 
 
 def tridiag(n):
@@ -46,6 +46,22 @@ class TestConstruction:
     def test_nnz_canonical(self):
         a = tridiag(10)
         assert a.nnz() == 10 + 9
+
+    def test_to_scipy_and_nnz_match_row_loop(self):
+        # retired (empty) rows, fill-in and explicitly stored zeros
+        a, _ = random_sparse_sym(np.random.default_rng(4), 30, fill=0.1)
+        state = DofState(a.n)
+        eliminate_cell(a, state, np.array([2, 3, 11]), 0.0, True)
+        eliminate_cell(a, state, np.array([20]), 0.0, True)
+        q = a.neighbors(np.array([5]))
+        a.replace_rows(q, q, q, np.zeros((len(q), len(q))))
+        csr, nnz = reference_csr(a)
+        got = a.to_scipy()
+        assert got.shape == csr.shape and got.dtype == csr.dtype
+        assert np.array_equal(got.indptr, csr.indptr)
+        assert np.array_equal(got.indices, csr.indices)
+        assert np.array_equal(got.data, csr.data)
+        assert a.nnz() == nnz
 
     def test_matrix_market_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
