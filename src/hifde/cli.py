@@ -3,10 +3,11 @@
 Emits one CSV row per (example, n, eps) combination. Exit code is 0 only
 if every row succeeded.
 
-BLAS threads: HIFDE_NUM_THREADS caps them inside the factorization's cell
-loop (default 1 there) when threadpoolctl is importable, and does nothing
-otherwise. OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, set before Python
-starts, cap the whole process.
+BLAS threads: the factorization runs on the process's count,
+OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before Python starts, and its
+bits depend on that count. Solves of a block of columns run on one
+OpenBLAS thread (process-wide while they run); single columns keep the
+process's count.
 """
 
 from __future__ import annotations

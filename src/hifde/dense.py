@@ -5,14 +5,28 @@ working matrix, or on stacks of them: symmetric LDL/Cholesky
 factorization, triangular solves, Schur complements, and the
 interpolative decomposition (ID) built on a column-pivoted QR. These are
 the only places the package touches LAPACK.
+
+The module also owns the BLAS thread policy. NumPy's matmul and SciPy's
+trsm/LAPACK run on two separate OpenBLAS copies bundled with the wheels;
+``blas_threads`` reads their thread counts and ``one_blas_thread`` pins
+both to one thread for a block of code, through their own entry points
+(ctypes), and restores the previous counts on exit. The pin is
+process-wide. The factorization runs on the process's thread count,
+because every level kernel (the ID, potrf/sytrf, trsm, matmul) rounds
+differently with it, so the factor's bits depend on it; only the
+multi-column solves are pinned (``driver.GeneralizedLDL``).
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 from scipy.linalg.blas import dtrsm as _dtrsm
 from scipy.linalg.lapack import dgeqp3 as _dgeqp3
@@ -32,7 +46,53 @@ def _solve_unit_lower(tri: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray
     return out[:, 0] if vec else out
 
 
+@lru_cache(maxsize=1)
+def _openblas() -> tuple:
+    """(package, get, set): the thread-count entry points of each OpenBLAS
+    copy bundled with NumPy (its matmul) and SciPy (its BLAS and LAPACK),
+    found as ``<package>.libs/*openblas*``; empty when there is none."""
+    found = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libdir.glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((pkg.__name__, get, put))
+                    break
+    return tuple(found)
+
+
+def blas_threads() -> dict | None:
+    """The OpenBLAS thread count in effect per library, as
+    {"numpy": k, "scipy": k}, or None when no OpenBLAS copy is found."""
+    libs = _openblas()
+    return {name: get() for name, get, _ in libs} if libs else None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread in every library found,
+    process-wide, and restore each library's previous count on exit, also
+    on an exception. Does nothing when no OpenBLAS copy is found."""
+    libs = _openblas()
+    before = [get() for _, get, _ in libs]
+    for _, _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, _, put), k in zip(libs, before):
+            put(k)
+
+
 __all__ = [
+    "blas_threads",
+    "one_blas_thread",
     "FactorizationError",
     "IndefiniteBlockError",
     "SingularBlockError",

@@ -42,7 +42,6 @@ the archive and refuses a corrupted one.
 from __future__ import annotations
 
 import math
-import os
 import time
 import zipfile
 from contextlib import nullcontext
@@ -50,22 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits as _threadpool_limits
-except ImportError:  # pragma: no cover
-    _threadpool_limits = None
-
-
-def _cell_loop_threads():
-    """BLAS context for the level steps: the blocks are small, so one
-    thread is fastest unless HIFDE_NUM_THREADS overrides."""
-    if _threadpool_limits is None:
-        return nullcontext()
-    cap = os.environ.get("HIFDE_NUM_THREADS")
-    return _threadpool_limits(limits=int(cap) if cap else 1)
-
-from .dense import (EMPTY_FACTOR, BlockDiag, FactorizationError, LdlFactor, d_stack, ldl,
-                    solve_unit_lower_stack)
+from .dense import (EMPTY_FACTOR, BlockDiag, FactorizationError, LdlFactor, blas_threads,
+                    d_stack, ldl, one_blas_thread, solve_unit_lower_stack)
 from .discretize import GridConfig
 # eliminate_cell and skeletonize_cell, the per-cell reference of the level
 # steps, are not called here; perfbench/tracing.py patches these names
@@ -180,7 +165,8 @@ class GeneralizedLDL:
 
     apply() multiplies by the factored operator, apply_inverse() by its
     inverse; both sweep the levels' groups forward and back. Either takes
-    a vector or an (N, m) block of columns and returns the same shape.
+    a vector or an (N, m) block of columns and returns the same shape; a
+    block is swept on one BLAS thread (``dense.one_blas_thread``).
     ``top`` is the factored dense block over the DOFs still active at the
     end (``top_idx``).
     """
@@ -209,22 +195,24 @@ class GeneralizedLDL:
         """y ~= A x through the factored chain."""
         v = _columns(x)
         groups = self._groups()
-        for g in groups:
-            g.apply_forward(v)
-        v[self.top_idx] = self.top.apply(v[self.top_idx])
-        for g in reversed(groups):
-            g.apply_backward(v)
+        with _sweep_threads(v):
+            for g in groups:
+                g.apply_forward(v)
+            v[self.top_idx] = self.top.apply(v[self.top_idx])
+            for g in reversed(groups):
+                g.apply_backward(v)
         return v.reshape(np.shape(x))
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
         """x ~= A^{-1} b through the factored chain."""
         v = _columns(b)
         groups = self._groups()
-        for g in groups:
-            g.solve_forward(v)
-        v[self.top_idx] = self.top.solve(v[self.top_idx])
-        for g in reversed(groups):
-            g.solve_backward(v)
+        with _sweep_threads(v):
+            for g in groups:
+                g.solve_forward(v)
+            v[self.top_idx] = self.top.solve(v[self.top_idx])
+            for g in reversed(groups):
+                g.solve_backward(v)
         return v.reshape(np.shape(b))
 
     # -- accounting ---------------------------------------------------------
@@ -260,19 +248,19 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
     levels: list[LevelFactor] = []
     trace: list[tuple[float, int]] = [(-1.0, int(w.active.sum()))]
     level_times: list[tuple[float, float]] = []
+    threads = blas_threads()
     try:
-        with _cell_loop_threads():
-            for tag, cs, is_skel in schedule(w):
-                t_level = time.perf_counter()
-                if verify and not is_skel:
-                    assert_noninteracting(w, cs)
-                if is_skel:
-                    flats = skeletonize_level(w, cs.cells, eps, tag, spd)
-                else:
-                    flats = eliminate_level(w, cs.cells, tag, spd)
-                levels.append(_level(tag, spd, flats))
-                trace.append((tag, int(w.active.sum())))
-                level_times.append((tag, time.perf_counter() - t_level))
+        for tag, cs, is_skel in schedule(w):
+            t_level = time.perf_counter()
+            if verify and not is_skel:
+                assert_noninteracting(w, cs)
+            if is_skel:
+                flats = skeletonize_level(w, cs.cells, eps, tag, spd)
+            else:
+                flats = eliminate_level(w, cs.cells, tag, spd)
+            levels.append(_level(tag, spd, flats))
+            trace.append((tag, int(w.active.sum())))
+            level_times.append((tag, time.perf_counter() - t_level))
         s_top = np.flatnonzero(w.active)
         try:
             top = ldl(w.block(s_top), spd)
@@ -290,10 +278,19 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
         "s_top": len(s_top),
         "active_trace": trace,
         "level_seconds": level_times,
+        "blas_threads": threads,
         "m_f_bytes": f.storage_bytes(),
         "t_f_seconds": time.perf_counter() - t0,
     }
     return f
+
+
+def _sweep_threads(v: np.ndarray):
+    """The BLAS threads of a sweep over the columns v: one for a block,
+    whose stacked matmuls and trsms ran ~2.5x faster so on a 2-core host;
+    the process's count for a single column, whose gemv-sized calls gain
+    nothing and pay the switch."""
+    return one_blas_thread() if v.shape[1] > 1 else nullcontext()
 
 
 def _columns(x) -> np.ndarray:

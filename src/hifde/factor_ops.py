@@ -189,7 +189,9 @@ class _Fronts:
         mark[self.members] = pos
         col_pos = mark[cols[inside]]
         mark[self.members] = -1
-        keys, inv = np.unique(g[nb] * n + cols[nb], return_inverse=True)
+        flat = g[nb] * n + cols[nb]
+        keys = sorted_unique(flat)
+        inv = np.searchsorted(keys, flat)
         self.qlen = np.bincount(keys // n, minlength=len(cells))
         self.qstart = np.cumsum(self.qlen) - self.qlen
         self.q = keys % n
@@ -346,13 +348,17 @@ def _eliminate_chunk(f: _Fronts, start: int, cells: list, new: CsrMatrix,
         sk = f.neighbors(idx)
         flats.put(start + idx, rd=f.cells(idx), sk=sk, coupling=x,
                   lower=lower, perm=perm, diag=diag, sub=sub)
-        r, c = np.triu_indices(m_qp.shape[1])
-        updates.append((np.repeat(idx, len(r)), sk[:, r], sk[:, c], u[:, r, c], u[:, c, r]))
-        del x, u
-    g, qi, qj, uij, uji = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*updates))
+        # each cell's q x q positions in row-major order: sk ascends, so the
+        # keys ascend within a cell
+        nq = sk.shape[1]
+        pos = new.find(np.repeat(sk, nq, axis=1).ravel(), np.tile(sk, nq).ravel())
+        pos = pos.reshape(len(idx), nq, nq)
+        r, c = np.triu_indices(nq)
+        updates.append((np.repeat(idx, len(r)), pos[:, r, c], pos[:, c, r],
+                        u[:, r, c], u[:, c, r]))
+        del x, u, pos
+    g, pij, pji, uij, uji = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*updates))
     del updates
-    pij, pji = new.find(qi, qj), new.find(qj, qi)
-    del qi, qj
     data = new.data
     if len(f.clen) == 1:
         # one cell updates each entry once

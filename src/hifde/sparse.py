@@ -258,6 +258,7 @@ class CsrMatrix:
                  data: np.ndarray, active: np.ndarray):
         self.n, self.active = n, active
         self.indptr, self.indices, self.data = indptr, indices, data
+        self._keys = None
 
     @classmethod
     def take(cls, a: SparseSymMatrix) -> "CsrMatrix":
@@ -332,20 +333,18 @@ class CsrMatrix:
 
     def find(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The positions in ``indices``/``data`` of the stored entries
-        (rows[k], cols[k]), which must be stored: a vectorized binary
-        search in each row."""
-        lo, hi = self.indptr[rows], self.indptr[rows + 1]
-        last = len(self.indices) - 1
-        for _ in range(int(np.diff(self.indptr).max(initial=0)).bit_length()):
-            mid = (lo + hi) >> 1
-            go = (lo < hi) & (self.indices[np.minimum(mid, last)] < cols)
-            lo = np.where(go, mid + 1, lo)
-            hi = np.where(go, hi, mid)
-        return lo
+        (rows[k], cols[k]), which must be stored: a binary search in the
+        ascending keys row * n + col of the stored entries, built on the
+        first call. Queries in ascending order run fastest."""
+        if self._keys is None:
+            self._keys = (np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+                          * self.n + self.indices)
+        return np.searchsorted(self._keys, np.asarray(rows, dtype=np.int64) * self.n + cols)
 
     def update(self, other: "CsrMatrix") -> None:
         """Take over the stored entries of ``other``."""
         self.indptr, self.indices, self.data = other.indptr, other.indices, other.data
+        self._keys = None
 
     def store(self, a: SparseSymMatrix) -> None:
         """Write the stored entries into the row lists of ``a``."""

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hifde import DofState, SparseSymMatrix, eliminate_cell
+from hifde.sparse import CsrMatrix
 
 from oracles import random_sparse_sym, reference_csr
 
@@ -70,6 +71,30 @@ class TestConstruction:
         a.save_matrix_market(path)
         b = SparseSymMatrix.load_matrix_market(path)
         assert np.allclose(b.to_dense(), dense)
+
+
+class TestCsrFind:
+    def test_positions_match_row_scan_in_any_order(self):
+        # empty rows (retired DOFs) and a first and last row
+        a, _ = random_sparse_sym(np.random.default_rng(2), 40, fill=0.1)
+        eliminate_cell(a, DofState(a.n), np.array([0, 7]), 0.0, True)
+        w = CsrMatrix.take(a)
+        rows = np.repeat(np.arange(w.n), np.diff(w.indptr))
+        cols = w.indices.astype(np.int64)
+        want = np.arange(len(cols))
+        for order in (want, np.random.default_rng(3).permutation(len(cols))):
+            assert np.array_equal(w.find(rows[order], cols[order]), want[order])
+
+    def test_update_drops_the_cached_keys(self):
+        a, _ = random_sparse_sym(np.random.default_rng(6), 20, fill=0.2)
+        w = CsrMatrix.take(a)
+        w.find(np.array([0]), np.array([0]))
+        retired = np.zeros(w.n, dtype=bool)
+        retired[[1, 4]] = True
+        new = w.rebuilt(retired, np.array([2, 9, 15]), np.array([3]))
+        w.update(new)
+        rows = np.repeat(np.arange(w.n), np.diff(w.indptr))
+        assert np.array_equal(w.find(rows, w.indices.astype(np.int64)), np.arange(len(rows)))
 
 
 class TestSubmatrix:
