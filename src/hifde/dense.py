@@ -11,15 +11,17 @@ trsm/LAPACK run on two separate OpenBLAS copies bundled with the wheels;
 ``blas_threads`` reads their thread counts and ``one_blas_thread`` pins
 both to one thread for a block of code, through their own entry points
 (ctypes), and restores the previous counts on exit. The pin is
-process-wide. The factorization runs on the process's thread count,
-because every level kernel (the ID, potrf/sytrf, trsm, matmul) rounds
-differently with it, so the factor's bits depend on it; only the
-multi-column solves are pinned (``driver.GeneralizedLDL``).
+process-wide; blocks that overlap in several threads share it. The
+factorization runs on the process's thread count, because every level
+kernel (the ID, potrf/sytrf, trsm, matmul) rounds differently with it, so
+the factor's bits depend on it; only the multi-column solves are pinned
+(``driver.GeneralizedLDL``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,20 +76,38 @@ def blas_threads() -> dict | None:
     return {name: get() for name, get, _ in libs} if libs else None
 
 
+class _Pin:
+    """The process-wide pin of one_blas_thread: how many blocks hold it and
+    the counts to restore when the last of them exits."""
+
+    lock = threading.Lock()
+    depth = 0
+    saved: list = []
+
+
 @contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread in every library found,
     process-wide, and restore each library's previous count on exit, also
-    on an exception. Does nothing when no OpenBLAS copy is found."""
+    on an exception. Does nothing when no OpenBLAS copy is found.
+
+    Blocks that overlap, in one thread or several, share the pin: the
+    first one in saves the counts and pins, the last one out restores."""
     libs = _openblas()
-    before = [get() for _, get, _ in libs]
-    for _, _, put in libs:
-        put(1)
+    with _Pin.lock:
+        if not _Pin.depth:
+            _Pin.saved = [get() for _, get, _ in libs]
+            for _, _, put in libs:
+                put(1)
+        _Pin.depth += 1
     try:
         yield
     finally:
-        for (_, _, put), k in zip(libs, before):
-            put(k)
+        with _Pin.lock:
+            _Pin.depth -= 1
+            if not _Pin.depth:
+                for (_, _, put), k in zip(libs, _Pin.saved):
+                    put(k)
 
 
 __all__ = [

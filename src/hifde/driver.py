@@ -12,11 +12,13 @@ Three constructions over a uniform grid hierarchy:
 
 The result is a GeneralizedLDL: an ordered chain of per-level operators
 plus a terminal block-diagonal middle factor, applied as a product of
-easily invertible triangular/interpolation maps. Each level holds one
-``Record`` per group (an elimination, after an interpolation on a
-skeletonized group). The input matrix is consumed: its entries move into
-a CSR snapshot (``sparse.CsrMatrix``), and what is left of it at the end,
-the top block, is written back into it.
+easily invertible triangular/interpolation maps. A level is made of one
+record per group (an elimination, after an interpolation on a skeletonized
+group), but holds no record objects: it keeps its records' arrays back to
+back in a few flat arrays (``LevelFactor.flats``), and ``records`` builds
+``Record`` views of them on demand. The input matrix is consumed: its
+entries move into a CSR snapshot (``sparse.CsrMatrix``), and what is left
+of it at the end, the top block, is written back into it.
 
 Each level is one level-synchronous step on the snapshot
 (``factor_ops.eliminate_level``, ``factor_ops.skeletonize_level``): the
@@ -24,17 +26,17 @@ fronts of all its groups are gathered in vectorized passes, the dense
 blocks are factored as stacks, and the snapshot is rebuilt once. The
 result is bit-identical to eliminating or skeletonizing the groups one by
 one (``eliminate_cell``, ``skeletonize_cell``), the reference the tests
-compare against; the steps write each level's records straight into the
-flat arrays its groups are views of.
+compare against; the steps write each level's records straight into its
+flat arrays.
 
 The records of one level commute, so apply/apply_inverse do not visit them
 one by one: each level is compiled into a solve plan of ``Group``s, runs of
 records with the same shape whose arrays are stacked, and a sweep step
 applies a whole group with stacked matmuls and triangular solves. A level's
-arrays are held once: its records are views of its groups' stacks.
+arrays are held once: its groups' stacks are views of its flat arrays.
 
-save_factor/load_factor persist a factor as an ``.npz`` archive of flat
-arrays in the same record order, so each group is a contiguous run that
+save_factor/load_factor persist a factor as an ``.npz`` archive of the
+levels' flat arrays, joined, so each group is a contiguous run that
 load_factor reshapes into its stacks without copying; load_factor checks
 the archive and refuses a corrupted one.
 """
@@ -54,8 +56,8 @@ from .dense import (EMPTY_FACTOR, BlockDiag, FactorizationError, LdlFactor, blas
 from .discretize import GridConfig
 # eliminate_cell and skeletonize_cell, the per-cell reference of the level
 # steps, are not called here; perfbench/tracing.py patches these names
-from .factor_ops import (Record, eliminate_cell, eliminate_level,  # noqa: F401
-                         skeletonize_cell, skeletonize_level)
+from .factor_ops import (FLAT_DTYPES, Record, eliminate_cell,  # noqa: F401
+                         eliminate_level, skeletonize_cell, skeletonize_level)
 from .partition import (adaptive_interior_cells, assert_noninteracting,
                         interface_cells, interior_cells)
 from .sparse import CsrMatrix, SparseSymMatrix
@@ -148,15 +150,50 @@ def _mT(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LevelFactor:
-    """All records produced at one (possibly fractional) level, and the
-    solve plan: the groups of the records that eliminate something."""
+    """One (possibly fractional) level of the factor: its records as the
+    flat arrays ``flats`` and its solve plan, the ``groups`` of the records
+    that eliminate something, whose stacks are views of ``flats``.
+
+    ``flats`` holds per record its |rd| (``rd_len``), |sk| (``sk_len``) and
+    whether it has an interpolation (``has_interp``), and each record's
+    ``rd``, ``sk``, ``coupling``, ``interp``, ``lower``, ``perm``, ``diag``
+    and ``sub`` (D's subdiagonal, zero-padded) raveled back to back, in the
+    dtypes of ``factor_ops.FLAT_DTYPES``. No per-record object is kept:
+    ``records`` builds them on demand.
+    """
 
     level: float
-    records: list
+    spd: bool
+    flats: dict
     groups: list
 
+    @property
+    def records(self) -> list[Record]:
+        """The level's records in order, as views of ``flats``; built anew
+        on each access."""
+        p = self.flats
+        r, s, hi = p["rd_len"], p["sk_len"], p["has_interp"]
+        # each record's part of each flat array, by slicing (np.split costs
+        # ~4 us a piece), in the order of the zip below
+        parts = [[p[key][e - k:e] for k, e in zip(size.tolist(), np.cumsum(size).tolist())]
+                 for key, size in _record_sizes(r, s, hi).items()]
+        mode = "cholesky" if self.spd else "ldl"
+        empty = EMPTY_FACTOR[self.spd]
+        return [
+            Record(rd, sk, LdlFactor(mode, lower.reshape(m, m), BlockDiag(diag, sub[:-1]), perm)
+                   if m else empty, x.reshape(m, n), t.reshape(n, m) if h else None)
+            for m, n, h, rd, sk, x, t, lower, perm, diag, sub in zip(
+                r.tolist(), s.tolist(), hi.tolist(), *parts)]
+
     def eliminated_count(self) -> int:
-        return sum(len(r.eliminated()) for r in self.records)
+        return len(self.flats["rd"])
+
+    def nfloats(self) -> int:
+        """The floats of the level's records, as ``Record.nfloats`` counts
+        them: L, X, T and D, whose 2x2 pivots count 3 each."""
+        p = self.flats
+        return int(p["lower"].size + p["coupling"].size + p["interp"].size
+                   + p["diag"].size + 3 * np.count_nonzero(p["sub"]))
 
 
 @dataclass
@@ -183,7 +220,8 @@ class GeneralizedLDL:
     # -- operator actions --------------------------------------------------
 
     def records(self) -> list[Record]:
-        """Every record, in the order the levels made them."""
+        """Every record, in the order the levels made them, as views of the
+        levels' flat arrays, built on each call (``LevelFactor.records``)."""
         return [rec for lf in self.levels for rec in lf.records]
 
     def _groups(self) -> list[Group]:
@@ -218,7 +256,7 @@ class GeneralizedLDL:
     # -- accounting ---------------------------------------------------------
 
     def nfloats(self) -> int:
-        return self.top.nfloats() + sum(rec.nfloats() for rec in self.records())
+        return self.top.nfloats() + sum(lf.nfloats() for lf in self.levels)
 
     def storage_bytes(self) -> int:
         return 8 * self.nfloats()
@@ -229,7 +267,7 @@ class GeneralizedLDL:
         tags = [lf.level for lf in self.levels]
         if any(b <= a for a, b in zip(tags, tags[1:])):
             raise ValueError("level tags not strictly increasing")
-        idx = np.concatenate([rec.rd for rec in self.records()] + [self.top_idx])
+        idx = np.concatenate([lf.flats["rd"] for lf in self.levels] + [self.top_idx])
         if len(idx) != self.n or np.any(np.bincount(idx, minlength=self.n) != 1):
             raise ValueError("eliminated DOFs and top block do not cover "
                              f"0..{self.n - 1} exactly once")
@@ -370,60 +408,23 @@ def densify(f: GeneralizedLDL) -> np.ndarray:
 # -- serialization -----------------------------------------------------------
 
 _VERSION = 2
-_FIELDS = frozenset("""version n dim spd eps level_tags level_sizes rd_len sk_len
-    has_interp rd sk coupling interp top_idx lower perm diag sub""".split())
-
-
-def _flat(parts: list, dtype) -> np.ndarray:
-    """The arrays ``parts``, each raveled, joined into one of ``dtype``."""
-    return np.concatenate(parts + [np.zeros(0, dtype)], axis=None, dtype=dtype)
-
-
-def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
-    # slicing, not np.split, which costs ~4 us a piece
-    ends = np.cumsum(sizes).tolist()
-    return [flat[e - k:e] for k, e in zip(sizes.tolist(), ends)]
-
-
-def _pack(recs: list[Record], facs: list[LdlFactor]) -> dict:
-    """The file layout of the records ``recs`` and the block factors
-    ``facs``: for each flat array, its parts in order and its dtype."""
-    return dict(
-        rd_len=([np.array([len(r.rd) for r in recs], "<i8")], "<i8"),
-        sk_len=([np.array([len(r.sk) for r in recs], "<i8")], "<i8"),
-        has_interp=([np.array([r.interp is not None for r in recs], "?")], "?"),
-        rd=([r.rd for r in recs], "<i8"), sk=([r.sk for r in recs], "<i8"),
-        coupling=([r.coupling for r in recs], "<f8"),
-        interp=([r.interp for r in recs if r.interp is not None], "<f8"),
-        lower=([fac.lower for fac in facs], "<f8"),
-        perm=([fac.perm for fac in facs], "<i8"),
-        diag=([fac.d.diag for fac in facs], "<f8"),
-        sub=([fac.d.subdiag() for fac in facs], "<f8"),
-    )
+_FIELDS = {"version", "n", "dim", "spd", "eps", "level_tags", "level_sizes", "top_idx",
+           *FLAT_DTYPES}
 
 
 def _record_sizes(r: np.ndarray, s: np.ndarray, hi: np.ndarray) -> dict:
-    """Each record's length in the flat arrays of _pack, from |rd|, |sk|
+    """Each record's length in the flat arrays of a level, from |rd|, |sk|
     and whether it has an interpolation."""
     return dict(rd=r, sk=s, coupling=r * s, interp=r * s * hi, lower=r * r,
                 perm=r, diag=r, sub=r)
 
 
 def _level(tag: float, spd: bool, p: dict) -> LevelFactor:
-    """One level's records and groups as views of its flat arrays ``p``
-    (laid out by _pack). A group is a run of adjacent records with equal
+    """The level of the flat arrays ``p`` (see LevelFactor), with its groups
+    as views of them. A group is a run of adjacent records with equal
     (|rd|, |sk|, has interp) and a nonempty rd."""
     r, s, hi = p["rd_len"], p["sk_len"], p["has_interp"]
-    sizes = _record_sizes(r, s, hi)
-    mode = "cholesky" if spd else "ldl"
-    records = [
-        Record(rd, sk, LdlFactor(mode, lower.reshape(m, m), BlockDiag(diag, sub[:-1]), perm)
-               if m else EMPTY_FACTOR[spd], x.reshape(m, n), t.reshape(n, m) if h else None)
-        for m, n, h, rd, sk, x, t, lower, perm, diag, sub in zip(
-            r.tolist(), s.tolist(), hi.tolist(),
-            *(_split(p[key], size) for key, size in sizes.items()))]
-
-    starts = {key: np.cumsum(size) - size for key, size in sizes.items()}
+    starts = {key: np.cumsum(size) - size for key, size in _record_sizes(r, s, hi).items()}
     keys = np.stack([r, s, hi])
     cuts = np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1
     edges = [0, *cuts.tolist(), len(r)] if len(r) else []
@@ -437,42 +438,49 @@ def _level(tag: float, spd: bool, p: dict) -> LevelFactor:
         groups.append(Group(**{
             key: p[key][starts[key][a]:][:k * math.prod(shape)].reshape(k, *shape)
             if shape else None for key, shape in shapes.items()}))
-    return LevelFactor(tag, records, groups)
+    return LevelFactor(tag, spd, p, groups)
 
 
 def save_factor(f: GeneralizedLDL, path) -> None:
     """Write the factor to ``path`` as an uncompressed ``.npz`` archive.
 
-    The records of all levels are stored back to back as flat arrays plus
-    per-record lengths, in ``lf.records`` order, so each group is a
-    contiguous run; the top block's factor follows the records'. The block
-    mode is not stored: it is Cholesky exactly when ``f.spd``.
+    Each flat array of the levels (see LevelFactor) is stored as one array,
+    the levels' parts back to back, so each group is a contiguous run; the
+    top block's factor follows the records' in ``lower``, ``perm``,
+    ``diag`` and ``sub``. The block mode is not stored: it is Cholesky
+    exactly when ``f.spd``.
     """
-    recs = f.records()
+    top = dict(lower=f.top.lower, perm=f.top.perm, diag=f.top.d.diag, sub=f.top.d.subdiag())
     members = dict(
         version=_VERSION, n=f.n, dim=f.dim, spd=f.spd, eps=f.eps,
         level_tags=np.array([lf.level for lf in f.levels], "<f8"),
-        level_sizes=np.array([len(lf.records) for lf in f.levels], "<i8"),
-        top_idx=f.top_idx.astype("<i8"),
-        **_pack(recs, [r.factor for r in recs] + [f.top]),
-    )
-    # what np.savez writes, but each flat array is joined only when it is
-    # written, so at most one is held beside the factor
+        level_sizes=np.array([len(lf.flats["rd_len"]) for lf in f.levels], "<i8"),
+        top_idx=f.top_idx.astype("<i8"))
+    # what np.savez writes
     with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
-        for key, value in members.items():
+        def write(key, value):
             with zf.open(f"{key}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array(
-                    member, _flat(*value) if isinstance(value, tuple) else np.asanyarray(value),
-                    allow_pickle=False)
+                np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
+
+        for key, value in members.items():
+            write(key, value)
+        # each flat array is joined only when it is written, so at most one
+        # is held beside the factor
+        for key, dtype in FLAT_DTYPES.items():
+            parts = [lf.flats[key] for lf in f.levels] + [top.get(key, np.zeros(0, dtype))]
+            write(key, np.concatenate(parts, axis=None, dtype=dtype))
 
 
 def load_factor(path) -> GeneralizedLDL:
     """Read a factor written by save_factor. A file that is not one (a
-    truncated or corrupted archive, a version-1 file, inconsistent lengths,
-    an index outside [0, n), a broken DOF partition) raises ValueError.
+    truncated or corrupted archive, a version-1 file, another dtype,
+    inconsistent lengths, an index outside [0, n), a pivot order that is not a permutation, a 2x2
+    pivot past the end of its block, a broken DOF partition) raises
+    ValueError.
 
-    Records and groups are views of the archive's arrays. A file whose
-    records are not in group order loads too, into more, shorter groups."""
+    Each level's flat arrays are views of the archive's, and so are its
+    groups; no record is built. A file whose records are not in group order
+    loads too, into more, shorter groups."""
     with open(path, "rb") as fh:
         if fh.read(4) == b"GLDL":
             raise ValueError(f"{path}: version-1 factor files are no longer "
@@ -491,6 +499,9 @@ def load_factor(path) -> GeneralizedLDL:
 
     need(a.get("version") == _VERSION and a.keys() == _FIELDS,
          f"not a version-{_VERSION} factor archive")
+    dtypes = dict(FLAT_DTYPES, top_idx="<i8", level_sizes="<i8")
+    need(all(a[k].dtype == d for k, d in dtypes.items()),
+         "array dtypes are not those save_factor writes")
     n, spd, top_idx = int(a["n"]), bool(a["spd"]), a["top_idx"]
     rd_len, sk_len, has_interp = a["rd_len"], a["sk_len"], a["has_interp"]
     need(len(sk_len) == len(has_interp) == len(rd_len) == a["level_sizes"].sum()
@@ -512,6 +523,7 @@ def load_factor(path) -> GeneralizedLDL:
     need(np.all((a["perm"] >= 0) & (a["perm"] < size))
          and np.all(np.bincount(a["perm"] + start, minlength=len(start)) == 1),
          "pivot order is not a permutation")
+    need(not a["sub"][(np.cumsum(m) - 1)[m > 0]].any(), "a 2x2 pivot runs past its block")
 
     # each flat array cut at the level boundaries
     level_ends = np.append(0, np.cumsum(a["level_sizes"]))

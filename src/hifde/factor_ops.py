@@ -14,7 +14,7 @@ snapshot of the working matrix (``sparse.CsrMatrix``):
 Each step gathers the fronts of a whole level in vectorized passes,
 factors the dense blocks of one shape as a stack (``dense.ldl_stack``,
 ``dense.schur_stack``) and rebuilds the snapshot once, and returns the
-level's records as flat arrays in the layout of ``driver._level``.
+level's records as flat arrays (FLAT_DTYPES).
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
 on the row-list ``SparseSymMatrix``, mutating it in place and returning a
@@ -44,6 +44,14 @@ from .sparse import CsrMatrix, DofState, SparseSymMatrix, sorted_unique, spans
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
            "skeletonize_level"]
 
+# The flat arrays of a level's records (``driver.LevelFactor``) and their
+# dtypes, in file order: per record |rd|, |sk| and whether it has an
+# interpolation, then each record's arrays raveled, back to back.
+FLAT_DTYPES = dict(rd_len="<i8", sk_len="<i8", has_interp="?", rd="<i8", sk="<i8",
+                   coupling="<f8", interp="<f8", lower="<f8", perm="<i8", diag="<f8",
+                   sub="<f8")
+_ARRAYS = ("rd", "sk", "coupling", "interp", "lower", "perm", "diag", "sub")
+
 
 @dataclass
 class Record:
@@ -58,8 +66,8 @@ class Record:
     A_{q,rd} ~= A_{q,sk} T, and Q = [[I, 0], [-T, I]]. A group the ID did
     not compress has an empty ``rd`` and acts as the identity.
 
-    In a finished factor the arrays are views of the level's stacked
-    arrays (``driver.Group``), which the solve sweeps use.
+    A finished factor keeps no Record: ``driver.LevelFactor.records``
+    builds them on demand as views of the level's flat arrays.
     """
 
     rd: np.ndarray
@@ -231,11 +239,11 @@ def _raise_first(failures: list, level: float, cells: list) -> None:
 
 
 class _Flats:
-    """The flat arrays of ``driver._level`` for a level whose record shapes
-    are known before its first chunk: |rd| and |sk| per group, in group
-    order. The records are in a stable sort by (|rd|, |sk|), so the groups
-    of one shape within a chunk fill one contiguous run, written in place
-    by ``put``."""
+    """The flat arrays (FLAT_DTYPES) of a level whose record shapes are
+    known before its first chunk: |rd| and |sk| per group, in group order.
+    The records are in a stable sort by (|rd|, |sk|), so the groups of one
+    shape within a chunk fill one contiguous run, written in place by
+    ``put``."""
 
     def __init__(self, rd_len: np.ndarray, sk_len: np.ndarray):
         order = np.argsort(rd_len * (sk_len.max() + 1) + sk_len, kind="stable")
@@ -244,8 +252,8 @@ class _Flats:
         r, s = rd_len[order], sk_len[order]
         sizes = dict(rd=r, sk=s, coupling=r * s, lower=r * r, perm=r, diag=r, sub=r)
         self.start = {key: np.cumsum(size) - size for key, size in sizes.items()}
-        self.out = {key: np.empty(int(sizes[key].sum()), dtype)
-                    for key, dtype in _LevelStacks.FIELDS if key in sizes}
+        self.out = {key: np.empty(int(size.sum()), FLAT_DTYPES[key])
+                    for key, size in sizes.items()}
         self.out.update(interp=np.zeros(0), rd_len=r.astype("<i8"), sk_len=s.astype("<i8"),
                         has_interp=np.zeros(len(r), "?"))
 
@@ -268,11 +276,8 @@ def _shape_runs(keys: np.ndarray):
 class _LevelStacks:
     """A level's records as stacks per key (|rd|, |sk|, has interp),
     appended chunk by chunk in group order and flattened at the end into
-    the record order (a stable sort by key) and layout of ``driver._level``.
+    the record order (a stable sort by key) and layout of FLAT_DTYPES.
     """
-
-    FIELDS = (("rd", "<i8"), ("sk", "<i8"), ("coupling", "<f8"), ("interp", "<f8"),
-              ("lower", "<f8"), ("perm", "<i8"), ("diag", "<f8"), ("sub", "<f8"))
 
     def __init__(self):
         self.parts: dict = {}
@@ -284,21 +289,22 @@ class _LevelStacks:
 
     def flat(self) -> dict:
         parts = [p for key in sorted(self.parts) for p in self.parts[key]]
-        out = {name: np.concatenate([p[name] for p in parts if p[name] is not None]
-                                    + [np.zeros(0, dtype)], axis=None, dtype=dtype)
-               for name, dtype in self.FIELDS}
         count = [len(p["rd"]) for p in parts]
-        for name, value, dtype in (("rd_len", lambda p: p["rd"].shape[1], "<i8"),
-                                   ("sk_len", lambda p: p["sk"].shape[1], "<i8"),
-                                   ("has_interp", lambda p: p["interp"] is not None, "?")):
-            out[name] = np.repeat(np.array([value(p) for p in parts], dtype), count)
+        out = {name: np.repeat(np.array([value(p) for p in parts], FLAT_DTYPES[name]), count)
+               for name, value in (("rd_len", lambda p: p["rd"].shape[1]),
+                                   ("sk_len", lambda p: p["sk"].shape[1]),
+                                   ("has_interp", lambda p: p["interp"] is not None))}
+        for name in _ARRAYS:
+            out[name] = np.concatenate([p[name] for p in parts if p[name] is not None]
+                                       + [np.zeros(0, FLAT_DTYPES[name])],
+                                       axis=None, dtype=FLAT_DTYPES[name])
         return out
 
 
 def eliminate_level(w: CsrMatrix, cells: list, level: float, spd: bool) -> dict:
     """Eliminate the mutually non-interacting cells ``cells`` as
     eliminate_cell would one by one, in order. Returns the level's records
-    as the flat arrays of ``driver._level`` and retires the cells in ``w``.
+    as flat arrays (FLAT_DTYPES) and retires the cells in ``w``.
 
     No cell reads another's update: a cell's rows, its neighbors q and
     A[q, c] stay those of the level's start, so they are read from ``w``.
@@ -382,8 +388,8 @@ def _eliminate_chunk(f: _Fronts, start: int, cells: list, new: CsrMatrix,
 def skeletonize_level(w: CsrMatrix, cells: list, eps: float, level: float,
                       spd: bool) -> dict:
     """Skeletonize the groups ``cells`` as skeletonize_cell would one by
-    one, in order. Returns the level's records as the flat arrays of
-    ``driver._level`` and retires the redundant DOFs in ``w``.
+    one, in order. Returns the level's records as flat arrays
+    (FLAT_DTYPES) and retires the redundant DOFs in ``w``.
 
     A group changes only its own A[sk, sk] and deletes the couplings of its
     rd, so a later group's ID block is the level-start A[q, c] without the

@@ -69,12 +69,9 @@ class SparseSymMatrix:
         if (s != s.T).nnz != 0:
             raise ValueError("matrix is not symmetric")
         a = cls(s.shape[0])
-        indptr, indices, data = s.indptr, s.indices, s.data
-        for i in range(a.n):
-            lo, hi = indptr[i], indptr[i + 1]
-            if hi > lo:
-                a.row_idx[i] = indices[lo:hi].astype(np.int32)
-                a.row_val[i] = data[lo:hi].astype(np.float64)
+        # each row a view of one copy of the arrays, not a copy of its own
+        CsrMatrix(a.n, s.indptr, s.indices.astype(np.int32), s.data.astype(np.float64),
+                  a.active).store(a)
         return a
 
     def to_scipy(self) -> sp.csr_matrix:

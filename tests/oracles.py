@@ -347,8 +347,7 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
                 exc.locate(tag, i, len(members))
                 raise
         records.sort(key=lambda r: (len(r.rd), len(r.sk), r.interp is not None))
-        packed = driver._pack(records, [r.factor for r in records])
-        levels.append(driver._level(tag, spd, {k: driver._flat(*v) for k, v in packed.items()}))
+        levels.append(reference_level(tag, spd, records))
     s_top = np.flatnonzero(a.active)
     try:
         top = ldl(a.gather(s_top, s_top), spd)
@@ -359,6 +358,59 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
                               top_idx=s_top, top=top)
     f.check()
     return f
+
+
+# -- reference packer: a level's flat arrays from its records ------------------
+
+def _flat(parts: list, dtype) -> np.ndarray:
+    """The arrays ``parts``, each raveled, joined into one of ``dtype``."""
+    return np.concatenate(parts + [np.zeros(0, dtype)], axis=None, dtype=dtype)
+
+
+def _pack(recs: list[Record], facs: list) -> dict:
+    """The file layout of the records ``recs`` and the block factors
+    ``facs``: for each flat array, its parts in order and its dtype."""
+    return dict(
+        rd_len=([np.array([len(r.rd) for r in recs], "<i8")], "<i8"),
+        sk_len=([np.array([len(r.sk) for r in recs], "<i8")], "<i8"),
+        has_interp=([np.array([r.interp is not None for r in recs], "?")], "?"),
+        rd=([r.rd for r in recs], "<i8"), sk=([r.sk for r in recs], "<i8"),
+        coupling=([r.coupling for r in recs], "<f8"),
+        interp=([r.interp for r in recs if r.interp is not None], "<f8"),
+        lower=([fac.lower for fac in facs], "<f8"),
+        perm=([fac.perm for fac in facs], "<i8"),
+        diag=([fac.d.diag for fac in facs], "<f8"),
+        sub=([fac.d.subdiag() for fac in facs], "<f8"),
+    )
+
+
+def reference_level(tag: float, spd: bool, records: list):
+    """The LevelFactor of ``records``, packed from the record objects."""
+    from hifde import driver
+    packed = _pack(records, [r.factor for r in records])
+    return driver._level(tag, spd, {k: _flat(*v) for k, v in packed.items()})
+
+
+def reference_save(f, path, levels: list | None = None) -> None:
+    """Write ``f`` as a version-2 archive packed from record objects, the
+    way factors were written when each level held its records: ``levels``
+    gives each level's records in file order (default: ``lf.records``)."""
+    import zipfile
+    levels = [lf.records for lf in f.levels] if levels is None else levels
+    recs = [rec for records in levels for rec in records]
+    members = dict(
+        version=2, n=f.n, dim=f.dim, spd=f.spd, eps=f.eps,
+        level_tags=np.array([lf.level for lf in f.levels], "<f8"),
+        level_sizes=np.array([len(records) for records in levels], "<i8"),
+        top_idx=f.top_idx.astype("<i8"),
+        **_pack(recs, [r.factor for r in recs] + [f.top]),
+    )
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+        for key, value in members.items():
+            with zf.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, _flat(*value) if isinstance(value, tuple) else np.asanyarray(value),
+                    allow_pickle=False)
 
 
 def factor_digest(f) -> str:

@@ -1,8 +1,9 @@
 """The BLAS thread policy: a multi-column solve runs on one OpenBLAS thread
 in both bundled libraries (NumPy's and SciPy's) and restores the previous
-counts afterwards, also after an exception; a single column and the
-factorization keep the process's count. The pin is process-wide, so the
-pinned cases run in a subprocess started with OPENBLAS_NUM_THREADS=2.
+counts afterwards, also after an exception and when pinned blocks overlap
+in two threads; a single column and the factorization keep the process's
+count. The pin is process-wide, so the pinned cases run in a subprocess
+started with OPENBLAS_NUM_THREADS=2.
 
 The factor's bits depend on the thread count (Ex. 6 3D n=16 hifde3x
 eps=1e-6 factors differently on 1 and 2 threads), so a pin that leaked
@@ -23,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = r"""
 import json
+import sys
+import threading
 import numpy as np
 from hifde import assemble, dense, driver, factor_hifde3x, make_problem
 from oracles import factor_digest
@@ -70,6 +73,54 @@ try:
 except RuntimeError as exc:
     out["raised"] = str(exc)
 out["after_raise"] = dense.blas_threads()
+
+# two pinned blocks that overlap in two threads: A enters, B enters, A
+# leaves while B still runs, then B leaves
+a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+
+def first():
+    with dense.one_blas_thread():
+        a_in.set()
+        b_in.wait(60)
+    a_out.set()
+
+
+def second():
+    a_in.wait(60)
+    with dense.one_blas_thread():
+        b_in.set()
+        a_out.wait(60)
+        out["overlap_second_alone"] = dense.blas_threads()
+
+
+def run_threads(threads):
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    return not any(t.is_alive() for t in threads)
+
+
+out["overlap_joined"] = run_threads([threading.Thread(target=first),
+                                     threading.Thread(target=second)])
+out["overlap_after"] = dense.blas_threads()
+
+
+def churn():
+    for _ in range(300):
+        with dense.one_blas_thread():
+            pass
+
+
+# more threads than cores, switching as often as the interpreter allows
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    out["churn_joined"] = run_threads([threading.Thread(target=churn) for _ in range(4)])
+finally:
+    sys.setswitchinterval(interval)
+out["churn_after"] = dense.blas_threads()
 out["digest_after"] = factor_digest(factor())
 print(json.dumps(out))
 """
@@ -111,6 +162,18 @@ def test_single_column_leaves_counts_untouched(run, name):
 def test_counts_restored_after_exception(run):
     assert run["raised"] == "inside the block"
     assert run["after_raise"] == TWO
+
+
+def test_overlapping_pins_in_two_threads_restore_once(run):
+    # the pin holds until the last block leaves, then the counts are restored
+    assert run["overlap_joined"]
+    assert run["overlap_second_alone"] == ONE
+    assert run["overlap_after"] == TWO
+
+
+def test_pins_churned_in_four_threads_restore(run):
+    assert run["churn_joined"]
+    assert run["churn_after"] == TWO
 
 
 def test_factor_runs_on_process_count(run):

@@ -355,3 +355,23 @@ class TestCorruptedFile:
         self.rewrite(path, rd=rd)
         with pytest.raises(ValueError, match="exactly once"):
             load_factor(path)
+
+    def test_pivot_past_its_block(self, saved):
+        # a nonzero subdiagonal at a block's last row would start a 2x2
+        # pivot outside the block
+        _, path = saved
+        with np.load(path) as z:
+            sub, rd_len = z["sub"].copy(), z["rd_len"]
+        sub[int(rd_len[rd_len > 0][0]) - 1] = 0.5
+        self.rewrite(path, sub=sub)
+        with pytest.raises(ValueError, match="2x2 pivot runs past its block"):
+            load_factor(path)
+
+    @pytest.mark.parametrize("key", ["rd", "perm", "level_sizes"])
+    def test_integer_array_of_another_dtype(self, saved, key):
+        _, path = saved
+        with np.load(path) as z:
+            value = z[key].astype(float)
+        self.rewrite(path, **{key: value})
+        with pytest.raises(ValueError, match="array dtypes are not those save_factor writes"):
+            load_factor(path)

@@ -9,7 +9,7 @@ from hifde import (assemble, factor_hifde, factor_hifde3x, factor_mf, load_facto
                    make_problem, save_factor)
 from hifde.bench import EXAMPLE_SPD
 
-from oracles import reference_apply, reference_apply_inverse
+from oracles import reference_apply, reference_apply_inverse, reference_save
 
 # (example, algorithm, n): SPD and Bunch-Kaufman, 2D and 3D, hifde3x's 2x2
 # pivots, and an exact factor
@@ -86,16 +86,11 @@ def test_file_out_of_group_order_loads(factor, tmp_path):
     # a file whose records are not sorted by shape (as earlier versions
     # wrote them) loads into more, shorter groups with the same operator
     rng = np.random.default_rng(3)
-    sorted_records = [lf.records for lf in factor.levels]
-    for lf in factor.levels:
-        lf.records = [lf.records[i] for i in rng.permutation(len(lf.records))]
-    try:
-        path = tmp_path / "factor.gldl"
-        save_factor(factor, path)
-        g = load_factor(path)
-    finally:
-        for lf, records in zip(factor.levels, sorted_records):
-            lf.records = records
+    shuffled = [[records[i] for i in rng.permutation(len(records))]
+                for records in (lf.records for lf in factor.levels)]
+    path = tmp_path / "factor.gldl"
+    reference_save(factor, path, shuffled)
+    g = load_factor(path)
     assert (sum(len(lf.groups) for lf in g.levels)
             >= sum(len(lf.groups) for lf in factor.levels))
     b = columns(factor, 1)[:, 0]
