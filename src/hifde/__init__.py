@@ -10,8 +10,7 @@ CG/GMRES otherwise.
 """
 
 from .dense import (BlockDiag, FactorizationError, IdResult, IndefiniteBlockError,
-                    LdlFactor, SingularBlockError, interpolative_decomposition, ldl,
-                    schur_complement)
+                    LdlFactor, SingularBlockError, interpolative_decomposition, ldl)
 from .discretize import (CoeffField, GridConfig, ProblemSpec, assemble, build_grid,
                          constant_field, field_to_csv, high_contrast_field,
                          smoothed_staggered_noise)
@@ -20,8 +19,8 @@ from .driver import (GeneralizedLDL, LevelFactor, densify, factor_hifde, factor_
 from .factor_ops import Record, eliminate_cell, skeletonize_cell
 from .krylov import (EstimateResult, SolveReport, estimate_apply_error,
                      estimate_solve_error, gmres, pcg)
-from .partition import (CellSet, adaptive_interior_cells, assert_noninteracting,
-                        cells_to_csv, interface_cells, interior_cells)
+from .partition import (CellSet, adaptive_interior_cells, cells_to_csv, interface_cells,
+                        interior_cells)
 from .sparse import DofState, SparseSymMatrix
 from .bench import BenchRow, make_problem, rows_to_csv, run_example, run_sweep
 

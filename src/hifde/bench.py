@@ -104,7 +104,8 @@ def run_example(example_id: int, algorithm: str, n: int,
     """Run one benchmark instance and return its row.
 
     Factorization failures are reported in the row's status field rather
-    than raised, so sweeps can continue.
+    than raised, so sweeps can continue. ``verify`` densifies the factor
+    (N <= VERIFY_MAX_N) and checks it against the matrix.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -128,11 +129,11 @@ def run_example(example_id: int, algorithm: str, n: int,
     kw = {} if skip_levels is None else {"skip_levels": skip_levels}
     try:
         if algorithm == "mf":
-            f = factor_mf(work, grid, spd=spd, verify=verify)
+            f = factor_mf(work, grid, spd=spd)
         elif algorithm == "hifde":
-            f = factor_hifde(work, grid, eps, spd=spd, verify=verify, **kw)
+            f = factor_hifde(work, grid, eps, spd=spd, **kw)
         else:
-            f = factor_hifde3x(work, grid, eps, spd=spd, verify=verify, **kw)
+            f = factor_hifde3x(work, grid, eps, spd=spd, **kw)
     except Exception as exc:
         row.status = f"factorization failed: {type(exc).__name__}: {exc}"
         return row

@@ -1,10 +1,14 @@
 """Dense factorization and compression kernels.
 
-Everything here operates on small dense blocks extracted from the sparse
-working matrix, or on stacks of them: symmetric LDL/Cholesky
-factorization, triangular solves, Schur complements, and the
-interpolative decomposition (ID) built on a column-pivoted QR. These are
-the only places the package touches LAPACK.
+Everything here operates on stacks of small dense blocks extracted from
+the sparse working matrix: symmetric LDL/Cholesky factorization
+(``ldl_stack``), Schur complements (``schur_stack``), block-diagonal and
+unit-lower-triangular solves (``d_stack``, ``solve_unit_lower_stack``),
+and the interpolative decomposition (ID) built on a column-pivoted QR.
+Each block operation has this one implementation: a single block is a
+stack of one (``ldl`` is ``ldl_stack`` on one block), and ``LdlFactor``
+and ``BlockDiag`` only hold a factored block's arrays. These are the only
+places the package touches LAPACK.
 
 The module also owns the BLAS thread policy. NumPy's matmul and SciPy's
 trsm/LAPACK run on two separate OpenBLAS copies bundled with the wheels;
@@ -122,7 +126,6 @@ __all__ = [
     "ldl",
     "ldl_stack",
     "interpolative_decomposition",
-    "schur_complement",
     "schur_stack",
     "d_stack",
     "solve_unit_lower_stack",
@@ -160,13 +163,9 @@ class SingularBlockError(FactorizationError):
 
 
 class BlockDiag:
-    """Block-diagonal matrix with 1x1 and 2x2 blocks.
-
-    Built from the diagonal and the subdiagonal, which is nonzero only at
-    the first row of each 2x2 pivot block produced by Bunch-Kaufman
-    pivoting. Supports apply and solve on vectors or matrices without
-    densifying.
-    """
+    """Block-diagonal matrix with 1x1 and 2x2 blocks, as data: the diagonal
+    and the 2x2 pivots, where the subdiagonal ``sub`` is nonzero (the first
+    row of each 2x2 pivot block of Bunch-Kaufman pivoting)."""
 
     def __init__(self, diag: np.ndarray, sub=()):
         self.n = len(diag)
@@ -181,43 +180,14 @@ class BlockDiag:
             out[i] = c
         return out
 
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        out = (self.diag * b.T).T if b.ndim == 2 else self.diag * b
-        for i, a, c, d in self.pairs:
-            bi, bj = b[i].copy(), b[i + 1].copy()
-            out[i] = a * bi + c * bj
-            out[i + 1] = c * bi + d * bj
-        return out
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        out = (b.T / self.diag).T if b.ndim == 2 else b / self.diag
-        for i, a, c, d in self.pairs:
-            det = a * d - c * c
-            bi, bj = b[i], b[i + 1]
-            out[i] = (d * bi - c * bj) / det
-            out[i + 1] = (a * bj - c * bi) / det
-        return out
-
-    def check_nonsingular(self, scale: float) -> None:
-        thr = SINGULAR_PIVOT_RTOL * max(scale, 1e-300)
-        mask = np.ones(self.n, dtype=bool)
-        for i, a, c, d in self.pairs:
-            mask[i] = mask[i + 1] = False
-            # smallest singular value of the symmetric 2x2 pivot
-            t = 0.5 * (a + d)
-            r = np.hypot(0.5 * (a - d), c)
-            if min(abs(t - r), abs(t + r)) <= thr:
-                raise SingularBlockError("singular 2x2 pivot block")
-        if mask.any() and np.min(np.abs(self.diag[mask])) <= thr:
-            raise SingularBlockError("singular pivot")
-
     def nfloats(self) -> int:
         return self.n + 3 * len(self.pairs)
 
 
 @dataclass
 class LdlFactor:
-    """Factored form P A P^T = L D L^T with L unit lower triangular.
+    """Factored form P A P^T = L D L^T with L unit lower triangular, as
+    data; the solve plan applies it (``driver.Group``).
 
     ``mode`` is "cholesky" (SPD path, no pivoting, positive 1x1 D) or "ldl"
     (Bunch-Kaufman partial pivoting, 1x1/2x2 pivot blocks). ``perm`` is the
@@ -238,39 +208,6 @@ class LdlFactor:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    # P^T L and L^T P act in factored coordinates; the permutation is internal.
-    def solve_l(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if self.n == 0 or b.size == 0:
-            return b.copy()
-        return _solve_unit_lower(self.lower, b[self.perm], trans=False)
-
-    def solve_lt(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if self.n == 0 or b.size == 0:
-            return b.copy()
-        y = _solve_unit_lower(self.lower, b, trans=True)
-        out = np.empty_like(y)
-        out[self.perm] = y
-        return out
-
-    def apply_l(self, b: np.ndarray) -> np.ndarray:
-        y = self.lower @ b
-        out = np.empty_like(y)
-        out[self.perm] = y
-        return out
-
-    def apply_lt(self, b: np.ndarray) -> np.ndarray:
-        return self.lower.T @ b[self.perm]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^{-1} b via L, D, L^T solves."""
-        return self.solve_lt(self.d.solve(self.solve_l(b)))
-
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        """A b from the factored form."""
-        return self.apply_l(self.d.apply(self.apply_lt(b)))
-
     def nfloats(self) -> int:
         return self.lower.size + self.d.nfloats()
 
@@ -283,7 +220,8 @@ EMPTY_FACTOR = {spd: LdlFactor("cholesky" if spd else "ldl", np.zeros((0, 0)),
 
 
 def ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
-    """Factor a symmetric block as L D L^T.
+    """Factor a symmetric block as L D L^T: ``ldl_stack`` on a stack of one,
+    raising its failure.
 
     In SPD mode a Cholesky factorization is used and normalized to unit
     diagonal (failure raises IndefiniteBlockError); otherwise Bunch-Kaufman
@@ -296,69 +234,66 @@ def ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
         raise ValueError("block must be square")
     if n == 0:
         return EMPTY_FACTOR[spd_mode]
-    scale = float(np.max(np.abs(np.diag(block))))
-    if scale == 0.0:
-        scale = float(np.max(np.abs(block)))
-    if spd_mode:
-        try:
-            c = sla.cholesky(block, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise IndefiniteBlockError(str(exc)) from exc
-        dc = np.diagonal(c).copy()
-        lower = c * (1.0 / dc)[None, :]
-        fac = LdlFactor("cholesky", lower, BlockDiag(dc * dc), np.arange(n))
-    else:
-        lu, dd, perm = sla.ldl(block, lower=True, check_finite=False)
-        d = BlockDiag(np.diagonal(dd).copy(), np.diagonal(dd, -1))
-        fac = LdlFactor("ldl", lu[perm], d, np.asarray(perm))
-    fac.d.check_nonsingular(scale)
-    return fac
+    lower, perm, diag, sub, failures = ldl_stack(block[None], spd_mode)
+    if failures:
+        raise failures[0][1]
+    return LdlFactor("cholesky" if spd_mode else "ldl", lower[0], BlockDiag(diag[0], sub[0]),
+                     perm[0])
 
 
 def ldl_stack(blocks: np.ndarray, spd_mode: bool):
-    """Factor each block of a stack (k, n, n) as ``ldl`` does, bit for bit.
+    """Factor each block of a stack (k, n, n), n >= 1, as L D L^T.
 
     Returns the stacked factors ``lower`` (k, n, n), ``perm`` (k, n) and
     ``diag``, ``sub`` (k, n) (sub zero-padded), and the failures: the
-    (index, FactorizationError) pairs of the blocks ``ldl`` refuses, in
-    block order. In SPD mode each block is one LAPACK potrf call and the
-    rest of the work is stacked; Bunch-Kaufman blocks go through ``ldl``.
+    (index, FactorizationError) pairs of the blocks refused, in block
+    order. Each block is one LAPACK call (potrf in SPD mode, sytrf through
+    ``sla.ldl`` otherwise); the rest of the work, the singular-pivot checks
+    included, is stacked.
     """
     k, n = blocks.shape[:2]
     failures = []
-    if not spd_mode:
-        lower, diag, sub = np.empty((k, n, n)), np.empty((k, n)), np.empty((k, n))
+    if spd_mode:
+        c = np.empty((k, n, n))
+        for j in range(k):
+            cj, info = _dpotrf(blocks[j], lower=1, clean=1)
+            if info > 0:
+                # sla.cholesky's message
+                failures.append((j, IndefiniteBlockError(
+                    f"{info}-th leading minor of the array is not positive definite")))
+                cj = np.eye(n)
+            c[j] = cj
+        dc = np.diagonal(c, axis1=1, axis2=2).copy()
+        lower = c * (1.0 / dc)[:, None, :]
+        diag, sub, perm = dc * dc, np.zeros((k, n)), np.tile(np.arange(n), (k, 1))
+    else:
+        lower, diag, sub = np.empty((k, n, n)), np.empty((k, n)), np.zeros((k, n))
         perm = np.empty((k, n), dtype=np.int64)
         for j in range(k):
-            try:
-                fac = ldl(blocks[j], False)
-            except FactorizationError as exc:
-                failures.append((j, exc))
-                continue
-            lower[j], perm[j], diag[j], sub[j] = fac.lower, fac.perm, fac.d.diag, fac.d.subdiag()
-        return lower, perm, diag, sub, failures
-    c = np.empty((k, n, n))
-    for j in range(k):
-        cj, info = _dpotrf(blocks[j], lower=1, clean=1)
-        if info > 0:
-            # sla.cholesky's message
-            failures.append((j, IndefiniteBlockError(
-                f"{info}-th leading minor of the array is not positive definite")))
-            cj = np.eye(n)
-        c[j] = cj
-    dc = np.diagonal(c, axis1=1, axis2=2).copy()
-    lower = c * (1.0 / dc)[:, None, :]
-    diag = dc * dc
+            lu, dd, p = sla.ldl(blocks[j], lower=True, check_finite=False)
+            lower[j], perm[j], diag[j] = lu[p], p, np.diagonal(dd)
+            sub[j, :-1] = np.diagonal(dd, -1)
     scale = np.abs(np.diagonal(blocks, axis1=1, axis2=2)).max(axis=1)
     zero = scale == 0.0
     if zero.any():
         scale[zero] = np.abs(blocks[zero]).max(axis=(1, 2))
+    thr = SINGULAR_PIVOT_RTOL * np.maximum(scale, 1e-300)
+    # a 2x2 pivot is singular when its smallest singular value is; a block
+    # with a singular 2x2 pivot is reported so before a singular 1x1 pivot
+    g, i = np.nonzero(sub)
+    a, s, d = diag[g, i], sub[g, i], diag[g, i + 1]
+    t, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), s)
+    lo, hi = np.abs(t - r), np.abs(t + r)
+    bad2 = np.zeros(k, dtype=bool)
+    bad2[g[np.where(hi < lo, hi, lo) <= thr[g]]] = True
+    one = np.abs(diag)
+    one[g, i] = one[g, i + 1] = np.inf
     failed = {j for j, _ in failures}
-    bad = np.abs(diag).min(axis=1) <= SINGULAR_PIVOT_RTOL * np.maximum(scale, 1e-300)
-    failures += [(j, SingularBlockError("singular pivot"))
-                 for j in np.flatnonzero(bad).tolist() if j not in failed]
+    failures += [(j, SingularBlockError("singular 2x2 pivot block" if bad2[j] else "singular pivot"))
+                 for j in np.flatnonzero(bad2 | (one.min(axis=1) <= thr)).tolist()
+                 if j not in failed]
     failures.sort(key=lambda f: f[0])
-    return lower, np.tile(np.arange(n), (k, 1)), diag, np.zeros((k, n)), failures
+    return lower, perm, diag, sub, failures
 
 
 @dataclass
@@ -427,24 +362,11 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
     return IdResult(piv[:k].copy(), piv[k:].copy(), t, k, resid)
 
 
-def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
-                     ldl_pp: LdlFactor) -> tuple[np.ndarray, np.ndarray]:
-    """Coupling X = D^{-1} L^{-1} A_qp^T and the Schur complement
-    B = A_qq - A_qp A_pp^{-1} A_qp^T, using two triangular solves.
-
-    B is explicitly symmetrized to suppress rounding asymmetry.
-    """
-    y = ldl_pp.solve_l(np.asarray(a_qp, float).T)
-    x = ldl_pp.d.solve(y)
-    b = np.asarray(a_qq, float) - y.T @ x
-    return x, 0.5 * (b + b.T)
-
-
 def d_stack(diag: np.ndarray, sub: np.ndarray, pairs, t: np.ndarray,
             inverse: bool) -> np.ndarray:
     """D t, or D^{-1} t, for a stack of block diagonals D given by ``diag``
-    and ``sub`` (k, r) and t (k, r, m), as BlockDiag.apply and solve do per
-    block; ``pairs`` = np.nonzero(sub) locates the 2x2 pivots."""
+    and ``sub`` (k, r) and t (k, r, m); ``pairs`` = np.nonzero(sub) locates
+    the 2x2 pivots."""
     diag3 = diag[:, :, None]
     out = t / diag3 if inverse else t * diag3
     g, i = pairs
@@ -461,10 +383,11 @@ def d_stack(diag: np.ndarray, sub: np.ndarray, pairs, t: np.ndarray,
 
 def schur_stack(a_qp: np.ndarray, lower: np.ndarray, perm: np.ndarray,
                 diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """schur_complement for each block of a stack, bit for bit, given the
-    factors of ldl_stack and A_qp (k, q, p): returns X (k, p, q) and the
-    update U = Y^T X (k, q, q), where Y = L^{-1} P A_qp^T (one trsm per
-    block) and X = D^{-1} Y. The Schur complement is A_qq - U, symmetrized.
+    """The coupling X = D^{-1} L^{-1} P A_qp^T and the Schur update of each
+    block of a stack, given the factors of ldl_stack and A_qp (k, q, p):
+    returns X (k, p, q) and U = Y^T X (k, q, q), where Y = L^{-1} P A_qp^T
+    (one trsm per block) and X = D^{-1} Y. The Schur complement
+    A_qq - A_qp A_pp^{-1} A_qp^T is A_qq - U, symmetrized.
     """
     k, q, p = a_qp.shape
     yt = np.empty((k, q, p))
@@ -472,8 +395,8 @@ def schur_stack(a_qp: np.ndarray, lower: np.ndarray, perm: np.ndarray,
         for j in range(k):
             yt[j] = _solve_unit_lower(lower[j], a_qp[j].T[perm[j]], trans=False).T
     # each block of x is Fortran-ordered (elementwise results keep the
-    # layout of the transposed yt), as X is in schur_complement, so the
-    # matmul makes the same BLAS calls and rounds the same
+    # layout of the transposed yt), so the matmul makes the BLAS calls of
+    # the per-block product y.T @ x and rounds the same
     x = d_stack(diag, sub, np.nonzero(sub), yt.transpose(0, 2, 1), inverse=True)
     return x, yt @ x
 

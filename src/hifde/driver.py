@@ -32,7 +32,8 @@ flat arrays.
 The records of one level commute, so apply/apply_inverse do not visit them
 one by one: each level is compiled into a solve plan of ``Group``s, runs of
 records with the same shape whose arrays are stacked, and a sweep step
-applies a whole group with stacked matmuls and triangular solves. A level's
+applies a whole group with stacked matmuls and triangular solves; the top
+block is the last group, an elimination with no neighbors. A level's
 arrays are held once: its groups' stacks are views of its flat arrays.
 
 save_factor/load_factor persist a factor as an ``.npz`` archive of the
@@ -58,8 +59,7 @@ from .discretize import GridConfig
 # steps, are not called here; perfbench/tracing.py patches these names
 from .factor_ops import (FLAT_DTYPES, Record, eliminate_cell,  # noqa: F401
                          eliminate_level, skeletonize_cell, skeletonize_level)
-from .partition import (adaptive_interior_cells, assert_noninteracting,
-                        interface_cells, interior_cells)
+from .partition import adaptive_interior_cells, interface_cells, interior_cells
 from .sparse import CsrMatrix, SparseSymMatrix
 
 __all__ = [
@@ -97,10 +97,6 @@ class Group:
         self.prd = np.take_along_axis(rd, perm, axis=1)
         self.pairs = np.nonzero(sub)   # the 2x2 pivots of D
 
-    def _d(self, t: np.ndarray, inverse: bool) -> np.ndarray:
-        """D t, or D^{-1} t, for t of shape (k, r, m)."""
-        return d_stack(self.diag, self.sub, self.pairs, t, inverse)
-
     def _add_to_sk(self, v: np.ndarray, vals: np.ndarray, ufunc) -> None:
         """v[sk] = ufunc(v[sk], vals), summing in record order where the
         records share DOFs."""
@@ -118,7 +114,7 @@ class Group:
             v[self.rd] -= _mT(self.interp) @ v[self.sk]
         t = solve_unit_lower_stack(self.lower, v[self.prd], trans=False)
         self._add_to_sk(v, _mT(self.coupling) @ t, np.subtract)
-        v[self.rd] = self._d(t, inverse=True)
+        v[self.rd] = d_stack(self.diag, self.sub, self.pairs, t, inverse=True)
 
     def solve_backward(self, v: np.ndarray) -> None:
         """v <- U v: the second sweep of apply_inverse."""
@@ -132,7 +128,7 @@ class Group:
         if self.interp is not None:
             v[self.sk] += self.interp @ v[self.rd]
         t = _mT(self.lower) @ v[self.prd] + self.coupling @ v[self.sk]
-        v[self.rd] = self._d(t, inverse=False)
+        v[self.rd] = d_stack(self.diag, self.sub, self.pairs, t, inverse=False)
 
     def apply_backward(self, v: np.ndarray) -> None:
         """v <- U^{-T} v: the second sweep of apply."""
@@ -205,7 +201,7 @@ class GeneralizedLDL:
     a vector or an (N, m) block of columns and returns the same shape; a
     block is swept on one BLAS thread (``dense.one_blas_thread``).
     ``top`` is the factored dense block over the DOFs still active at the
-    end (``top_idx``).
+    end (``top_idx``), swept as the plan's last group.
     """
 
     n: int
@@ -225,30 +221,37 @@ class GeneralizedLDL:
         return [rec for lf in self.levels for rec in lf.records]
 
     def _groups(self) -> list[Group]:
-        return [g for lf in self.levels for g in lf.groups]
+        """The solve plan: the levels' groups, then the top block's, built
+        on each call from views of ``top``'s arrays (an in-place edit of
+        them changes the operator)."""
+        groups = [g for lf in self.levels for g in lf.groups]
+        t, m = self.top, len(self.top_idx)
+        if m:
+            groups.append(Group(self.top_idx[None], np.zeros((1, 0), np.int64),
+                                np.zeros((1, m, 0)), t.lower[None], t.perm[None],
+                                t.d.diag[None], t.d.subdiag()[None], None))
+        return groups
 
     # A group's D block acts on its eliminated DOFs, which no later group
     # reads or writes, so it is applied right after the group's U action.
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y ~= A x through the factored chain."""
-        v = _columns(x)
+        v = _columns(x, self.n)
         groups = self._groups()
         with _sweep_threads(v):
             for g in groups:
                 g.apply_forward(v)
-            v[self.top_idx] = self.top.apply(v[self.top_idx])
             for g in reversed(groups):
                 g.apply_backward(v)
         return v.reshape(np.shape(x))
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
         """x ~= A^{-1} b through the factored chain."""
-        v = _columns(b)
+        v = _columns(b, self.n)
         groups = self._groups()
         with _sweep_threads(v):
             for g in groups:
                 g.solve_forward(v)
-            v[self.top_idx] = self.top.solve(v[self.top_idx])
             for g in reversed(groups):
                 g.solve_backward(v)
         return v.reshape(np.shape(b))
@@ -274,13 +277,16 @@ class GeneralizedLDL:
 
 
 def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
-                schedule, verify: bool) -> GeneralizedLDL:
+                schedule) -> GeneralizedLDL:
     """Common driver loop: ``schedule`` yields (level_tag, cellset,
     is_skeleton) from the working matrix, a CSR snapshot of ``a`` that
     each level's step replaces; the last one is written back into ``a``.
 
     A FactorizationError is given the level tag, the group's index and its
-    size (``FactorizationError.locate``)."""
+    size (``FactorizationError.locate``). A matrix of another size than
+    the grid raises ValueError."""
+    if a.n != grid.ndof:
+        raise ValueError(f"matrix of {a.n} DOFs on a grid of {grid.ndof} DOFs")
     t0 = time.perf_counter()
     w = CsrMatrix.take(a)
     levels: list[LevelFactor] = []
@@ -290,8 +296,6 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
     try:
         for tag, cs, is_skel in schedule(w):
             t_level = time.perf_counter()
-            if verify and not is_skel:
-                assert_noninteracting(w, cs)
             if is_skel:
                 flats = skeletonize_level(w, cs.cells, eps, tag, spd)
             else:
@@ -331,10 +335,14 @@ def _sweep_threads(v: np.ndarray):
     return one_blas_thread() if v.shape[1] > 1 else nullcontext()
 
 
-def _columns(x) -> np.ndarray:
-    """A C-ordered float copy of x as an (N, m) array of columns."""
+def _columns(x, n: int) -> np.ndarray:
+    """A C-ordered float copy of x as an (n, m) array of columns; x must be
+    a vector of length n or an (n, m) array."""
     v = np.array(x, dtype=float, order="C")
-    return v.reshape(len(v), -1)
+    if v.ndim not in (1, 2) or len(v) != n:
+        raise ValueError(f"expected a vector of length {n} or a ({n}, m) array, "
+                         f"got shape {v.shape}")
+    return v.reshape(n, -1)
 
 
 # The schedules: each yields (level_tag, cellset, is_skeleton) per level
@@ -373,22 +381,19 @@ def _hifde3x_schedule(grid: GridConfig, skip_levels: int):
     return schedule
 
 
-def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True,
-              verify: bool = False) -> GeneralizedLDL:
+def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True) -> GeneralizedLDL:
     """Multifrontal factorization: exact to rounding."""
-    return _run_levels(a, grid, spd, 0.0, _mf_schedule(grid), verify)
+    return _run_levels(a, grid, spd, 0.0, _mf_schedule(grid))
 
 
 def factor_hifde(a: SparseSymMatrix, grid: GridConfig, eps: float,
-                 spd: bool = True, skip_levels: int = 0,
-                 verify: bool = False) -> GeneralizedLDL:
+                 spd: bool = True, skip_levels: int = 0) -> GeneralizedLDL:
     """Interior elimination plus edge (2D) / face (3D) skeletonization."""
-    return _run_levels(a, grid, spd, eps, _hifde_schedule(grid, skip_levels), verify)
+    return _run_levels(a, grid, spd, eps, _hifde_schedule(grid, skip_levels))
 
 
 def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
-                   spd: bool = True, skip_levels: int = 1,
-                   verify: bool = False) -> GeneralizedLDL:
+                   spd: bool = True, skip_levels: int = 1) -> GeneralizedLDL:
     """3D with face and edge skeletonization (full reduction to points).
 
     Edge compression couples DOFs across cell boundaries, so interior
@@ -397,7 +402,7 @@ def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
     """
     if grid.dim != 3:
         raise ValueError("factor_hifde3x requires a 3D grid")
-    return _run_levels(a, grid, spd, eps, _hifde3x_schedule(grid, skip_levels), verify)
+    return _run_levels(a, grid, spd, eps, _hifde3x_schedule(grid, skip_levels))
 
 
 def densify(f: GeneralizedLDL) -> np.ndarray:

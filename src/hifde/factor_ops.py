@@ -5,7 +5,8 @@ snapshot of the working matrix (``sparse.CsrMatrix``):
 
 * eliminate_level eliminates a level's mutually non-interacting cells:
   factors each cell's pivot block, adds its Schur complement onto its
-  neighbor block and retires the cell.
+  neighbor block and retires the cell. It checks that no cell is another
+  cell's neighbor, and raises ValueError naming the two if one is.
 * skeletonize_level skeletonizes a level's interface groups: compresses
   each group's external interactions with an ID, applies the congruence
   locally, truncates the residual coupling of the redundant DOFs and
@@ -22,10 +23,11 @@ on the row-list ``SparseSymMatrix``, mutating it in place and returning a
 and their order of operations, so the factor is the same bit for bit.
 Both end in the same elimination step (``_eliminate``): factor the pivot
 block, replace the neighbor block by its Schur complement, retire the
-pivot DOFs. A record is therefore one elimination S of ``rd`` against
-``sk``, preceded on a skeletonized group by the interpolation Q. A record
-holds data only: the driver applies a level's records together, stacked
-by shape (``driver.Group``).
+pivot DOFs, with the steps' stacked kernels on stacks of one block
+(``dense.ldl``, ``dense.schur_stack``). A record is therefore one
+elimination S of ``rd`` against ``sk``, preceded on a skeletonized group
+by the interpolation Q. A record holds data only: the driver applies a
+level's records together, stacked by shape (``driver.Group``).
 
 Interactions outside the touched cell and its neighbor set are never read
 or written.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (EMPTY_FACTOR, LdlFactor, interpolative_decomposition, ldl, ldl_stack,
-                    schur_complement, schur_stack)
+                    schur_stack)
 from .sparse import CsrMatrix, DofState, SparseSymMatrix, sorted_unique, spans
 
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
@@ -92,7 +94,10 @@ def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
     the working matrix over (p, q): factor A_pp, replace A_qq by its Schur
     complement, and retire p."""
     fac = ldl(m_pp, spd)
-    x, b = schur_complement(m_qq, m_qp, fac)
+    x, u = schur_stack(m_qp[None], fac.lower[None], fac.perm[None], fac.d.diag[None],
+                       fac.d.subdiag()[None])
+    b = m_qq - u[0]
+    b = 0.5 * (b + b.T)
     if len(q):
         # replacement is the same arithmetic as adding the Schur update
         # onto the stored neighbor block, entry by entry
@@ -100,7 +105,7 @@ def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
     a.clear_rows(p)
     a.active[p] = False
     state.mark_eliminated(p, level)
-    return Record(p, q, fac, x, interp)
+    return Record(p, q, fac, x[0], interp)
 
 
 def eliminate_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
@@ -172,10 +177,19 @@ def _expand(w: CsrMatrix, cells: list, mark: np.ndarray):
     return members, row, g, cols, vals, inside, ~inside & w.active[cols]
 
 
-def _neighbors(w: CsrMatrix, cells: list, mark: np.ndarray):
+def _neighbors(w: CsrMatrix, cells: list, mark: np.ndarray, label: np.ndarray,
+               start: int, level: float):
     """Each group's active neighbors, flat and ascending per group, and
-    their counts."""
+    their counts, for the groups ``cells`` of a level numbered from
+    ``start``. ``label`` is each DOF's group in the level, -1 outside:
+    a group that is another's neighbor raises ValueError."""
     _, _, g, cols, _, _, nb = _expand(w, cells, mark)
+    other = label[cols[nb]]
+    hit = np.flatnonzero(other >= 0)
+    if len(hit):
+        i = hit[0]
+        raise ValueError(f"cells {start + g[nb][i]} and {other[i]} of level {level:.4g} "
+                         "interact")
     keys = sorted_unique(g[nb] * w.n + cols[nb])
     return keys % w.n, np.bincount(keys // w.n, minlength=len(cells))
 
@@ -304,7 +318,8 @@ class _LevelStacks:
 def eliminate_level(w: CsrMatrix, cells: list, level: float, spd: bool) -> dict:
     """Eliminate the mutually non-interacting cells ``cells`` as
     eliminate_cell would one by one, in order. Returns the level's records
-    as flat arrays (FLAT_DTYPES) and retires the cells in ``w``.
+    as flat arrays (FLAT_DTYPES) and retires the cells in ``w``. Cells that
+    interact raise ValueError before ``w`` is changed.
 
     No cell reads another's update: a cell's rows, its neighbors q and
     A[q, c] stay those of the level's start, so they are read from ``w``.
@@ -321,8 +336,10 @@ def eliminate_level(w: CsrMatrix, cells: list, level: float, spd: bool) -> dict:
     members = np.concatenate(cells)
     clen = np.fromiter(map(len, cells), np.int64, len(cells))
     row_nnz = np.add.reduceat(np.diff(w.indptr)[members], np.cumsum(clen) - clen)
+    label = np.full(n, -1, dtype=np.int64)
+    label[members] = np.repeat(np.arange(len(cells)), clen)
     q, qlen = (np.concatenate(x) for x in zip(*[
-        _neighbors(w, cells[a:b], mark) for a, b in spans(row_nnz)]))
+        _neighbors(w, cells[a:b], mark, label, a, level) for a, b in spans(row_nnz)]))
     retired = np.zeros(n, dtype=bool)
     retired[members] = True
     new = w.rebuilt(retired, q, qlen)

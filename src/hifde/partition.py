@@ -26,7 +26,6 @@ __all__ = [
     "interior_cells",
     "interface_cells",
     "adaptive_interior_cells",
-    "assert_noninteracting",
     "cells_to_csv",
 ]
 
@@ -222,22 +221,6 @@ def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
             centers.append([w * (j + 0.5) for j in jj])
     return CellSet(float(ell), "interior", cells,
                    np.array(centers, dtype=float).reshape(len(cells), grid.dim))
-
-
-def assert_noninteracting(a, cs: CellSet) -> None:
-    """Check A_{c,c'} = 0 for all distinct cells of an interior CellSet;
-    ``a`` as in adaptive_interior_cells."""
-    if not cs.cells:
-        return
-    members = cs.all_members()
-    owner = np.repeat(np.arange(cs.ncells), [len(c) for c in cs.cells])
-    cell_of = np.full(a.n, -1, dtype=np.int64)
-    cell_of[members] = owner
-    s = a.to_scipy()
-    row, at = row_entries(s.indptr, members)
-    cnb = cell_of[s.indices[at]]
-    if np.any((cnb != -1) & (cnb != owner[row])):
-        raise AssertionError(f"cells interact at level {cs.level}")
 
 
 def cells_to_csv(cs: CellSet, path) -> None:

@@ -2,7 +2,9 @@
 
 Everything here recomputes expected results by a route different from the
 library's own: dense mirrors for sparse storage, explicit dense operator
-matrices for elimination/skeletonization, and SVD rank checks for the ID.
+matrices for elimination/skeletonization, SVD rank checks for the ID, and
+the per-block kernels (one LAPACK or BLAS call per block, no stacks) that
+the library's stacked kernels must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import scipy.linalg as sla
 
 from hifde import (SparseSymMatrix, DofState, eliminate_cell, skeletonize_cell,
                    interpolative_decomposition)
-from hifde import IdResult, Record
+from hifde import (BlockDiag, IdResult, IndefiniteBlockError, LdlFactor, Record,
+                   SingularBlockError)
+from hifde.dense import EMPTY_FACTOR, SINGULAR_PIVOT_RTOL, _solve_unit_lower
+from hifde.sparse import row_entries
 
 
 def random_symmetric(rng, n: int, scale: float = 1.0) -> np.ndarray:
@@ -53,11 +58,146 @@ def svd_rank(m: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
+# -- per-block reference kernels: one factored block at a time ----------------
+# The factor of one block (LdlFactor, BlockDiag) applied and solved with, and
+# factored, block by block: what the stacked kernels of hifde.dense
+# (d_stack, solve_unit_lower_stack, schur_stack, ldl_stack) and the top block
+# of the solve plan must reproduce. P^T L and L^T P act in factored
+# coordinates; the permutation is internal.
+
+def solve_l(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if fac.n == 0 or b.size == 0:
+        return b.copy()
+    return _solve_unit_lower(fac.lower, b[fac.perm], trans=False)
+
+
+def solve_lt(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if fac.n == 0 or b.size == 0:
+        return b.copy()
+    y = _solve_unit_lower(fac.lower, b, trans=True)
+    out = np.empty_like(y)
+    out[fac.perm] = y
+    return out
+
+
+def apply_l(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
+    y = fac.lower @ b
+    out = np.empty_like(y)
+    out[fac.perm] = y
+    return out
+
+
+def apply_lt(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
+    return fac.lower.T @ b[fac.perm]
+
+
+def d_apply(d: BlockDiag, b: np.ndarray) -> np.ndarray:
+    out = (d.diag * b.T).T if b.ndim == 2 else d.diag * b
+    for i, a, c, dd in d.pairs:
+        bi, bj = b[i].copy(), b[i + 1].copy()
+        out[i] = a * bi + c * bj
+        out[i + 1] = c * bi + dd * bj
+    return out
+
+
+def d_solve(d: BlockDiag, b: np.ndarray) -> np.ndarray:
+    out = (b.T / d.diag).T if b.ndim == 2 else b / d.diag
+    for i, a, c, dd in d.pairs:
+        det = a * dd - c * c
+        bi, bj = b[i], b[i + 1]
+        out[i] = (dd * bi - c * bj) / det
+        out[i + 1] = (a * bj - c * bi) / det
+    return out
+
+
+def block_solve(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b via L, D, L^T solves."""
+    return solve_lt(fac, d_solve(fac.d, solve_l(fac, b)))
+
+
+def block_apply(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
+    """A b from the factored form."""
+    return apply_l(fac, d_apply(fac.d, apply_lt(fac, b)))
+
+
+def check_nonsingular(d: BlockDiag, scale: float) -> None:
+    thr = SINGULAR_PIVOT_RTOL * max(scale, 1e-300)
+    mask = np.ones(d.n, dtype=bool)
+    for i, a, c, dd in d.pairs:
+        mask[i] = mask[i + 1] = False
+        # smallest singular value of the symmetric 2x2 pivot
+        t = 0.5 * (a + dd)
+        r = np.hypot(0.5 * (a - dd), c)
+        if min(abs(t - r), abs(t + r)) <= thr:
+            raise SingularBlockError("singular 2x2 pivot block")
+    if mask.any() and np.min(np.abs(d.diag[mask])) <= thr:
+        raise SingularBlockError("singular pivot")
+
+
+def reference_ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
+    """One block factored through scipy's wrappers (sla.cholesky, sla.ldl):
+    what ldl_stack must reproduce for each block of a stack."""
+    block = np.asarray(block, dtype=float)
+    n = block.shape[0]
+    if block.ndim != 2 or block.shape[1] != n:
+        raise ValueError("block must be square")
+    if n == 0:
+        return EMPTY_FACTOR[spd_mode]
+    scale = float(np.max(np.abs(np.diag(block))))
+    if scale == 0.0:
+        scale = float(np.max(np.abs(block)))
+    if spd_mode:
+        try:
+            c = sla.cholesky(block, lower=True, check_finite=False)
+        except sla.LinAlgError as exc:
+            raise IndefiniteBlockError(str(exc)) from exc
+        dc = np.diagonal(c).copy()
+        lower = c * (1.0 / dc)[None, :]
+        fac = LdlFactor("cholesky", lower, BlockDiag(dc * dc), np.arange(n))
+    else:
+        lu, dd, perm = sla.ldl(block, lower=True, check_finite=False)
+        d = BlockDiag(np.diagonal(dd).copy(), np.diagonal(dd, -1))
+        fac = LdlFactor("ldl", lu[perm], d, np.asarray(perm))
+    check_nonsingular(fac.d, scale)
+    return fac
+
+
+def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
+                     ldl_pp: LdlFactor) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling X = D^{-1} L^{-1} A_qp^T and the Schur complement
+    B = A_qq - A_qp A_pp^{-1} A_qp^T, using two triangular solves.
+
+    B is explicitly symmetrized to suppress rounding asymmetry.
+    """
+    y = solve_l(ldl_pp, np.asarray(a_qp, float).T)
+    x = d_solve(ldl_pp.d, y)
+    b = np.asarray(a_qq, float) - y.T @ x
+    return x, 0.5 * (b + b.T)
+
+
+def assert_noninteracting(a, cs) -> None:
+    """Check A_{c,c'} = 0 for all distinct cells of an interior CellSet;
+    ``a`` a SparseSymMatrix or CsrMatrix."""
+    if not cs.cells:
+        return
+    members = cs.all_members()
+    owner = np.repeat(np.arange(cs.ncells), [len(c) for c in cs.cells])
+    cell_of = np.full(a.n, -1, dtype=np.int64)
+    cell_of[members] = owner
+    s = a.to_scipy()
+    row, at = row_entries(s.indptr, members)
+    cnb = cell_of[s.indices[at]]
+    if np.any((cnb != -1) & (cnb != owner[row])):
+        raise AssertionError(f"cells interact at level {cs.level}")
+
+
 def dense_s(rec: Record, n: int) -> np.ndarray:
     """Explicit elimination operator S over the full index space."""
     p, q = rec.rd, rec.sk
     s = np.eye(n)
-    linv_t = rec.factor.solve_lt(np.eye(len(p)))
+    linv_t = solve_lt(rec.factor, np.eye(len(p)))
     s[np.ix_(p, p)] = linv_t
     if len(q):
         s[np.ix_(p, q)] = -linv_t @ rec.coupling
@@ -68,7 +208,7 @@ def dense_s_inv_t(rec: Record, n: int) -> np.ndarray:
     """S^{-T} = [[L, 0], [X^T, I]] over the full index space."""
     p, q = rec.rd, rec.sk
     s = np.eye(n)
-    s[np.ix_(p, p)] = rec.factor.apply_l(np.eye(len(p)))
+    s[np.ix_(p, p)] = apply_l(rec.factor, np.eye(len(p)))
     if len(q):
         s[np.ix_(q, p)] = rec.coupling.T
     return s
@@ -93,7 +233,7 @@ def dense_after(a: SparseSymMatrix, rec: Record) -> np.ndarray:
     """Post-state as a dense matrix, with the decoupled D block restored."""
     out = a.to_dense()
     rd = rec.rd
-    out[np.ix_(rd, rd)] = rec.factor.d.apply(np.eye(len(rd)))
+    out[np.ix_(rd, rd)] = d_apply(rec.factor.d, np.eye(len(rd)))
     return out
 
 
@@ -138,7 +278,7 @@ def apply_u(rec: Record, v: np.ndarray) -> None:
     if not len(rec.rd):
         return
     t = v[rec.rd] - rec.coupling @ v[rec.sk]
-    v[rec.rd] = rec.factor.solve_lt(t)
+    v[rec.rd] = solve_lt(rec.factor, t)
     if rec.interp is not None:
         v[rec.sk] -= rec.interp @ v[rec.rd]
 
@@ -148,7 +288,7 @@ def apply_ut(rec: Record, v: np.ndarray) -> None:
         return
     if rec.interp is not None:
         v[rec.rd] -= rec.interp.T @ v[rec.sk]
-    t = rec.factor.solve_l(v[rec.rd])
+    t = solve_l(rec.factor, v[rec.rd])
     v[rec.sk] -= rec.coupling.T @ t
     v[rec.rd] = t
 
@@ -158,7 +298,7 @@ def apply_u_inv(rec: Record, v: np.ndarray) -> None:
         return
     if rec.interp is not None:
         v[rec.sk] += rec.interp @ v[rec.rd]
-    v[rec.rd] = rec.factor.apply_lt(v[rec.rd]) + rec.coupling @ v[rec.sk]
+    v[rec.rd] = apply_lt(rec.factor, v[rec.rd]) + rec.coupling @ v[rec.sk]
 
 
 def apply_u_inv_t(rec: Record, v: np.ndarray) -> None:
@@ -166,19 +306,19 @@ def apply_u_inv_t(rec: Record, v: np.ndarray) -> None:
         return
     t = v[rec.rd]
     v[rec.sk] += rec.coupling.T @ t
-    v[rec.rd] = rec.factor.apply_l(t)
+    v[rec.rd] = apply_l(rec.factor, t)
     if rec.interp is not None:
         v[rec.rd] += rec.interp.T @ v[rec.sk]
 
 
 def apply_d(rec: Record, v: np.ndarray) -> None:
     if len(rec.rd):
-        v[rec.rd] = rec.factor.d.apply(v[rec.rd])
+        v[rec.rd] = d_apply(rec.factor.d, v[rec.rd])
 
 
 def solve_d(rec: Record, v: np.ndarray) -> None:
     if len(rec.rd):
-        v[rec.rd] = rec.factor.d.solve(v[rec.rd])
+        v[rec.rd] = d_solve(rec.factor.d, v[rec.rd])
 
 
 def reference_apply(f, x: np.ndarray) -> np.ndarray:
@@ -188,7 +328,7 @@ def reference_apply(f, x: np.ndarray) -> np.ndarray:
     for rec in recs:
         apply_u_inv(rec, v)
         apply_d(rec, v)
-    v[f.top_idx] = f.top.apply(v[f.top_idx])
+    v[f.top_idx] = block_apply(f.top, v[f.top_idx])
     for rec in reversed(recs):
         apply_u_inv_t(rec, v)
     return v
@@ -202,7 +342,7 @@ def reference_apply_inverse(f, b: np.ndarray) -> np.ndarray:
     for rec in recs:
         apply_ut(rec, v)
         solve_d(rec, v)
-    v[f.top_idx] = f.top.solve(v[f.top_idx])
+    v[f.top_idx] = block_solve(f.top, v[f.top_idx])
     for rec in reversed(recs):
         apply_u(rec, v)
     return v
@@ -323,7 +463,6 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
     the same schedule: the per-cell loop the level steps must reproduce."""
     from hifde import driver
     from hifde.dense import FactorizationError, ldl
-    from hifde.partition import assert_noninteracting
 
     if algo == "mf":
         schedule = driver._mf_schedule(grid)

@@ -1,13 +1,16 @@
-"""Dense kernel tests: LDL/Cholesky, interpolative decomposition, Schur."""
+"""Dense kernel tests: LDL/Cholesky, interpolative decomposition, Schur, and
+the stacked kernels against the per-block references of ``oracles``."""
 
 import numpy as np
 import pytest
 
 from hifde import (IndefiniteBlockError, SingularBlockError,
-                   interpolative_decomposition, ldl, schur_complement)
+                   interpolative_decomposition, ldl)
+from hifde.dense import ldl_stack, schur_stack
 
-from oracles import (check_id_properties, random_spd, random_symmetric, reference_id,
-                     svd_rank)
+from oracles import (apply_l, apply_lt, block_apply, block_solve, check_id_properties,
+                     random_spd, random_symmetric, reference_id, reference_ldl,
+                     schur_complement, solve_l, solve_lt, svd_rank)
 
 
 class TestLdl:
@@ -26,7 +29,7 @@ class TestLdl:
         rng = np.random.default_rng(0)
         a = random_spd(rng, 20, cond=1e4) if spd else random_symmetric(rng, 20)
         fac = ldl(a, spd_mode=spd)
-        err = np.linalg.norm(fac.apply(np.eye(fac.n)) - a, 2) / np.linalg.norm(a, 2)
+        err = np.linalg.norm(block_apply(fac, np.eye(fac.n)) - a, 2) / np.linalg.norm(a, 2)
         assert err <= 1e-12
 
     def test_roundtrip_condition_1e6(self):
@@ -36,7 +39,7 @@ class TestLdl:
             a = random_spd(rng, n, cond=1e6)
             for spd in (True, False):
                 fac = ldl(a, spd_mode=spd)
-                err = np.linalg.norm(fac.apply(np.eye(fac.n)) - a, 2) / np.linalg.norm(a, 2)
+                err = np.linalg.norm(block_apply(fac, np.eye(fac.n)) - a, 2) / np.linalg.norm(a, 2)
                 assert err <= 1e-12
 
     def test_solve_and_apply_match_dense(self):
@@ -45,11 +48,11 @@ class TestLdl:
         b = rng.standard_normal(15)
         for spd in (True, False):
             fac = ldl(a, spd_mode=spd)
-            assert np.allclose(fac.solve(b), np.linalg.solve(a, b), atol=1e-10)
-            assert np.allclose(fac.apply(b), a @ b, atol=1e-10)
+            assert np.allclose(block_solve(fac, b), np.linalg.solve(a, b), atol=1e-10)
+            assert np.allclose(block_apply(fac, b), a @ b, atol=1e-10)
             # triangular pieces invert each other
-            assert np.allclose(fac.solve_l(fac.apply_l(b)), b)
-            assert np.allclose(fac.solve_lt(fac.apply_lt(b)), b)
+            assert np.allclose(solve_l(fac, apply_l(fac, b)), b)
+            assert np.allclose(solve_lt(fac, apply_lt(fac, b)), b)
 
     def test_spd_mode_reports_indefinite(self):
         with pytest.raises(IndefiniteBlockError):
@@ -65,7 +68,7 @@ class TestLdl:
         hollow = np.array([[0.0, 1.0], [1.0, 0.0]])
         fac = ldl(hollow, spd_mode=False)
         assert fac.d.pairs
-        assert np.allclose(fac.apply(np.eye(fac.n)), hollow)
+        assert np.allclose(block_apply(fac, np.eye(fac.n)), hollow)
         rng = np.random.default_rng(5)
         spd_fac = ldl(random_spd(rng, 12), spd_mode=True)
         assert not spd_fac.d.pairs
@@ -165,7 +168,7 @@ class TestSchurComplement:
         x, out = schur_complement(a[1:, 1:], a[1:, :1], fac)
         assert np.allclose(out, [[1.5]])
         # X = D^{-1} L^{-1} A_qp^T, so L^{-T} X = A_pp^{-1} A_qp^T = 1/2
-        assert np.allclose(fac.solve_lt(x), [[0.5]])
+        assert np.allclose(solve_lt(fac, x), [[0.5]])
 
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(22)
@@ -180,4 +183,113 @@ class TestSchurComplement:
         assert np.array_equal(out, out.T)
         x_oracle = a_pp_inv @ a[np.ix_(p, q)]
         bound = 1e-12 * np.linalg.norm(a_pp_inv, 2) * np.linalg.norm(a, 2)
-        assert np.linalg.norm(fac.solve_lt(x) - x_oracle, 2) <= bound
+        assert np.linalg.norm(solve_lt(fac, x) - x_oracle, 2) <= bound
+
+
+def outcome(fn):
+    """The factor ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def same_factor(fac, ref):
+    return (fac.mode == ref.mode and np.array_equal(fac.lower, ref.lower)
+            and np.array_equal(fac.perm, ref.perm) and np.array_equal(fac.d.diag, ref.d.diag)
+            and np.array_equal(fac.d.subdiag(), ref.d.subdiag()))
+
+
+def embed(n, *blocks):
+    """The block diagonal of ``blocks`` padded with ones to n x n."""
+    out = np.eye(n)
+    at = 0
+    for b in blocks:
+        m = len(b)
+        out[at:at + m, at:at + m] = b
+        at += m
+    return out
+
+
+# blocks that each per-block check refuses, and one that passes with 2x2 pivots
+INDEFINITE = embed(5, [[1.0, 2.0], [2.0, 1.0]])
+SINGULAR_1X1 = embed(5, np.ones((2, 2)))
+SINGULAR_2X2 = embed(5, [[0.0, 1e-16], [1e-16, 0.0]])
+# singular values 4e-15 and 1.6e-14 about the threshold 1e-14
+SINGULAR_2X2_SKEW = embed(5, [[6e-15, 1e-14], [1e-14, 6e-15]])
+SINGULAR_BOTH = embed(5, [[0.0, 1e-16], [1e-16, 0.0]], [[1e-20]])
+HOLLOW = embed(5, [[0.0, 1.0], [1.0, 0.0]], [[0.0, 3.0], [3.0, 0.0]])
+
+
+class TestStackedKernels:
+    """ldl_stack and schur_stack equal the per-block references bit for bit:
+    reference_ldl (sla.cholesky / sla.ldl, then the per-block pivot check)
+    and schur_complement (two triangular solves per block)."""
+
+    @pytest.mark.parametrize("spd", [True, False])
+    def test_ldl_is_the_reference_on_one_block(self, spd):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            a = random_spd(rng, n, cond=1e6) if spd else random_symmetric(rng, n)
+            assert same_factor(ldl(a, spd), reference_ldl(a, spd))
+
+    @pytest.mark.parametrize("spd, blocks", [
+        (True, [INDEFINITE, SINGULAR_1X1, np.eye(5), embed(5, [[1e-20]]), INDEFINITE]),
+        (False, [SINGULAR_2X2, HOLLOW, SINGULAR_1X1, SINGULAR_BOTH, np.eye(5), SINGULAR_2X2_SKEW]),
+    ])
+    def test_mixed_stack_fails_as_the_reference(self, spd, blocks):
+        rng = np.random.default_rng(32)
+        good = random_spd(rng, 5) if spd else random_symmetric(rng, 5)
+        stack = np.stack([good, *blocks, good])
+        lower, perm, diag, sub, failures = ldl_stack(stack, spd)
+        refs = [outcome(lambda: reference_ldl(b, spd)) for b in stack]
+        expected = [(j, *ref) for j, ref in enumerate(refs) if isinstance(ref, tuple)]
+        assert [(j, type(exc), str(exc)) for j, exc in failures] == expected
+        # every kind of failure is in the stack, and ldl raises it too
+        kinds = {(kind, msg.split("-th")[-1]) for _, kind, msg in expected}
+        assert kinds == ({(IndefiniteBlockError, " leading minor of the array is not positive "
+                           "definite"), (SingularBlockError, "singular pivot")} if spd else
+                         {(SingularBlockError, "singular pivot"),
+                          (SingularBlockError, "singular 2x2 pivot block")})
+        if not spd:   # a singular 2x2 pivot is reported before a singular 1x1 one
+            assert refs[4] == (SingularBlockError, "singular 2x2 pivot block")
+        for j, kind, msg in expected:
+            assert outcome(lambda: ldl(stack[j], spd)) == (kind, msg)
+        for j, ref in enumerate(refs):
+            if not isinstance(ref, tuple):
+                assert np.array_equal(lower[j], ref.lower) and np.array_equal(perm[j], ref.perm)
+                assert np.array_equal(diag[j], ref.d.diag)
+                assert np.array_equal(sub[j], ref.d.subdiag())
+        # Cholesky has no 2x2 pivots; HOLLOW (block 2) has two
+        assert not sub.any() if spd else np.count_nonzero(sub[2]) == 2
+
+    @pytest.mark.parametrize("spd", [True, False])
+    @pytest.mark.parametrize("k, p, q", [(7, 6, 4), (5, 3, 0), (1, 9, 12), (12, 1, 3)])
+    def test_schur_stack_is_schur_complement(self, spd, k, p, q):
+        rng = np.random.default_rng(33 + k + p + q)
+        a = np.stack([random_spd(rng, p + q) if spd else random_symmetric(rng, p + q)
+                      for _ in range(k)])
+        a_pp, a_qp, a_qq = a[:, :p, :p], a[:, p:, :p], a[:, p:, p:]
+        lower, perm, diag, sub, failures = ldl_stack(a_pp, spd)
+        assert not failures
+        x, u = schur_stack(a_qp, lower, perm, diag, sub)
+        b = a_qq - u
+        b = 0.5 * (b + b.transpose(0, 2, 1))
+        for j in range(k):
+            ref_x, ref_b = schur_complement(a_qq[j], a_qp[j], reference_ldl(a_pp[j], spd))
+            assert x[j].shape == ref_x.shape == (p, q)
+            assert np.array_equal(x[j], ref_x) and np.array_equal(b[j], ref_b)
+
+    def test_schur_stack_with_2x2_pivots(self):
+        rng = np.random.default_rng(34)
+        a = np.stack([random_symmetric(rng, 14) for _ in range(6)])
+        a[:, np.arange(8), np.arange(8)] *= 1e-3   # small diagonals pivot 2x2
+        lower, perm, diag, sub, failures = ldl_stack(a[:, :8, :8], False)
+        assert not failures and np.count_nonzero(sub) >= 6
+        x, u = schur_stack(a[:, 8:, :8], lower, perm, diag, sub)
+        for j in range(6):
+            ref_x, ref_b = schur_complement(a[j, 8:, 8:], a[j, 8:, :8],
+                                            reference_ldl(a[j, :8, :8], False))
+            b = a[j, 8:, 8:] - u[j]
+            assert np.array_equal(x[j], ref_x) and np.array_equal(0.5 * (b + b.T), ref_b)

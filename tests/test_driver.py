@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from hifde import (GridConfig, IndefiniteBlockError, SingularBlockError,
+from hifde import (GridConfig, IndefiniteBlockError, SingularBlockError, SparseSymMatrix,
                    assemble, build_grid, constant_field, densify, factor_hifde,
-                   factor_hifde3x, factor_mf, high_contrast_field, load_factor,
-                   make_problem, save_factor)
+                   factor_hifde3x, factor_mf, high_contrast_field, interior_cells,
+                   load_factor, make_problem, save_factor)
 
 
 def laplace(dim, n, m):
@@ -18,7 +18,7 @@ def laplace(dim, n, m):
 class TestMultifrontal:
     def test_reconstruction_2d(self):
         g, a, csr = laplace(2, 8, 2)
-        f = factor_mf(a, g, verify=True)
+        f = factor_mf(a, g)
         dense = csr.toarray()
         err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-12
@@ -49,7 +49,7 @@ class TestMultifrontal:
 class TestHifde:
     def test_tiny_eps_behaves_like_mf(self):
         g, a, csr = laplace(2, 16, 2)
-        f = factor_hifde(a, g, 1e-15, verify=True)
+        f = factor_hifde(a, g, 1e-15)
         dense = csr.toarray()
         err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-12
@@ -101,7 +101,7 @@ class TestHifde:
 class TestHifde3d:
     def test_hifde3_dense_error(self):
         g, a, csr = laplace(3, 8, 2)
-        f = factor_hifde(a, g, 1e-6, verify=True)
+        f = factor_hifde(a, g, 1e-6)
         dense = csr.toarray()
         err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
         assert err <= 100 * 1e-6
@@ -109,7 +109,7 @@ class TestHifde3d:
     @pytest.mark.parametrize("skip", [0, 1])
     def test_hifde3x_dense_error(self, skip):
         g, a, csr = laplace(3, 8, 2)
-        f = factor_hifde3x(a, g, 1e-9, skip_levels=skip, verify=True)
+        f = factor_hifde3x(a, g, 1e-9, skip_levels=skip)
         dense = csr.toarray()
         err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-7
@@ -233,6 +233,49 @@ class TestErrors:
         # the failed top block is what the working matrix still has active
         assert (exc.level, exc.group, exc.block_size) == (None, None, int(a.active.sum()))
         assert str(exc).endswith(f"not positive definite (top block, {exc.block_size} DOFs)")
+
+
+class TestBadInput:
+    """Input the factorization cannot use raises ValueError, named."""
+
+    @pytest.mark.parametrize("algo", ["mf", "hifde", "hifde3x"])
+    @pytest.mark.parametrize("small_matrix", [True, False])
+    def test_matrix_and_grid_sizes_differ(self, algo, small_matrix):
+        dim = 3 if algo == "hifde3x" else 2
+        # 2D n=16 and n=32: 225 and 961 DOFs; 3D n=4 and n=8: 27 and 343
+        small, large = (build_grid(dim, n, 2) for n in ((4, 8) if dim == 3 else (16, 32)))
+        mat_grid, grid = (small, large) if small_matrix else (large, small)
+        a = assemble(mat_grid, constant_field(mat_grid, 1.0, 0.0))
+        factor = {"mf": factor_mf, "hifde": lambda a, g: factor_hifde(a, g, 1e-6),
+                  "hifde3x": lambda a, g: factor_hifde3x(a, g, 1e-6)}[algo]
+        with pytest.raises(ValueError, match=f"matrix of {a.n} DOFs on a grid of {grid.ndof}"):
+            factor(a, grid)
+        assert a.row_idx[0].size   # the matrix was not consumed
+
+    def test_cells_that_interact(self):
+        # an extra coupling (i, i + 2) across the x = 4 separator joins two
+        # level-0 cells; eliminating them at once would be wrong
+        g, a, csr = laplace(2, 32, 4)
+        coords = g.dof_coords()
+        i = int(np.flatnonzero((coords == [3, 1]).all(axis=1))[0])
+        csr = csr.tolil()
+        csr[i, i + 2] = csr[i + 2, i] = 0.5 * csr[i, i + 1]
+        cells = interior_cells(g, 0, a.active).cells
+        owner = [next(k for k, c in enumerate(cells) if d in c) for d in (i, i + 2)]
+        with pytest.raises(ValueError, match=rf"cells {min(owner)} and {max(owner)} of level 0 "
+                                             "interact"):
+            factor_mf(SparseSymMatrix.from_scipy(csr.tocsr()), g)
+
+    @pytest.mark.parametrize("shape", [(1,), (-1,), (5,), (3, 2), (0, 2, 2), ()])
+    def test_apply_input_shape(self, shape):
+        # shapes relative to N: (d,) is a vector of length N + d, (d, m) an
+        # (N + d, m) block, (d, m, k) a 3-d array, () a scalar
+        g, a, _ = laplace(2, 8, 2)
+        f = factor_hifde(a, g, 1e-6)
+        x = np.ones((f.n + shape[0], *shape[1:])) if shape else np.float64(1.0)
+        for op in (f.apply, f.apply_inverse):
+            with pytest.raises(ValueError, match=f"length {f.n}"):
+                op(x)
 
 
 class TestSerialization:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hifde import (DofState, SparseSymMatrix, adaptive_interior_cells, assemble,
-                   assert_noninteracting, build_grid, cells_to_csv, constant_field,
-                   eliminate_cell, interface_cells, interior_cells)
+from hifde import (DofState, SparseSymMatrix, adaptive_interior_cells, assemble, build_grid,
+                   cells_to_csv, constant_field, eliminate_cell, interface_cells,
+                   interior_cells)
+
+from oracles import assert_noninteracting
 
 
 def laplace(dim, n, m):

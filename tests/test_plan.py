@@ -9,7 +9,8 @@ from hifde import (assemble, factor_hifde, factor_hifde3x, factor_mf, load_facto
                    make_problem, save_factor)
 from hifde.bench import EXAMPLE_SPD
 
-from oracles import reference_apply, reference_apply_inverse, reference_save
+from oracles import (block_apply, block_solve, reference_apply, reference_apply_inverse,
+                     reference_save)
 
 # (example, algorithm, n): SPD and Bunch-Kaufman, 2D and 3D, hifde3x's 2x2
 # pivots, and an exact factor
@@ -80,6 +81,28 @@ def test_records_are_views_of_group_stacks(factor, tmp_path):
                 assert np.array_equal(rec.rd, g.rd[j])
                 if rec.interp is not None:
                     assert np.shares_memory(rec.interp, g.interp[j])
+
+
+def test_top_block_is_the_last_group(factor):
+    # the sweep of the top block is the per-block reference's, bit for bit:
+    # solve_forward then solve_backward is its A^{-1}, apply_forward then
+    # apply_backward its A, and no other DOF changes
+    top, idx = factor._groups()[-1], factor.top_idx
+    assert np.array_equal(top.rd, idx[None]) and top.sk.shape == (1, 0)
+    assert top.interp is None
+    assert np.shares_memory(top.lower, factor.top.lower)
+    assert np.shares_memory(top.diag, factor.top.d.diag)
+    assert top.pairs[0].size == len(factor.top.d.pairs)
+    for m in (1, 5):
+        b = columns(factor, m, seed=m)
+        for steps, ref in (("solve", block_solve), ("apply", block_apply)):
+            v = b.copy()
+            getattr(top, f"{steps}_forward")(v)
+            getattr(top, f"{steps}_backward")(v)
+            assert np.array_equal(v[idx], ref(factor.top, b[idx]))
+            rest = np.ones(factor.n, dtype=bool)
+            rest[idx] = False
+            assert np.array_equal(v[rest], b[rest])
 
 
 def test_file_out_of_group_order_loads(factor, tmp_path):
