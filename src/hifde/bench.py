@@ -105,12 +105,14 @@ def run_example(example_id: int, algorithm: str, n: int,
 
     Factorization failures are reported in the row's status field rather
     than raised, so sweeps can continue. ``verify`` densifies the factor
-    (N <= VERIFY_MAX_N) and checks it against the matrix.
+    and checks it against the matrix; N > VERIFY_MAX_N raises ValueError.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     problem = make_problem(example_id, n, seed, m=m, kappa=kappa)
     grid = problem.grid
+    if verify and grid.ndof > VERIFY_MAX_N:
+        raise ValueError(f"verify needs N <= {VERIFY_MAX_N}, got N = {grid.ndof}")
     if algorithm == "hifde3x" and grid.dim != 3:
         raise ValueError("hifde3x requires a 3D example (4-6)")
     if spd is None:
@@ -162,7 +164,7 @@ def run_example(example_id: int, algorithm: str, n: int,
     if not rep.converged:
         row.status = f"solve did not converge: residual {rep.residual:.3g}"
 
-    if verify and grid.ndof <= VERIFY_MAX_N:
+    if verify:
         dense_f = densify(f)
         dense_a = a_csr.toarray()
         err = np.linalg.norm(dense_a - dense_f, 2) / np.linalg.norm(dense_a, 2)

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-factor", type=str, default=None,
                    help="serialize the last factor to this path")
     p.add_argument("--verify", action="store_true",
-                   help="densified-operator check for N <= 400")
+                   help="densified-operator check; N > 400 is an error row")
     return p
 
 

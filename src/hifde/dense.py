@@ -367,9 +367,13 @@ def d_stack(diag: np.ndarray, sub: np.ndarray, pairs, t: np.ndarray,
     """D t, or D^{-1} t, for a stack of block diagonals D given by ``diag``
     and ``sub`` (k, r) and t (k, r, m); ``pairs`` = np.nonzero(sub) locates
     the 2x2 pivots."""
-    diag3 = diag[:, :, None]
-    out = t / diag3 if inverse else t * diag3
     g, i = pairs
+    div = diag
+    if inverse and len(g):
+        # the rows of the 2x2 pivots are set below; their diagonal may be 0
+        div = diag.copy()
+        div[g, i] = div[g, i + 1] = 1.0
+    out = t / div[:, :, None] if inverse else t * diag[:, :, None]
     if len(g):
         a, c, d = diag[g, i, None], sub[g, i, None], diag[g, i + 1, None]
         ti, tj = t[g, i], t[g, i + 1]

@@ -58,7 +58,7 @@ from .discretize import GridConfig
 # eliminate_cell and skeletonize_cell, the per-cell reference of the level
 # steps, are not called here; perfbench/tracing.py patches these names
 from .factor_ops import (FLAT_DTYPES, Record, eliminate_cell,  # noqa: F401
-                         eliminate_level, skeletonize_cell, skeletonize_level)
+                         eliminate_level, record_sizes, skeletonize_cell, skeletonize_level)
 from .partition import adaptive_interior_cells, interface_cells, interior_cells
 from .sparse import CsrMatrix, SparseSymMatrix
 
@@ -172,7 +172,7 @@ class LevelFactor:
         # each record's part of each flat array, by slicing (np.split costs
         # ~4 us a piece), in the order of the zip below
         parts = [[p[key][e - k:e] for k, e in zip(size.tolist(), np.cumsum(size).tolist())]
-                 for key, size in _record_sizes(r, s, hi).items()]
+                 for key, size in record_sizes(r, s, hi).items()]
         mode = "cholesky" if self.spd else "ldl"
         empty = EMPTY_FACTOR[self.spd]
         return [
@@ -417,19 +417,12 @@ _FIELDS = {"version", "n", "dim", "spd", "eps", "level_tags", "level_sizes", "to
            *FLAT_DTYPES}
 
 
-def _record_sizes(r: np.ndarray, s: np.ndarray, hi: np.ndarray) -> dict:
-    """Each record's length in the flat arrays of a level, from |rd|, |sk|
-    and whether it has an interpolation."""
-    return dict(rd=r, sk=s, coupling=r * s, interp=r * s * hi, lower=r * r,
-                perm=r, diag=r, sub=r)
-
-
 def _level(tag: float, spd: bool, p: dict) -> LevelFactor:
     """The level of the flat arrays ``p`` (see LevelFactor), with its groups
     as views of them. A group is a run of adjacent records with equal
     (|rd|, |sk|, has interp) and a nonempty rd."""
     r, s, hi = p["rd_len"], p["sk_len"], p["has_interp"]
-    starts = {key: np.cumsum(size) - size for key, size in _record_sizes(r, s, hi).items()}
+    starts = {key: np.cumsum(size) - size for key, size in record_sizes(r, s, hi).items()}
     keys = np.stack([r, s, hi])
     cuts = np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1
     edges = [0, *cuts.tolist(), len(r)] if len(r) else []
@@ -517,7 +510,7 @@ def load_factor(path) -> GeneralizedLDL:
     mt = len(top_idx)
     one = np.ones_like(rd_len)
     per_record = dict(rd_len=one, sk_len=one, has_interp=one,
-                      **_record_sizes(rd_len, sk_len, has_interp))
+                      **record_sizes(rd_len, sk_len, has_interp))
     top_len = dict(lower=mt * mt, perm=mt, diag=mt, sub=mt)
     need(all(a[k].size == size.sum() + top_len.get(k, 0) for k, size in per_record.items()),
          "array lengths disagree with the record lengths")

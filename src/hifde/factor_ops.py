@@ -3,19 +3,17 @@
 The factorization runs one level-synchronous step per level on a CSR
 snapshot of the working matrix (``sparse.CsrMatrix``):
 
-* eliminate_level eliminates a level's mutually non-interacting cells:
-  factors each cell's pivot block, adds its Schur complement onto its
-  neighbor block and retires the cell. It checks that no cell is another
-  cell's neighbor, and raises ValueError naming the two if one is.
-* skeletonize_level skeletonizes a level's interface groups: compresses
-  each group's external interactions with an ID, applies the congruence
-  locally, truncates the residual coupling of the redundant DOFs and
-  eliminates them against the skeletons.
+* eliminate_level eliminates a level's mutually non-interacting cells
+  against their neighbors; cells that interact raise ValueError naming two.
+* skeletonize_level skeletonizes a level's interface groups: the IDs
+  first, in group order, then each compressed group's congruence, which
+  truncates the coupling of its redundant DOFs rd to the outside.
 
-Each step gathers the fronts of a whole level in vectorized passes,
-factors the dense blocks of one shape as a stack (``dense.ldl_stack``,
-``dense.schur_stack``) and rebuilds the snapshot once, and returns the
-level's records as flat arrays (FLAT_DTYPES).
+Both then retire DOFs by one elimination step (``_retire``), as the
+per-cell operations below end in ``_eliminate``: the pivot blocks of one
+shape factored as a stack (``dense.ldl_stack``), each front's Schur update
+(``dense.schur_stack``) written into a snapshot rebuilt once, and the
+records into their level's flat arrays (FLAT_DTYPES).
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
 on the row-list ``SparseSymMatrix``, mutating it in place and returning a
@@ -48,11 +46,18 @@ __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
 
 # The flat arrays of a level's records (``driver.LevelFactor``) and their
 # dtypes, in file order: per record |rd|, |sk| and whether it has an
-# interpolation, then each record's arrays raveled, back to back.
+# interpolation, then each record's arrays raveled, back to back, of the
+# lengths record_sizes gives.
 FLAT_DTYPES = dict(rd_len="<i8", sk_len="<i8", has_interp="?", rd="<i8", sk="<i8",
                    coupling="<f8", interp="<f8", lower="<f8", perm="<i8", diag="<f8",
                    sub="<f8")
-_ARRAYS = ("rd", "sk", "coupling", "interp", "lower", "perm", "diag", "sub")
+
+
+def record_sizes(r: np.ndarray, s: np.ndarray, hi: np.ndarray) -> dict:
+    """Each record's length in the raveled flat arrays of a level, from its
+    |rd| ``r``, |sk| ``s`` and whether it has an interpolation ``hi``."""
+    return dict(rd=r, sk=s, coupling=r * s, interp=r * s * hi, lower=r * r,
+                perm=r, diag=r, sub=r)
 
 
 @dataclass
@@ -243,39 +248,31 @@ class _Fronts:
         return pp, opp, qp, oqp
 
 
-def _raise_first(failures: list, level: float, cells: list) -> None:
-    """Raise the failure of the lowest group index, located as the per-cell
-    loop locates it (``FactorizationError.locate``)."""
-    if failures:
-        i, exc = min(failures, key=lambda f: f[0])
-        exc.locate(level, i, len(cells[i]))
-        raise exc
-
-
 class _Flats:
-    """The flat arrays (FLAT_DTYPES) of a level whose record shapes are
-    known before its first chunk: |rd| and |sk| per group, in group order.
-    The records are in a stable sort by (|rd|, |sk|), so the groups of one
-    shape within a chunk fill one contiguous run, written in place by
-    ``put``."""
+    """The flat arrays (FLAT_DTYPES) of a level, laid out before its first
+    chunk from |rd| and |sk| per group, in group order, and whether its
+    records have an interpolation. The records are in a stable sort by
+    (|rd|, |sk|), so the groups of one shape within a chunk fill one
+    contiguous run, written in place by ``put``."""
 
-    def __init__(self, rd_len: np.ndarray, sk_len: np.ndarray):
-        order = np.argsort(rd_len * (sk_len.max() + 1) + sk_len, kind="stable")
+    def __init__(self, rd_len: np.ndarray, sk_len: np.ndarray, has_interp: bool):
+        order = np.argsort(rd_len * (sk_len.max(initial=0) + 1) + sk_len, kind="stable")
         self.slot = np.empty_like(order)
         self.slot[order] = np.arange(len(order))
-        r, s = rd_len[order], sk_len[order]
-        sizes = dict(rd=r, sk=s, coupling=r * s, lower=r * r, perm=r, diag=r, sub=r)
+        r, s = rd_len[order].astype("<i8"), sk_len[order].astype("<i8")
+        hi = np.full(len(r), has_interp)
+        sizes = record_sizes(r, s, hi)
         self.start = {key: np.cumsum(size) - size for key, size in sizes.items()}
         self.out = {key: np.empty(int(size.sum()), FLAT_DTYPES[key])
                     for key, size in sizes.items()}
-        self.out.update(interp=np.zeros(0), rd_len=r.astype("<i8"), sk_len=s.astype("<i8"),
-                        has_interp=np.zeros(len(r), "?"))
+        self.out.update(rd_len=r, sk_len=s, has_interp=hi)
 
     def put(self, idx: np.ndarray, **stacks) -> None:
         first = self.slot[idx[0]]
         for key, x in stacks.items():
-            at = int(self.start[key][first])
-            self.out[key][at:at + x.size].reshape(x.shape)[...] = x
+            if x is not None:
+                at = int(self.start[key][first])
+                self.out[key][at:at + x.size].reshape(x.shape)[...] = x
 
 
 def _shape_runs(keys: np.ndarray):
@@ -287,32 +284,70 @@ def _shape_runs(keys: np.ndarray):
     return order, list(zip(edges, edges[1:]))
 
 
-class _LevelStacks:
-    """A level's records as stacks per key (|rd|, |sk|, has interp),
-    appended chunk by chunk in group order and flattened at the end into
-    the record order (a stable sort by key) and layout of FLAT_DTYPES.
+def _retire(w: CsrMatrix, retired: np.ndarray, cliques: np.ndarray, sizes: np.ndarray,
+            chunks, flats: _Flats, cells: list, level: float, spd: bool) -> None:
+    """The elimination step of both level steps: eliminate the DOFs
+    ``retired`` against their fronts, chunk by chunk, and replace ``w`` by
+    the snapshot without them, laid out first: the kept entries and each
+    front's sk x sk pairs (``cliques`` flat, ``sizes`` each).
+
+    ``chunks`` yields, in group order, a chunk's groups as stacks of one
+    shape (idx, rd, sk, A_pp, A_qp, interp): the groups' indices in the
+    level, the DOFs eliminated, their front, the blocks over them and the
+    interpolation T (None on a cell elimination). A failed pivot block
+    raises, located at the chunk's lowest failing group, before ``w``
+    changes. Each entry of a front gets v <- 0.5 ((v - u_ij) + (v - u_ji))
+    once per group, in group order: one vectorized round per sharing depth.
     """
+    new = w.rebuilt(retired, cliques, sizes)
+    data = new.data
+    for chunk in chunks:
+        blocks, failures = [], []
+        for idx, rd, sk, m_pp, m_qp, interp in chunk:
+            fac = ldl_stack(m_pp, spd)
+            failures += [(int(idx[j]), exc) for j, exc in fac[4]]
+            blocks.append((idx, rd, sk, m_qp, interp, fac[:4]))
+        if failures:
+            i, exc = min(failures, key=lambda f: f[0])
+            exc.locate(level, i, len(cells[i]))
+            raise exc
 
-    def __init__(self):
-        self.parts: dict = {}
-
-    def add(self, rd, sk, coupling, lower, perm, diag, sub, interp) -> None:
-        self.parts.setdefault((rd.shape[1], sk.shape[1], interp is not None), []).append(
-            dict(rd=rd, sk=sk, coupling=coupling, interp=interp, lower=lower,
-                 perm=perm, diag=diag, sub=sub))
-
-    def flat(self) -> dict:
-        parts = [p for key in sorted(self.parts) for p in self.parts[key]]
-        count = [len(p["rd"]) for p in parts]
-        out = {name: np.repeat(np.array([value(p) for p in parts], FLAT_DTYPES[name]), count)
-               for name, value in (("rd_len", lambda p: p["rd"].shape[1]),
-                                   ("sk_len", lambda p: p["sk"].shape[1]),
-                                   ("has_interp", lambda p: p["interp"] is not None))}
-        for name in _ARRAYS:
-            out[name] = np.concatenate([p[name] for p in parts if p[name] is not None]
-                                       + [np.zeros(0, FLAT_DTYPES[name])],
-                                       axis=None, dtype=FLAT_DTYPES[name])
-        return out
+        updates = []
+        for idx, rd, sk, m_qp, interp, (lower, perm, diag, sub) in blocks:
+            x, u = schur_stack(m_qp, lower, perm, diag, sub)
+            flats.put(idx, rd=rd, sk=sk, coupling=x, interp=interp, lower=lower,
+                      perm=perm, diag=diag, sub=sub)
+            # each group's sk x sk positions in row-major order: sk ascends,
+            # so the keys ascend within a group
+            nq = sk.shape[1]
+            pos = new.find(np.repeat(sk, nq, axis=1).ravel(), np.tile(sk, nq).ravel())
+            pos = pos.reshape(len(idx), nq, nq)
+            r, c = np.triu_indices(nq)
+            updates.append((np.repeat(idx, len(r)), pos[:, r, c], pos[:, c, r],
+                            u[:, r, c], u[:, c, r]))
+            del x, u, pos
+        g, pij, pji, uij, uji = (np.concatenate([x.ravel() for x in xs])
+                                 for xs in zip(*updates))
+        del updates
+        if len(blocks) == 1 and len(blocks[0][0]) == 1:
+            # one group updates each entry once
+            v = data[pij]
+            data[pij] = data[pji] = 0.5 * ((v - uij) + (v - uji))
+            continue
+        # each update's rank among the updates of its entry, in group order
+        srt = np.argsort(pij * len(cells) + g)
+        ps = pij[srt]
+        first = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])
+        rank = np.empty_like(srt)
+        rank[srt] = np.arange(len(srt)) - np.repeat(first, np.diff(np.r_[first, len(srt)]))
+        del srt, ps, first
+        for depth in range(int(rank.max(initial=-1)) + 1):
+            sel = rank == depth
+            i, j = pij[sel], pji[sel]
+            v = data[i]
+            data[i] = data[j] = 0.5 * ((v - uij[sel]) + (v - uji[sel]))
+    w.active[retired] = False
+    w.update(new)
 
 
 def eliminate_level(w: CsrMatrix, cells: list, level: float, spd: bool) -> dict:
@@ -322,16 +357,12 @@ def eliminate_level(w: CsrMatrix, cells: list, level: float, spd: bool) -> dict:
     interact raise ValueError before ``w`` is changed.
 
     No cell reads another's update: a cell's rows, its neighbors q and
-    A[q, c] stay those of the level's start, so they are read from ``w``.
-    The Schur updates meet only on separator entries shared by several
-    cells; each such entry gets v <- 0.5 ((v - u_ij) + (v - u_ji)) once per
-    cell, in cell order, which a chunk applies as one vectorized round per
-    sharing depth. The new pattern (the kept entries and every q x q pair)
-    is laid out before the first chunk.
+    A[q, c] stay those of the level's start, so they are read from ``w``
+    chunk by chunk as the elimination step (_retire) reaches them.
     """
     n = w.n
     if not cells:
-        return _LevelStacks().flat()
+        return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), False).out
     mark = np.full(n, -1, dtype=np.int64)
     members = np.concatenate(cells)
     clen = np.fromiter(map(len, cells), np.int64, len(cells))
@@ -340,66 +371,26 @@ def eliminate_level(w: CsrMatrix, cells: list, level: float, spd: bool) -> dict:
     label[members] = np.repeat(np.arange(len(cells)), clen)
     q, qlen = (np.concatenate(x) for x in zip(*[
         _neighbors(w, cells[a:b], mark, label, a, level) for a, b in spans(row_nnz)]))
-    retired = np.zeros(n, dtype=bool)
-    retired[members] = True
-    new = w.rebuilt(retired, q, qlen)
-    del q
-    flats = _Flats(clen, qlen)
-    for a, b in spans(row_nnz + (clen + qlen) ** 2):
-        _eliminate_chunk(_Fronts(w, cells[a:b], mark), a, cells, new, level, spd, flats)
-    w.active[members] = False
-    w.update(new)
+    flats = _Flats(clen, qlen, False)
+    chunks = (_cell_stacks(_Fronts(w, cells[a:b], mark), a)
+              for a, b in spans(row_nnz + (clen + qlen) ** 2))
+    _retire(w, label >= 0, q, qlen, chunks, flats, cells, level, spd)
     return flats.out
 
 
-def _eliminate_chunk(f: _Fronts, start: int, cells: list, new: CsrMatrix,
-                     level: float, spd: bool, flats: _Flats) -> None:
+def _cell_stacks(f: _Fronts, start: int) -> list:
+    """The cells of a chunk starting at group ``start`` as stacks of one
+    shape, for _retire: their rows are eliminated against their neighbors."""
     order, runs = _shape_runs(f.clen * (f.qlen.max() + 1) + f.qlen)
     pp, opp, qp, oqp = f.gather(order)
-    blocks, failures = [], []
+    stacks = []
     for a, b in runs:
         idx = order[a:b]
         k, p, q = b - a, int(f.clen[idx[0]]), int(f.qlen[idx[0]])
-        fac = ldl_stack(pp[opp[idx[0]]:][:k * p * p].reshape(k, p, p), spd)
-        failures += [(start + int(idx[j]), exc) for j, exc in fac[4]]
-        blocks.append((idx, qp[oqp[idx[0]]:][:k * q * p].reshape(k, q, p), fac[:4]))
-    _raise_first(failures, level, cells)
-
-    updates = []
-    for idx, m_qp, (lower, perm, diag, sub) in blocks:
-        x, u = schur_stack(m_qp, lower, perm, diag, sub)
-        sk = f.neighbors(idx)
-        flats.put(start + idx, rd=f.cells(idx), sk=sk, coupling=x,
-                  lower=lower, perm=perm, diag=diag, sub=sub)
-        # each cell's q x q positions in row-major order: sk ascends, so the
-        # keys ascend within a cell
-        nq = sk.shape[1]
-        pos = new.find(np.repeat(sk, nq, axis=1).ravel(), np.tile(sk, nq).ravel())
-        pos = pos.reshape(len(idx), nq, nq)
-        r, c = np.triu_indices(nq)
-        updates.append((np.repeat(idx, len(r)), pos[:, r, c], pos[:, c, r],
-                        u[:, r, c], u[:, c, r]))
-        del x, u, pos
-    g, pij, pji, uij, uji = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*updates))
-    del updates
-    data = new.data
-    if len(f.clen) == 1:
-        # one cell updates each entry once
-        v = data[pij]
-        data[pij] = data[pji] = 0.5 * ((v - uij) + (v - uji))
-        return
-    # each update's rank among the updates of its entry, in cell order
-    srt = np.argsort(pij * len(f.clen) + g)
-    ps = pij[srt]
-    first = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])
-    rank = np.empty_like(srt)
-    rank[srt] = np.arange(len(srt)) - np.repeat(first, np.diff(np.r_[first, len(srt)]))
-    del srt, ps, first
-    for depth in range(int(rank.max(initial=-1)) + 1):
-        sel = rank == depth
-        i, j = pij[sel], pji[sel]
-        v = data[i]
-        data[i] = data[j] = 0.5 * ((v - uij[sel]) + (v - uji[sel]))
+        stacks.append((start + idx, f.cells(idx), f.neighbors(idx),
+                       pp[opp[idx[0]]:][:k * p * p].reshape(k, p, p),
+                       qp[oqp[idx[0]]:][:k * q * p].reshape(k, q, p), None))
+    return stacks
 
 
 def skeletonize_level(w: CsrMatrix, cells: list, eps: float, level: float,
@@ -410,37 +401,44 @@ def skeletonize_level(w: CsrMatrix, cells: list, eps: float, level: float,
 
     A group changes only its own A[sk, sk] and deletes the couplings of its
     rd, so a later group's ID block is the level-start A[q, c] without the
-    rows of earlier groups' rd: the IDs run in group order on the snapshot
-    with a mask of the retired DOFs. Nothing else depends on group order.
+    rows of earlier groups' rd: the IDs run first, in group order, on the
+    snapshot with a mask of the retired DOFs. Then the compressed groups'
+    rd are eliminated against their sk by the elimination step (_retire);
+    their sk are disjoint, so no two updates meet.
     """
     n = w.n
-    stacks = _LevelStacks()
     if not cells:
-        return stacks.flat()
+        return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), True).out
     mark = np.full(n, -1, dtype=np.int64)
     retired = np.zeros(n, dtype=bool)
     clen = np.fromiter(map(len, cells), np.int64, len(cells))
     row_nnz = np.add.reduceat(np.diff(w.indptr)[np.concatenate(cells)], np.cumsum(clen) - clen)
-    updates = []
+    rd_len = np.zeros(len(cells), np.int64)
+    chunks, kept = [], []
     # a group has at most as many neighbors as its rows have entries
     for a, b in spans(row_nnz + (clen + row_nnz) * clen):
-        _skeletonize_chunk(_Fronts(w, cells[a:b], mark), a, cells, retired, eps,
-                           level, spd, stacks, updates)
-    if retired.any():
-        # each compressed group's A[sk, sk] := its Schur complement b
-        new = w.rebuilt(retired, np.concatenate([sk.ravel() for sk, _ in updates]),
-                        np.concatenate([np.full(len(sk), sk.shape[1]) for sk, _ in updates]))
-        for sk, b in updates:
-            full = np.broadcast_to(sk[:, :, None], b.shape)
-            new.data[new.find(full.ravel(), full.transpose(0, 2, 1).ravel())] = b.ravel()
-        w.active[retired] = False
-        w.update(new)
-    return stacks.flat()
+        stacks = _skeleton_stacks(_Fronts(w, cells[a:b], mark), a, retired, eps, rd_len, kept)
+        if stacks:
+            chunks.append(stacks)
+    flats = _Flats(rd_len, clen - rd_len, True)
+    for idx, sk in kept:
+        flats.put(idx, sk=sk)
+    if chunks:
+        sk = [s[2] for stacks in chunks for s in stacks]
+        # each chunk's stacks are dropped once it is eliminated
+        _retire(w, retired, np.concatenate([x.ravel() for x in sk]),
+                np.concatenate([np.full(len(x), x.shape[1]) for x in sk]),
+                (chunks.pop(0) for _ in range(len(chunks))), flats, cells, level, spd)
+    return flats.out
 
 
-def _skeletonize_chunk(f: _Fronts, start: int, cells: list, retired: np.ndarray,
-                       eps: float, level: float, spd: bool, stacks: _LevelStacks,
-                       updates: list) -> None:
+def _skeleton_stacks(f: _Fronts, start: int, retired: np.ndarray, eps: float,
+                     rd_len: np.ndarray, kept: list) -> list:
+    """The IDs of the groups of a chunk starting at group ``start``, in
+    group order: marks each group's rd in ``retired`` and its |rd| in
+    ``rd_len``. Returns the compressed groups as stacks of one shape for
+    _retire, with the blocks of the congruence (B_rr, B_sr) over their rd
+    and sk, and appends each uncompressed shape's (idx, sk) to ``kept``."""
     k = len(f.clen)
     pp, opp, qp, oqp = f.gather(np.arange(k))
     ids = []
@@ -460,21 +458,20 @@ def _skeletonize_chunk(f: _Fronts, start: int, cells: list, retired: np.ndarray,
         ids.append((idr.sk[sk_ord], lrd, idr.t[np.ix_(sk_ord, rd_ord)]))
 
     nrd = np.array([len(x[1]) for x in ids])
+    rd_len[start:start + k] = nrd
     order, runs = _shape_runs(nrd * (f.clen.max() + 1) + f.clen)
-    blocks, failures = [], []
+    stacks = []
     for a, b in runs:
         idx = order[a:b]
         m, nc = int(nrd[idx[0]]), int(f.clen[idx[0]])
         c = f.cells(idx)
         lsk = np.stack([ids[i][0] for i in idx.tolist()]).reshape(b - a, nc - m)
+        sk = np.take_along_axis(c, lsk, 1)
+        if not m:
+            kept.append((start + idx, sk))
+            continue
         lrd = np.stack([ids[i][1] for i in idx.tolist()]).reshape(b - a, m)
         t = np.stack([ids[i][2] for i in idx.tolist()]).reshape(b - a, nc - m, m)
-        rd, sk = np.take_along_axis(c, lrd, 1), np.take_along_axis(c, lsk, 1)
-        if not m:
-            stacks.add(rd, sk, np.zeros((b - a, 0, nc - m)), np.zeros((b - a, 0, 0)),
-                       np.zeros((b - a, 0), np.int64), np.zeros((b - a, 0)),
-                       np.zeros((b - a, 0)), t)
-            continue
         app = pp[opp[idx][:, None] + np.arange(nc * nc)].reshape(b - a, nc, nc)
         g = np.arange(b - a)[:, None, None]
         a_rr = app[g, lrd[:, :, None], lrd[:, None, :]]
@@ -483,13 +480,6 @@ def _skeletonize_chunk(f: _Fronts, start: int, cells: list, retired: np.ndarray,
         tt, a_rs = t.transpose(0, 2, 1), a_sr.transpose(0, 2, 1)
         b_rr = a_rr - tt @ a_sr - a_rs @ t + tt @ (a_ss @ t)
         b_rr = 0.5 * (b_rr + b_rr.transpose(0, 2, 1))
-        fac = ldl_stack(b_rr, spd)
-        failures += [(start + int(idx[j]), exc) for j, exc in fac[4]]
-        blocks.append((rd, sk, t, a_ss, a_sr - a_ss @ t, fac[:4]))
-    _raise_first(failures, level, cells)
-
-    for rd, sk, t, a_ss, b_sr, fac in blocks:
-        x, u = schur_stack(b_sr, *fac)
-        b = a_ss - u
-        stacks.add(rd, sk, x, *fac, t)
-        updates.append((sk, 0.5 * (b + b.transpose(0, 2, 1))))
+        stacks.append((start + idx, np.take_along_axis(c, lrd, 1), sk, b_rr,
+                       a_sr - a_ss @ t, t))
+    return stacks

@@ -103,7 +103,11 @@ def d_apply(d: BlockDiag, b: np.ndarray) -> np.ndarray:
 
 
 def d_solve(d: BlockDiag, b: np.ndarray) -> np.ndarray:
-    out = (b.T / d.diag).T if b.ndim == 2 else b / d.diag
+    # the rows of the 2x2 pivots are set below; their diagonal may be 0
+    div = d.diag.copy()
+    for i, *_ in d.pairs:
+        div[i] = div[i + 1] = 1.0
+    out = (b.T / div).T if b.ndim == 2 else b / div
     for i, a, c, dd in d.pairs:
         det = a * dd - c * c
         bi, bj = b[i], b[i + 1]

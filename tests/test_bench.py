@@ -61,6 +61,14 @@ class TestRunExample:
         row = run_example(1, "hifde", 16, eps=1e-6, verify=True)
         assert row.status == "ok"
 
+    def test_verify_refuses_large_n(self):
+        # the check densifies the factor, so a larger N is refused, before
+        # assembly, instead of passing unchecked; a sweep reports it
+        with pytest.raises(ValueError, match=r"verify needs N <= 400, got N = 3375"):
+            run_example(4, "hifde", 16, eps=1e-6, verify=True)
+        row, = run_sweep([dict(example_id=4, algorithm="hifde", n=16, eps=1e-6, verify=True)])
+        assert row.status == "error: ValueError: verify needs N <= 400, got N = 3375"
+
     def test_export_factor(self, tmp_path):
         path = tmp_path / "f.bin"
         row = run_example(1, "hifde", 16, eps=1e-6, export_factor=path)
@@ -147,6 +155,12 @@ class TestCli:
                            "--n", "16", "--eps", "1e-6")
         assert out.returncode == 1
         assert "error" in out.stdout
+
+    def test_verify_too_large_exit_code(self):
+        out = self.run_cli("--example", "4", "--algo", "hifde", "--n", "16",
+                           "--eps", "1e-6", "--verify")
+        assert out.returncode == 1
+        assert "verify needs N <= 400" in out.stdout
 
 
 class TestPerfbenchSmoke:

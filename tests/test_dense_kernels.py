@@ -1,10 +1,12 @@
 """Dense kernel tests: LDL/Cholesky, interpolative decomposition, Schur, and
 the stacked kernels against the per-block references of ``oracles``."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from hifde import (IndefiniteBlockError, SingularBlockError,
+from hifde import (GeneralizedLDL, IndefiniteBlockError, SingularBlockError,
                    interpolative_decomposition, ldl)
 from hifde.dense import ldl_stack, schur_stack
 
@@ -293,3 +295,23 @@ class TestStackedKernels:
                                             reference_ldl(a[j, :8, :8], False))
             b = a[j, 8:, 8:] - u[j]
             assert np.array_equal(x[j], ref_x) and np.array_equal(0.5 * (b + b.T), ref_b)
+
+    def test_zero_diagonal_2x2_pivots_divide_by_nothing(self):
+        # Bunch-Kaufman pivots [[0, 1], [1, 0]] as one 2x2 block; the rows
+        # of a 2x2 pivot are not divided by its zero diagonal, neither in
+        # the Schur update nor in a sweep
+        a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, -3.0], [2.0, -3.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lower, perm, diag, sub, failures = ldl_stack(np.stack([a[:2, :2]] * 3), False)
+            assert not failures and np.count_nonzero(sub) == 3 and not diag.any()
+            x, u = schur_stack(np.stack([a[2:, :2]] * 3), lower, perm, diag, sub)
+            ref_x, ref_b = schur_complement(a[2:, 2:], a[2:, :2], reference_ldl(a[:2, :2], False))
+            b = a[2:, 2:] - u[2]
+            assert np.array_equal(x[2], ref_x) and np.array_equal(0.5 * (b + b.T), ref_b)
+            f = GeneralizedLDL(n=2, dim=2, spd=False, eps=0.0, levels=[],
+                               top_idx=np.arange(2), top=ldl(a[:2, :2], False))
+            rhs = np.array([[1.0, 4.0], [2.0, -1.0]])
+            assert np.array_equal(f.apply_inverse(rhs[:, 0]), [2.0, 1.0])
+            assert np.array_equal(f.apply_inverse(rhs), rhs[::-1])
+            assert np.array_equal(f.apply(rhs), rhs[::-1])

@@ -9,7 +9,9 @@ import scipy.sparse as sp
 from hifde import (IndefiniteBlockError, SingularBlockError, SparseSymMatrix, assemble,
                    build_grid, constant_field, factor_hifde, factor_hifde3x, factor_mf,
                    make_problem)
+from hifde import factor_ops
 from hifde.bench import EXAMPLE_SPD
+from hifde.sparse import spans
 
 from oracles import factor_digest, reference_factor
 from test_plan import CASES
@@ -55,6 +57,82 @@ def test_verify_and_skip_levels():
         f = FACTORS[algo](make(), grid, 1e-6, skip_levels=skip)
         g = reference_factor(make(), grid, algo, 1e-6, skip_levels=skip, verify=True)
         assert factor_digest(f) == factor_digest(g)
+
+
+def spy(monkeypatch, name, log):
+    """Wrap factor_ops.``name`` so that each call appends (args, result)
+    to ``log``."""
+    real = getattr(factor_ops, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        log.append((args, out))
+        return out
+    monkeypatch.setattr(factor_ops, name, wrapper)
+
+
+def test_skeleton_level_in_chunks_of_mixed_groups(monkeypatch):
+    # a budget of 40,000 entries splits level 1.5 of Ex. 3 n=64 at eps=1e-3
+    # (112 groups, 28 of them compressed) into 8 chunks: 5 hold compressed
+    # and uncompressed groups alike, 2 compress nothing
+    budget = 40000
+    monkeypatch.setattr(factor_ops, "spans", lambda costs: spans(costs, budget))
+    levels, chunks = [], []
+    spy(monkeypatch, "_skeleton_stacks", chunks)
+    real = factor_ops.skeletonize_level
+
+    def level(w, cells, eps, tag, spd):
+        # the step's chunk costs, as it computes them
+        clen = np.array([len(c) for c in cells])
+        row_nnz = np.add.reduceat(np.diff(w.indptr)[np.concatenate(cells)],
+                                  np.cumsum(clen) - clen)
+        start = len(chunks)
+        out = real(w, cells, eps, tag, spd)
+        levels.append((tag, len(spans(row_nnz + (clen + row_nnz) * clen, budget)),
+                       chunks[start:]))
+        return out
+    monkeypatch.setattr("hifde.driver.skeletonize_level", level)
+    make, grid = problem(3, 64)
+    f, g = both(make, grid, "hifde", 1e-3, spd=False)
+    assert factor_digest(f) == factor_digest(g)
+    tag, count, calls = levels[1]
+    assert tag == 1.5 and count == len(calls) > 1
+    compressed = [np.count_nonzero(rd_len[start:start + len(front.clen)])
+                  for (front, start, _, _, rd_len, _), _ in calls]
+    mixed = [0 < c < len(front.clen) for c, ((front, *_), _) in zip(compressed, calls)]
+    assert count == 8 and sum(mixed) == 5 and compressed.count(0) == 2
+
+
+def test_skeleton_level_that_compresses_nothing(monkeypatch):
+    # level 0.5 of Ex. 1 n=64 at eps=1e-6 compresses none of its 480 groups:
+    # the snapshot is not rebuilt
+    seen = []
+    real = factor_ops.skeletonize_level
+
+    def level(w, cells, eps, tag, spd):
+        before = w.indptr, w.data, w.data.copy()
+        out = real(w, cells, eps, tag, spd)
+        seen.append((tag, len(cells), len(out["rd"]), w.indptr is before[0]
+                     and w.data is before[1] and np.array_equal(w.data, before[2])))
+        return out
+    monkeypatch.setattr("hifde.driver.skeletonize_level", level)
+    make, grid = problem(1, 64)
+    f, g = both(make, grid, "hifde", 1e-6)
+    assert factor_digest(f) == factor_digest(g)
+    assert seen[0] == (0.5, 480, 0, True)
+    assert all(rd and not same for _, _, rd, same in seen[2:])
+
+
+def test_3d_elimination_one_cell_per_chunk(monkeypatch):
+    # level 1 of Ex. 6 n=16: each of the 8 cells fills a chunk of its own,
+    # level 0 spans three chunks
+    chunks = []
+    spy(monkeypatch, "_cell_stacks", chunks)
+    make, grid = problem(6, 16)
+    f, g = both(make, grid, "hifde3x", 1e-6, spd=False)
+    assert factor_digest(f) == factor_digest(g)
+    sizes = [(start, len(front.clen)) for (front, start), _ in chunks]
+    assert sizes == [(0, 27), (27, 26), (53, 11)] + [(i, 1) for i in range(8)]
 
 
 @pytest.mark.parametrize("dim, n, m, depth", [(2, 16, 4, 4), (3, 8, 2, 8)])
