@@ -20,7 +20,7 @@ matrix = assemble(grid, field)
 a_csr = matrix.to_scipy()          # keep a copy for residual checks
 
 t0 = time.perf_counter()
-factor = factor_mf(matrix, grid, spd=True)   # consumes `matrix`
+factor = factor_mf(matrix, grid, spd=True)
 print(f"factorization: {time.perf_counter() - t0:.3f} s, "
       f"{factor.metrics['m_f_bytes'] / 1e6:.1f} MB stored, "
       f"{factor.metrics['s_top']} DOFs in the top separator block")

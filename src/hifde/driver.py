@@ -16,18 +16,18 @@ easily invertible triangular/interpolation maps. A level is made of one
 record per group (an elimination, after an interpolation on a skeletonized
 group), but holds no record objects: it keeps its records' arrays back to
 back in a few flat arrays (``LevelFactor.flats``), and ``records`` builds
-``Record`` views of them on demand. The input matrix is consumed: its
-entries move into a CSR snapshot (``sparse.CsrMatrix``), and what is left
-of it at the end, the top block, is written back into it.
+``Record`` views of them on demand.
 
-Each level is one level-synchronous step on the snapshot
+Each level is one level-synchronous step on the working matrix
 (``factor_ops.eliminate_level``, ``factor_ops.skeletonize_level``): the
 fronts of all its groups are gathered in vectorized passes, the dense
-blocks are factored as stacks, and the snapshot is rebuilt once. The
-result is bit-identical to eliminating or skeletonizing the groups one by
-one (``eliminate_cell``, ``skeletonize_cell``), the reference the tests
-compare against; the steps write each level's records straight into its
-flat arrays.
+blocks are factored as stacks, and the matrix's entries are replaced once
+(``SparseSymMatrix.rebuilt``). The working matrix starts from the input's
+CSR arrays without a copy and never writes into them, so the input is
+left unchanged. The result is bit-identical to eliminating or
+skeletonizing the groups one by one (``eliminate_cell``,
+``skeletonize_cell``), the reference the tests compare against; the steps
+write each level's records straight into its flat arrays.
 
 The records of one level commute, so apply/apply_inverse do not visit them
 one by one: each level is compiled into a solve plan of ``Group``s, runs of
@@ -60,7 +60,7 @@ from .discretize import GridConfig
 from .factor_ops import (FLAT_DTYPES, Record, eliminate_cell,  # noqa: F401
                          eliminate_level, record_sizes, skeletonize_cell, skeletonize_level)
 from .partition import adaptive_interior_cells, interface_cells, interior_cells
-from .sparse import CsrMatrix, SparseSymMatrix
+from .sparse import SparseSymMatrix
 
 __all__ = [
     "Group",
@@ -279,8 +279,9 @@ class GeneralizedLDL:
 def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
                 schedule) -> GeneralizedLDL:
     """Common driver loop: ``schedule`` yields (level_tag, cellset,
-    is_skeleton) from the working matrix, a CSR snapshot of ``a`` that
-    each level's step replaces; the last one is written back into ``a``.
+    is_skeleton) from the working matrix, which starts as ``a``'s entries
+    with a copy of its active flags and is replaced by each level's step;
+    ``a`` is not changed.
 
     A FactorizationError is given the level tag, the group's index and its
     size (``FactorizationError.locate``). A matrix of another size than
@@ -288,29 +289,26 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
     if a.n != grid.ndof:
         raise ValueError(f"matrix of {a.n} DOFs on a grid of {grid.ndof} DOFs")
     t0 = time.perf_counter()
-    w = CsrMatrix.take(a)
+    w = SparseSymMatrix(a.n, a.indptr, a.indices, a.data, a.active.copy())
     levels: list[LevelFactor] = []
     trace: list[tuple[float, int]] = [(-1.0, int(w.active.sum()))]
     level_times: list[tuple[float, float]] = []
     threads = blas_threads()
+    for tag, cs, is_skel in schedule(w):
+        t_level = time.perf_counter()
+        if is_skel:
+            flats = skeletonize_level(w, cs.cells, eps, tag, spd)
+        else:
+            flats = eliminate_level(w, cs.cells, tag, spd)
+        levels.append(_level(tag, spd, flats))
+        trace.append((tag, int(w.active.sum())))
+        level_times.append((tag, time.perf_counter() - t_level))
+    s_top = np.flatnonzero(w.active)
     try:
-        for tag, cs, is_skel in schedule(w):
-            t_level = time.perf_counter()
-            if is_skel:
-                flats = skeletonize_level(w, cs.cells, eps, tag, spd)
-            else:
-                flats = eliminate_level(w, cs.cells, tag, spd)
-            levels.append(_level(tag, spd, flats))
-            trace.append((tag, int(w.active.sum())))
-            level_times.append((tag, time.perf_counter() - t_level))
-        s_top = np.flatnonzero(w.active)
-        try:
-            top = ldl(w.block(s_top), spd)
-        except FactorizationError as exc:
-            exc.locate(None, None, len(s_top))
-            raise
-    finally:
-        w.store(a)
+        top = ldl(w.block(s_top), spd)
+    except FactorizationError as exc:
+        exc.locate(None, None, len(s_top))
+        raise
     f = GeneralizedLDL(
         n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
         top_idx=s_top, top=top,

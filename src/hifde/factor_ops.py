@@ -1,7 +1,7 @@
 """Elimination and skeletonization of the working matrix.
 
-The factorization runs one level-synchronous step per level on a CSR
-snapshot of the working matrix (``sparse.CsrMatrix``):
+The factorization runs one level-synchronous step per level on the
+working matrix (``sparse.SparseSymMatrix``), reading its CSR arrays:
 
 * eliminate_level eliminates a level's mutually non-interacting cells
   against their neighbors; cells that interact raise ValueError naming two.
@@ -12,12 +12,13 @@ snapshot of the working matrix (``sparse.CsrMatrix``):
 Both then retire DOFs by one elimination step (``_retire``), as the
 per-cell operations below end in ``_eliminate``: the pivot blocks of one
 shape factored as a stack (``dense.ldl_stack``), each front's Schur update
-(``dense.schur_stack``) written into a snapshot rebuilt once, and the
-records into their level's flat arrays (FLAT_DTYPES).
+(``dense.schur_stack``) written into the matrix's entries, rebuilt once
+(``SparseSymMatrix.rebuilt``), and the records into their level's flat
+arrays (FLAT_DTYPES).
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
-on the row-list ``SparseSymMatrix``, mutating it in place and returning a
-``Record``. They are the reference: the steps reproduce their arithmetic
+through the matrix's per-cell methods, changing it in place and returning
+a ``Record``. They are the reference: the steps reproduce their arithmetic
 and their order of operations, so the factor is the same bit for bit.
 Both end in the same elimination step (``_eliminate``): factor the pivot
 block, replace the neighbor block by its Schur complement, retire the
@@ -39,7 +40,7 @@ import numpy as np
 
 from .dense import (EMPTY_FACTOR, LdlFactor, interpolative_decomposition, ldl, ldl_stack,
                     schur_stack)
-from .sparse import CsrMatrix, DofState, SparseSymMatrix, sorted_unique, spans
+from .sparse import DofState, SparseSymMatrix, sorted_unique, spans
 
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
            "skeletonize_level"]
@@ -160,13 +161,13 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
 
 
 # -- level-synchronous steps -------------------------------------------------
-# The factorization proper: a whole level at once on one CSR snapshot of the
+# The factorization proper: a whole level at once on the CSR arrays of the
 # working matrix, with the arithmetic of the per-cell operations above and
 # so the same factor, bit for bit. A level's groups are taken in chunks, in
 # group order, of about sparse.CHUNK entries (row entries and dense blocks),
 # and the blocks of one shape within a chunk are factored as one stack.
 
-def _expand(w: CsrMatrix, cells: list, mark: np.ndarray):
+def _expand(w: SparseSymMatrix, cells: list, mark: np.ndarray):
     """The stored entries of the rows of groups ``cells``: the members, and
     per entry the index of its row in the members, its group, column and
     value, and whether the column is in the same group (``inside``) or an
@@ -182,7 +183,7 @@ def _expand(w: CsrMatrix, cells: list, mark: np.ndarray):
     return members, row, g, cols, vals, inside, ~inside & w.active[cols]
 
 
-def _neighbors(w: CsrMatrix, cells: list, mark: np.ndarray, label: np.ndarray,
+def _neighbors(w: SparseSymMatrix, cells: list, mark: np.ndarray, label: np.ndarray,
                start: int, level: float):
     """Each group's active neighbors, flat and ascending per group, and
     their counts, for the groups ``cells`` of a level numbered from
@@ -201,13 +202,13 @@ def _neighbors(w: CsrMatrix, cells: list, mark: np.ndarray, label: np.ndarray,
 
 class _Fronts:
     """The fronts of consecutive groups ``cells`` of a level, read from the
-    snapshot ``w`` in vectorized passes: each group's active neighbors
+    working matrix ``w`` in vectorized passes: each group's active neighbors
     (``q``, flat, ascending per group, ``qlen`` each) and the entries of
     its rows, split into those of A[c, c] and of A[q, c] (the mirror of
     A[c, q]); ``mark`` as in _expand.
     """
 
-    def __init__(self, w: CsrMatrix, cells: list, mark: np.ndarray):
+    def __init__(self, w: SparseSymMatrix, cells: list, mark: np.ndarray):
         n = w.n
         self.members, row, g, cols, vals, inside, nb = _expand(w, cells, mark)
         self.clen = np.fromiter(map(len, cells), np.int64, len(cells))
@@ -284,12 +285,13 @@ def _shape_runs(keys: np.ndarray):
     return order, list(zip(edges, edges[1:]))
 
 
-def _retire(w: CsrMatrix, retired: np.ndarray, cliques: np.ndarray, sizes: np.ndarray,
+def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes: np.ndarray,
             chunks, flats: _Flats, cells: list, level: float, spd: bool) -> None:
     """The elimination step of both level steps: eliminate the DOFs
-    ``retired`` against their fronts, chunk by chunk, and replace ``w`` by
-    the snapshot without them, laid out first: the kept entries and each
-    front's sk x sk pairs (``cliques`` flat, ``sizes`` each).
+    ``retired`` against their fronts, chunk by chunk, and replace the
+    entries of ``w`` by those without them, laid out first (``rebuilt``):
+    the kept entries and each front's sk x sk pairs (``cliques`` flat,
+    ``sizes`` each).
 
     ``chunks`` yields, in group order, a chunk's groups as stacks of one
     shape (idx, rd, sk, A_pp, A_qp, interp): the groups' indices in the
@@ -350,7 +352,7 @@ def _retire(w: CsrMatrix, retired: np.ndarray, cliques: np.ndarray, sizes: np.nd
     w.update(new)
 
 
-def eliminate_level(w: CsrMatrix, cells: list, level: float, spd: bool) -> dict:
+def eliminate_level(w: SparseSymMatrix, cells: list, level: float, spd: bool) -> dict:
     """Eliminate the mutually non-interacting cells ``cells`` as
     eliminate_cell would one by one, in order. Returns the level's records
     as flat arrays (FLAT_DTYPES) and retires the cells in ``w``. Cells that
@@ -393,7 +395,7 @@ def _cell_stacks(f: _Fronts, start: int) -> list:
     return stacks
 
 
-def skeletonize_level(w: CsrMatrix, cells: list, eps: float, level: float,
+def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
                       spd: bool) -> dict:
     """Skeletonize the groups ``cells`` as skeletonize_cell would one by
     one, in order. Returns the level's records as flat arrays
@@ -402,9 +404,9 @@ def skeletonize_level(w: CsrMatrix, cells: list, eps: float, level: float,
     A group changes only its own A[sk, sk] and deletes the couplings of its
     rd, so a later group's ID block is the level-start A[q, c] without the
     rows of earlier groups' rd: the IDs run first, in group order, on the
-    snapshot with a mask of the retired DOFs. Then the compressed groups'
-    rd are eliminated against their sk by the elimination step (_retire);
-    their sk are disjoint, so no two updates meet.
+    level-start matrix with a mask of the retired DOFs. Then the compressed
+    groups' rd are eliminated against their sk by the elimination step
+    (_retire); their sk are disjoint, so no two updates meet.
     """
     n = w.n
     if not cells:

@@ -187,7 +187,7 @@ def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
     cell, taken in ascending center order, then sheds the members that
     still couple to any other current cell. The resulting cells are
     mutually non-interacting. ``a`` is the working matrix, a
-    SparseSymMatrix or the factorization's CsrMatrix snapshot.
+    SparseSymMatrix, whose CSR arrays are read without a copy.
     """
     w = (1 << ell) * grid.m
     k = grid.n // w
@@ -202,13 +202,12 @@ def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
         mul *= k
     cell_of = np.full(a.n, -1, dtype=np.int64)
     cell_of[act] = keys
-    s = a.to_scipy()
 
     groups = list(_group_by_key(act, keys))
     cells, centers = [], []
     for key, members in groups:
-        owner, at = row_entries(s.indptr, members)
-        cnb = cell_of[s.indices[at]]
+        owner, at = row_entries(a.indptr, members)
+        cnb = cell_of[a.indices[at]]
         shed = members[np.unique(owner[(cnb != -1) & (cnb != key)])]
         if len(shed):
             cell_of[shed] = -1

@@ -182,17 +182,16 @@ def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
 
 
 def assert_noninteracting(a, cs) -> None:
-    """Check A_{c,c'} = 0 for all distinct cells of an interior CellSet;
-    ``a`` a SparseSymMatrix or CsrMatrix."""
+    """Check A_{c,c'} = 0 for all distinct cells of an interior CellSet of
+    the SparseSymMatrix ``a``."""
     if not cs.cells:
         return
     members = cs.all_members()
     owner = np.repeat(np.arange(cs.ncells), [len(c) for c in cs.cells])
     cell_of = np.full(a.n, -1, dtype=np.int64)
     cell_of[members] = owner
-    s = a.to_scipy()
-    row, at = row_entries(s.indptr, members)
-    cnb = cell_of[s.indices[at]]
+    row, at = row_entries(a.indptr, members)
+    cnb = cell_of[a.indices[at]]
     if np.any((cnb != -1) & (cnb != owner[row])):
         raise AssertionError(f"cells interact at level {cs.level}")
 

@@ -8,6 +8,8 @@ from hifde import (GridConfig, IndefiniteBlockError, SingularBlockError, SparseS
                    factor_hifde3x, factor_mf, high_contrast_field, interior_cells,
                    load_factor, make_problem, save_factor)
 
+from oracles import reference_factor
+
 
 def laplace(dim, n, m):
     g = build_grid(dim, n, m)
@@ -224,14 +226,18 @@ class TestErrors:
         # Example 3 (Helmholtz) is indefinite; its Cholesky fails in the top block
         problem = make_problem(3, 32)
         a = assemble(problem.grid, problem.field)
+        # the per-cell reference fails there too, on a copy it changes
+        ref = assemble(problem.grid, problem.field)
+        with pytest.raises(IndefiniteBlockError):
+            reference_factor(ref, problem.grid, algo, 0.0 if algo == "mf" else 1e-6, spd=True)
         with pytest.raises(IndefiniteBlockError) as info:
             if algo == "mf":
                 factor_mf(a, problem.grid, spd=True)
             else:
                 factor_hifde(a, problem.grid, 1e-6, spd=True)
         exc = info.value
-        # the failed top block is what the working matrix still has active
-        assert (exc.level, exc.group, exc.block_size) == (None, None, int(a.active.sum()))
+        # the failed top block is what the reference's matrix still has active
+        assert (exc.level, exc.group, exc.block_size) == (None, None, int(ref.active.sum()))
         assert str(exc).endswith(f"not positive definite (top block, {exc.block_size} DOFs)")
 
 

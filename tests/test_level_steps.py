@@ -59,6 +59,44 @@ def test_verify_and_skip_levels():
         assert factor_digest(f) == factor_digest(g)
 
 
+def arrays(a):
+    """Copies of the CSR arrays and active flags of the matrix ``a``."""
+    return [x.copy() for x in (a.indptr, a.indices, a.data, a.active)]
+
+
+def assert_unchanged(a, before):
+    for got, want in zip(arrays(a), before):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("algo, example, n", [("mf", 1, 32), ("hifde", 1, 32),
+                                              ("hifde3x", 4, 8)])
+def test_factor_leaves_its_input_unchanged(algo, example, n):
+    make, grid = problem(example, n)
+    a = make()
+    before = arrays(a)
+    args = () if algo == "mf" else (1e-6,)
+    f = FACTORS[algo](a, grid, *args)
+    assert_unchanged(a, before)
+    # so the same matrix factors again, to the same factor
+    assert factor_digest(FACTORS[algo](a, grid, *args)) == factor_digest(f)
+    assert_unchanged(a, before)
+
+
+@pytest.mark.parametrize("algo", ["mf", "hifde"])
+def test_failed_factor_leaves_its_input_unchanged(algo):
+    # Example 3 (Helmholtz) is indefinite; its Cholesky fails in the top block
+    make, grid = problem(3, 32)
+    a = make()
+    before = arrays(a)
+    with pytest.raises(IndefiniteBlockError, match="top block"):
+        if algo == "mf":
+            factor_mf(a, grid, spd=True)
+        else:
+            factor_hifde(a, grid, 1e-6, spd=True)
+    assert_unchanged(a, before)
+
+
 def spy(monkeypatch, name, log):
     """Wrap factor_ops.``name`` so that each call appends (args, result)
     to ``log``."""

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from hifde import DofState, SparseSymMatrix, eliminate_cell
-from hifde.sparse import CsrMatrix
 
 from oracles import random_sparse_sym, reference_csr
 
@@ -64,6 +63,39 @@ class TestConstruction:
         assert np.array_equal(got.data, csr.data)
         assert a.nnz() == nnz
 
+    def test_input_is_not_changed(self):
+        # a CSR input with a duplicate entry and an unsorted row: the
+        # canonical form is built on a copy of its arrays
+        s = sp.csr_matrix((np.array([1.0, 2.0, 2.0, 3.0, 3.0]), np.array([1, 0, 1, 0, 1]),
+                           np.array([0, 3, 5])), shape=(2, 2))
+        before = s.indptr.copy(), s.indices.copy(), s.data.copy()
+        a = SparseSymMatrix.from_scipy(s)
+        assert s.nnz == 5
+        for got, want in zip((s.indptr, s.indices, s.data), before):
+            assert np.array_equal(got, want)
+        assert np.array_equal(a.to_dense(), [[2.0, 3.0], [3.0, 3.0]])
+
+    @pytest.mark.parametrize("s, what", [
+        (sp.csr_matrix(np.ones((2, 3))), r"not square: shape \(2, 3\)"),
+        (np.ones(3), "must be 2-D, got a 1-D input"),
+        (sp.csr_matrix(np.array([[1.0, 1j], [1j, 1.0]])), "complex"),
+    ], ids=["non_square", "one_d", "complex"])
+    def test_rejects_bad_input(self, s, what):
+        with pytest.raises(ValueError, match=what):
+            SparseSymMatrix.from_scipy(s)
+
+    def test_rows_are_views_of_the_arrays(self):
+        a = tridiag(4)
+        assert [ix.tolist() for ix in a.row_idx] == [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3]]
+        a.row_val[2][1] = 5.0
+        assert a.data[a.indptr[2] + 1] == 5.0 and a.to_scipy()[2, 2] == 5.0
+
+    def test_to_scipy_is_a_copy(self):
+        a = tridiag(4)
+        s = a.to_scipy()
+        s.data[:] = 0.0
+        assert np.array_equal(a.to_dense(), tridiag(4).to_dense())
+
     def test_matrix_market_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         a, dense = random_sparse_sym(rng, 12)
@@ -78,7 +110,7 @@ class TestCsrFind:
         # empty rows (retired DOFs) and a first and last row
         a, _ = random_sparse_sym(np.random.default_rng(2), 40, fill=0.1)
         eliminate_cell(a, DofState(a.n), np.array([0, 7]), 0.0, True)
-        w = CsrMatrix.take(a)
+        w = a
         rows = np.repeat(np.arange(w.n), np.diff(w.indptr))
         cols = w.indices.astype(np.int64)
         want = np.arange(len(cols))
@@ -86,8 +118,7 @@ class TestCsrFind:
             assert np.array_equal(w.find(rows[order], cols[order]), want[order])
 
     def test_update_drops_the_cached_keys(self):
-        a, _ = random_sparse_sym(np.random.default_rng(6), 20, fill=0.2)
-        w = CsrMatrix.take(a)
+        w, _ = random_sparse_sym(np.random.default_rng(6), 20, fill=0.2)
         w.find(np.array([0]), np.array([0]))
         retired = np.zeros(w.n, dtype=bool)
         retired[[1, 4]] = True
