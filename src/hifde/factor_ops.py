@@ -9,12 +9,12 @@ working matrix (``sparse.SparseSymMatrix``), reading its CSR arrays:
   first, in group order, then each compressed group's congruence, which
   truncates the coupling of its redundant DOFs rd to the outside.
 
-Both then retire DOFs by one elimination step (``_retire``), as the
-per-cell operations below end in ``_eliminate``: the pivot blocks of one
-shape factored as a stack (``dense.ldl_stack``), each front's Schur update
-(``dense.schur_stack``) written into the matrix's entries, rebuilt once
-(``SparseSymMatrix.rebuilt``), and the records into their level's flat
-arrays (FLAT_DTYPES).
+Both check their groups (``_groups``), then retire DOFs by one
+elimination step (``_retire``), as the per-cell operations below end in
+``_eliminate``: the pivot blocks of one shape factored as a stack
+(``dense.ldl_stack``), each front's Schur update (``dense.schur_stack``)
+written where ``SparseSymMatrix.rebuilt`` places it in the matrix's new
+entries, and the records into their level's flat arrays (FLAT_DTYPES).
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
 through the matrix's per-cell methods, changing it in place and returning
@@ -183,6 +183,32 @@ def _expand(w: SparseSymMatrix, cells: list, mark: np.ndarray):
     return members, row, g, cols, vals, inside, ~inside & w.active[cols]
 
 
+def _groups(w: SparseSymMatrix, cells: list, mark: np.ndarray, level: float):
+    """The members of a level's groups ``cells`` in group order, each group's
+    size and its rows' stored entries. ValueError names a group that is empty
+    or holds a DOF out of range, inactive or held twice; ``mark`` as in _expand."""
+    clen = np.fromiter(map(len, cells), np.int64, len(cells))
+    members, ends = np.concatenate(cells), np.cumsum(clen)
+    group = lambda i: np.searchsorted(ends, i, side="right")  # noqa: E731
+    at = f"of level {level:.4g}"
+    if not clen.all():
+        raise ValueError(f"group {np.argmin(clen)} {at} is empty")
+    ok = (members >= 0) & (members < w.n)
+    ok[ok] = w.active[members[ok]]
+    if not ok.all():
+        i = np.argmin(ok)
+        raise ValueError(f"group {group(i)} {at} holds DOF {members[i]}, " + (
+            "which is not active" if 0 <= members[i] < w.n else f"out of range for order {w.n}"))
+    mark[members] = np.arange(len(members))
+    seen, mark[members] = mark[members], -1
+    i = np.argmax(seen != np.arange(len(members)))
+    if seen[i] != i:
+        g, h = group([i, seen[i]])
+        raise ValueError(f"group {g} {at} holds DOF {members[i]} twice" if g == h else
+                         f"group {g} {at} shares DOF {members[i]} with group {h}")
+    return members, clen, np.add.reduceat(np.diff(w.indptr)[members], ends - clen)
+
+
 def _neighbors(w: SparseSymMatrix, cells: list, mark: np.ndarray, label: np.ndarray,
                start: int, level: float):
     """Each group's active neighbors, flat and ascending per group, and
@@ -290,8 +316,8 @@ def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes:
     """The elimination step of both level steps: eliminate the DOFs
     ``retired`` against their fronts, chunk by chunk, and replace the
     entries of ``w`` by those without them, laid out first (``rebuilt``):
-    the kept entries and each front's sk x sk pairs (``cliques`` flat,
-    ``sizes`` each).
+    the kept entries and each group's sk x sk pairs (``cliques`` flat, one
+    per group in group order, ``sizes`` each, empty if it retires nothing).
 
     ``chunks`` yields, in group order, a chunk's groups as stacks of one
     shape (idx, rd, sk, A_pp, A_qp, interp): the groups' indices in the
@@ -299,10 +325,10 @@ def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes:
     interpolation T (None on a cell elimination). A failed pivot block
     raises, located at the chunk's lowest failing group, before ``w``
     changes. Each entry of a front gets v <- 0.5 ((v - u_ij) + (v - u_ji))
-    once per group, in group order: one vectorized round per sharing depth.
+    once per group, in group order: a chunk writes one round at a time.
     """
-    new = w.rebuilt(retired, cliques, sizes)
-    data = new.data
+    new, offset, rnd = w.rebuilt(retired, cliques, sizes)
+    first = np.cumsum(sizes * sizes) - sizes * sizes
     for chunk in chunks:
         blocks, failures = [], []
         for idx, rd, sk, m_pp, m_qp, interp in chunk:
@@ -319,35 +345,22 @@ def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes:
             x, u = schur_stack(m_qp, lower, perm, diag, sub)
             flats.put(idx, rd=rd, sk=sk, coupling=x, interp=interp, lower=lower,
                       perm=perm, diag=diag, sub=sub)
-            # each group's sk x sk positions in row-major order: sk ascends,
-            # so the keys ascend within a group
+            # the pairs (sk_r, sk_c), r <= c, of each group, row-major
             nq = sk.shape[1]
-            pos = new.find(np.repeat(sk, nq, axis=1).ravel(), np.tile(sk, nq).ravel())
-            pos = pos.reshape(len(idx), nq, nq)
             r, c = np.triu_indices(nq)
-            updates.append((np.repeat(idx, len(r)), pos[:, r, c], pos[:, c, r],
-                            u[:, r, c], u[:, c, r]))
-            del x, u, pos
-        g, pij, pji, uij, uji = (np.concatenate([x.ravel() for x in xs])
-                                 for xs in zip(*updates))
+            ij, ji = first[idx][:, None] + (r * nq + c), first[idx][:, None] + (c * nq + r)
+            updates.append((new.indptr[sk[:, r]] + offset[ij], new.indptr[sk[:, c]] + offset[ji],
+                            rnd[ij], u[:, r, c], u[:, c, r]))
+            del x, u, ij, ji
+        pij, pji, depth, uij, uji = (np.concatenate([x.ravel() for x in xs])
+                                     for xs in zip(*updates))
         del updates
-        if len(blocks) == 1 and len(blocks[0][0]) == 1:
-            # one group updates each entry once
-            v = data[pij]
-            data[pij] = data[pji] = 0.5 * ((v - uij) + (v - uji))
-            continue
-        # each update's rank among the updates of its entry, in group order
-        srt = np.argsort(pij * len(cells) + g)
-        ps = pij[srt]
-        first = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])
-        rank = np.empty_like(srt)
-        rank[srt] = np.arange(len(srt)) - np.repeat(first, np.diff(np.r_[first, len(srt)]))
-        del srt, ps, first
-        for depth in range(int(rank.max(initial=-1)) + 1):
-            sel = rank == depth
+        lo, hi = (int(depth.min()), int(depth.max())) if len(depth) else (0, -1)
+        for d in range(lo, hi + 1):
+            sel = depth == d if hi > lo else slice(None)
             i, j = pij[sel], pji[sel]
-            v = data[i]
-            data[i] = data[j] = 0.5 * ((v - uij[sel]) + (v - uji[sel]))
+            v = new.data[i]
+            new.data[i] = new.data[j] = 0.5 * ((v - uij[sel]) + (v - uji[sel]))
     w.active[retired] = False
     w.update(new)
 
@@ -362,14 +375,11 @@ def eliminate_level(w: SparseSymMatrix, cells: list, level: float, spd: bool) ->
     A[q, c] stay those of the level's start, so they are read from ``w``
     chunk by chunk as the elimination step (_retire) reaches them.
     """
-    n = w.n
     if not cells:
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), False).out
-    mark = np.full(n, -1, dtype=np.int64)
-    members = np.concatenate(cells)
-    clen = np.fromiter(map(len, cells), np.int64, len(cells))
-    row_nnz = np.add.reduceat(np.diff(w.indptr)[members], np.cumsum(clen) - clen)
-    label = np.full(n, -1, dtype=np.int64)
+    mark = np.full(w.n, -1, dtype=np.int64)
+    members, clen, row_nnz = _groups(w, cells, mark, level)
+    label = np.full(w.n, -1, dtype=np.int64)
     label[members] = np.repeat(np.arange(len(cells)), clen)
     q, qlen = (np.concatenate(x) for x in zip(*[
         _neighbors(w, cells[a:b], mark, label, a, level) for a, b in spans(row_nnz)]))
@@ -408,13 +418,11 @@ def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
     groups' rd are eliminated against their sk by the elimination step
     (_retire); their sk are disjoint, so no two updates meet.
     """
-    n = w.n
     if not cells:
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), True).out
-    mark = np.full(n, -1, dtype=np.int64)
-    retired = np.zeros(n, dtype=bool)
-    clen = np.fromiter(map(len, cells), np.int64, len(cells))
-    row_nnz = np.add.reduceat(np.diff(w.indptr)[np.concatenate(cells)], np.cumsum(clen) - clen)
+    mark = np.full(w.n, -1, dtype=np.int64)
+    retired = np.zeros(w.n, dtype=bool)
+    _, clen, row_nnz = _groups(w, cells, mark, level)
     rd_len = np.zeros(len(cells), np.int64)
     chunks, kept = [], []
     # a group has at most as many neighbors as its rows have entries
@@ -426,11 +434,14 @@ def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
     for idx, sk in kept:
         flats.put(idx, sk=sk)
     if chunks:
-        sk = [s[2] for stacks in chunks for s in stacks]
+        # one clique per group: a compressed group's sk, else empty
+        sizes = np.where(rd_len > 0, clen - rd_len, 0)
+        start, cliques = np.cumsum(sizes) - sizes, np.empty(sizes.sum(), np.int64)
+        for idx, _, sk, *_ in (s for stacks in chunks for s in stacks):
+            cliques[start[idx][:, None] + np.arange(sk.shape[1])] = sk
         # each chunk's stacks are dropped once it is eliminated
-        _retire(w, retired, np.concatenate([x.ravel() for x in sk]),
-                np.concatenate([np.full(len(x), x.shape[1]) for x in sk]),
-                (chunks.pop(0) for _ in range(len(chunks))), flats, cells, level, spd)
+        _retire(w, retired, cliques, sizes, (chunks.pop(0) for _ in range(len(chunks))),
+                flats, cells, level, spd)
     return flats.out
 
 

@@ -10,10 +10,11 @@ only ever couples active DOFs.
 
 The factorization reads a whole level's fronts from the matrix
 (``entries``) and replaces its entries once, at the level's end:
-``rebuilt`` lays out new arrays, the level step writes its Schur updates
-into them (``find``) and the matrix takes them over (``update``). No
-method writes into arrays it did not make, so the factorization starts
-from its input's arrays without a copy and leaves the input unchanged.
+``rebuilt`` lays out new arrays and places each front's pairs in them, the
+level step writes its Schur updates there and the matrix takes them over
+(``update``). No method writes into arrays it did not make, so the
+factorization starts from its input's arrays without a copy and leaves
+the input unchanged.
 
 The per-cell methods (``gather``, ``neighbors``, ``replace_rows``,
 ``drop_cols``, ``clear_rows``) are the storage of the per-cell elimination
@@ -90,7 +91,6 @@ class SparseSymMatrix:
                  data: np.ndarray, active: np.ndarray):
         self.n, self.active = n, active
         self.indptr, self.indices, self.data = indptr, indices, data
-        self._keys = None
 
     # -- construction ------------------------------------------------------
 
@@ -123,16 +123,13 @@ class SparseSymMatrix:
                              copy=True)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[self._entry_rows(), self.indices] = self.data
-        return out
+        return self.to_scipy().toarray()
 
     # -- queries -----------------------------------------------------------
 
     def nnz(self) -> int:
         """Number of stored entries in the canonical row <= col view."""
-        ndiag = np.count_nonzero(self.indices == self._entry_rows())
-        return (len(self.indices) + ndiag) // 2
+        return sp.triu(self.to_scipy()).nnz
 
     @property
     def row_idx(self) -> list[np.ndarray]:
@@ -148,10 +145,6 @@ class SparseSymMatrix:
     def _rows(self, x: np.ndarray) -> list[np.ndarray]:
         ends = self.indptr.tolist()
         return [x[a:b] for a, b in zip(ends, ends[1:])]
-
-    def _entry_rows(self) -> np.ndarray:
-        """The row of each stored entry."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def _positions(self, idx: np.ndarray) -> np.ndarray:
         """Each DOF's position in ``idx`` (its last, if repeated), -1 for a
@@ -193,64 +186,63 @@ class SparseSymMatrix:
         u = sorted_unique(self.indices[row_entries(self.indptr, c)[1]]).astype(np.int64)
         return u[(self._positions(c)[u] < 0) & self.active[u]]
 
-    def find(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The positions in ``indices``/``data`` of the stored entries
-        (rows[k], cols[k]), which must be stored: a binary search in the
-        ascending keys row * n + col of the stored entries, built on the
-        first call. Queries in ascending order run fastest."""
-        if self._keys is None:
-            self._keys = self._entry_rows() * self.n + self.indices
-        return np.searchsorted(self._keys, np.asarray(rows, dtype=np.int64) * self.n + cols)
-
     # -- the level steps' replacement ----------------------------------------
 
     def rebuilt(self, retired: np.ndarray, cliques: np.ndarray,
-                sizes: np.ndarray) -> "SparseSymMatrix":
+                sizes: np.ndarray) -> tuple["SparseSymMatrix", np.ndarray, np.ndarray]:
         """A new matrix, sharing ``active``: the stored entries that couple
         no DOF of the boolean mask ``retired``, and every pair (i, j) of
         each clique (``cliques`` flat, ``sizes`` each), zero where nothing
-        was stored. Built a block of rows at a time, each block's new
-        entries found by sorting keys (row - first row) * n + col."""
+        was stored; and per clique pair (i, j), clique-major and row-major,
+        its offset in row i and its round, the number of earlier cliques
+        holding it. Each block of rows is sorted once, stably, by the keys
+        (row - first row) * n + col: kept entries first, then the pairs."""
         n = self.n
-        owner = np.repeat(np.arange(len(sizes)), sizes)
         by_row = np.argsort(cliques, kind="stable")
-        inc_row, inc_clique = cliques[by_row], owner[by_row]
+        inc_row, o = cliques[by_row], np.repeat(np.arange(len(sizes)), sizes)[by_row]
         start = np.cumsum(sizes) - sizes
+        # each incidence's first pair in the clique-major, row-major order
+        inc_pair = (np.cumsum(sizes * sizes) - sizes * sizes)[o] + (by_row - start[o]) * sizes[o]
         old_len = np.diff(self.indptr)
         keep = np.repeat(~retired, old_len)
         keep &= ~retired[self.indices]
-        cost = old_len + np.bincount(inc_row, weights=sizes[inc_clique], minlength=n)
-        blocks = spans(cost)
-
-        def block(r0, r1):
-            # the block's kept entries and new keys, (row - r0) * n + col
+        cost = old_len + np.bincount(inc_row, weights=sizes[o], minlength=n)
+        # a row has at most cost entries; a pair, as many rounds as its row has cliques
+        offset = np.empty((sizes * sizes).sum(), np.min_scalar_type(int(cost.max(initial=0))))
+        rnd = np.empty(len(offset), np.min_scalar_type(np.bincount(cliques).max(initial=0)))
+        indices = np.empty(np.count_nonzero(keep) + len(offset), dtype=np.int32)
+        data, indptr, at = np.empty(len(indices)), np.zeros(n + 1, dtype=np.int64), 0
+        for r0, r1 in spans(cost):
             lo, hi = self.indptr[r0], self.indptr[r1]
             k = keep[lo:hi]
             kept = np.repeat(np.arange(r1 - r0), old_len[r0:r1])[k] * n + self.indices[lo:hi][k]
             a, b = np.searchsorted(inc_row, [r0, r1])
-            c = sizes[inc_clique[a:b]]
+            c = sizes[o[a:b]]
             local = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
-            pairs = (np.repeat(inc_row[a:b] - r0, c) * n
-                     + cliques[np.repeat(start[inc_clique[a:b]], c) + local])
-            return k, kept, sorted_unique(np.concatenate([kept, pairs]))
-
-        # two passes, so that the new arrays are allocated once, up front
-        new_len = np.zeros(n, dtype=np.int64)
-        for r0, r1 in blocks:
-            new_len[r0:r1] = np.bincount(block(r0, r1)[2] // n, minlength=r1 - r0)
-        indptr = np.concatenate([[0], np.cumsum(new_len)])
-        indices, data = np.empty(indptr[-1], dtype=np.int32), np.zeros(indptr[-1])
-        for r0, r1 in blocks:
-            k, kept, keys = block(r0, r1)
-            lo = indptr[r0]
-            indices[lo:lo + len(keys)] = keys % n
-            data[lo + np.searchsorted(keys, kept)] = self.data[self.indptr[r0]:self.indptr[r1]][k]
-        return SparseSymMatrix(n, indptr, indices, data, self.active)
+            keys = np.concatenate([kept, np.repeat(inc_row[a:b] - r0, c) * n
+                                   + cliques[np.repeat(start[o[a:b]], c) + local]])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            head = np.diff(keys, prepend=-1) != 0
+            entry = np.cumsum(head) - 1   # of each sorted key, among the block's entries
+            keys = keys[head]
+            rows = keys // n
+            indptr[r0 + 1:r1 + 1] = at + np.cumsum(np.bincount(rows, minlength=r1 - r0))
+            indices[at:at + len(keys)] = keys - rows * n
+            is_kept = order < len(kept)
+            data[at:at + len(keys)] = 0.0
+            data[at + entry[is_kept]] = self.data[lo:hi][k]
+            p = np.flatnonzero(~is_kept)
+            e, first = entry[p], np.flatnonzero(head)[entry[p]]
+            dest = (np.repeat(inc_pair[a:b], c) + local)[order[p] - len(kept)]
+            offset[dest] = at + e - indptr[r0 + rows[e]]
+            rnd[dest] = p - first - is_kept[first]
+            at += len(keys)
+        return SparseSymMatrix(n, indptr, indices[:at], data[:at], self.active), offset, rnd
 
     def update(self, other: "SparseSymMatrix") -> None:
-        """Take over the stored entries of ``other``."""
+        """Take over the arrays of ``other``, not copies."""
         self.indptr, self.indices, self.data = other.indptr, other.indices, other.data
-        self._keys = None
 
     # -- the per-cell reference's mutations ----------------------------------
 
@@ -279,12 +271,8 @@ class SparseSymMatrix:
         cols = np.asarray(cols, dtype=np.int64)
         dropped = self._positions(np.asarray(drop, dtype=np.int64)) >= 0
         order = np.argsort(cols, kind="stable")
-        if np.array_equal(order, np.arange(len(cols))):
-            c32 = cols.astype(np.int32)
-            blk = np.ascontiguousarray(block, dtype=float)
-        else:
-            c32 = cols[order].astype(np.int32)
-            blk = np.ascontiguousarray(block[:, order], dtype=float)
+        c32 = cols[order].astype(np.int32)
+        blk = np.ascontiguousarray(block[:, order], dtype=float)
         nnew = len(c32)
         new_i, new_v = [], []
         for i, (lo, hi) in enumerate(zip(self.indptr[rows].tolist(),

@@ -2,6 +2,8 @@
 factor bit for bit (``factor_digest``), and the same failure, named by the
 same level, group and size."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -223,3 +225,29 @@ def test_first_failing_group_is_named(spd, error):
     ref = raised(lambda: reference_factor(make(), g, "mf", spd=spd))
     assert new == ref
     assert new[0] is error and new[2] == (0.0, 9, 1)
+
+
+@pytest.mark.parametrize("step", ["eliminate", "skeletonize"])
+@pytest.mark.parametrize("groups, inactive, what", [
+    ([[0, 1], []], None, "group 1 of level {} is empty"),
+    ([[0], [2, 3, 2]], None, "group 1 of level {} holds DOF 2 twice"),
+    ([[0, 4], [2, 4]], None, "group 0 of level {} shares DOF 4 with group 1"),
+    ([[0], [3]], 3, "group 1 of level {} holds DOF 3, which is not active"),
+    ([[0], [48, 49]], None, "group 1 of level {} holds DOF 49, out of range for order 49"),
+    ([[-1]], None, "group 0 of level {} holds DOF -1, out of range for order 49"),
+], ids=["empty", "repeated", "in_two_groups", "inactive", "past_the_end", "negative"])
+def test_bad_groups_are_named(step, groups, inactive, what):
+    # Ex. 1 n=8: 49 DOFs; the check runs before the matrix changes
+    make, _ = problem(1, 8)
+    w = make()
+    if inactive is not None:
+        w.active[inactive] = False
+    before = arrays(w)
+    cells = [np.array(g, dtype=np.int64) for g in groups]
+    level = 0.0 if step == "eliminate" else 0.5
+    with pytest.raises(ValueError, match="^" + re.escape(what.format(f"{level:g}")) + "$"):
+        if step == "eliminate":
+            factor_ops.eliminate_level(w, cells, level, True)
+        else:
+            factor_ops.skeletonize_level(w, cells, 1e-6, level, True)
+    assert_unchanged(w, before)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hifde import DofState, SparseSymMatrix, eliminate_cell
+from hifde import DofState, SparseSymMatrix, build_grid, eliminate_cell, factor_mf
+from hifde import sparse
 
 from oracles import random_sparse_sym, reference_csr
 
@@ -105,27 +106,107 @@ class TestConstruction:
         assert np.allclose(b.to_dense(), dense)
 
 
-class TestCsrFind:
-    def test_positions_match_row_scan_in_any_order(self):
-        # empty rows (retired DOFs) and a first and last row
-        a, _ = random_sparse_sym(np.random.default_rng(2), 40, fill=0.1)
-        eliminate_cell(a, DofState(a.n), np.array([0, 7]), 0.0, True)
-        w = a
-        rows = np.repeat(np.arange(w.n), np.diff(w.indptr))
-        cols = w.indices.astype(np.int64)
-        want = np.arange(len(cols))
-        for order in (want, np.random.default_rng(3).permutation(len(cols))):
-            assert np.array_equal(w.find(rows[order], cols[order]), want[order])
+def check_rebuilt(a, retired, cliques, sizes):
+    """``a.rebuilt`` against a row scan of its output: the new matrix holds
+    the kept entries with their values and every clique pair (a zero where
+    nothing was kept), ascending in each row; each pair's offset finds
+    (i, j) in row i, and its round counts the earlier cliques that hold
+    (i, j). ``a`` is not changed. Returns the new matrix and the rounds."""
+    before = [x.copy() for x in (a.indptr, a.indices, a.data)]
+    new, offset, rnd = a.rebuilt(retired, cliques, sizes)
+    for got, want in zip((a.indptr, a.indices, a.data), before):
+        assert np.array_equal(got, want)
+    assert new.active is a.active and len(offset) == len(rnd) == (sizes * sizes).sum()
+    want = {(i, j): v for i, (ix, vv) in enumerate(zip(a.row_idx, a.row_val))
+            for j, v in zip(ix.tolist(), vv.tolist()) if not retired[i] and not retired[j]}
+    cols = [dict(zip(ix.tolist(), range(len(ix)))) for ix in new.row_idx]
+    seen, want_offset, want_rnd = {}, [], []
+    for s in np.split(cliques, np.cumsum(sizes)[:-1]):
+        pairs = [(i, j) for i in s.tolist() for j in s.tolist()]
+        for i, j in pairs:
+            want.setdefault((i, j), 0.0)
+            want_offset.append(cols[i][j])
+            want_rnd.append(seen.get((i, j), 0))
+        for p in pairs:
+            seen[p] = seen.get(p, 0) + 1
+    got = {(i, j): v for i, (ix, vv) in enumerate(zip(new.row_idx, new.row_val))
+           for j, v in zip(ix.tolist(), vv.tolist())}
+    assert got == want and all(np.all(np.diff(ix) > 0) for ix in new.row_idx)
+    assert offset.tolist() == want_offset and rnd.tolist() == want_rnd
+    return new, rnd
 
-    def test_update_drops_the_cached_keys(self):
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """rebuilt in row blocks of a budget of 3 entries; returns the list the
+    blocks are appended to."""
+    blocks, real = [], sparse.spans
+
+    def spans(costs):
+        out = real(costs, 3)
+        blocks.extend(out)
+        return out
+    monkeypatch.setattr(sparse, "spans", spans)
+    return blocks
+
+
+class TestRebuilt:
+    def test_positions_and_rounds_match_a_row_scan(self, small_blocks):
+        # rows 5-8 retired, row 20 active with no stored entry, row 14 in no
+        # clique; empty cliques, an unsorted one, entries shared 3 deep
+        dense = random_sparse_sym(np.random.default_rng(2), 24, fill=0.2)[1]
+        dense[20, :] = dense[:, 20] = 0.0
+        a = SparseSymMatrix.from_scipy(sp.csr_matrix(dense))
+        retired = np.zeros(a.n, dtype=bool)
+        retired[5:9] = True
+        cliques = [[0, 3, 11, 20], [], [3, 11, 12], [], [22, 3, 0, 11], [13]]
+        sizes = np.array([len(c) for c in cliques])
+        new, rnd = check_rebuilt(a, retired, np.concatenate(cliques).astype(np.int64), sizes)
+        assert rnd.max() == 2
+        # blocks with kept entries and pairs, with either only, and with neither
+        in_clique = np.isin(np.arange(a.n), np.concatenate(cliques))
+        has_kept = (dense[:, ~retired] != 0).any(axis=1) & ~retired
+        kinds = {(bool(has_kept[r0:r1].any()), bool(in_clique[r0:r1].any()))
+                 for r0, r1 in small_blocks}
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_no_cliques(self, small_blocks):
+        a, dense = random_sparse_sym(np.random.default_rng(5), 12, fill=0.3)
+        retired = np.zeros(a.n, dtype=bool)
+        retired[[0, 11]] = True
+        new, rnd = check_rebuilt(a, retired, np.zeros(0, np.int64), np.zeros(3, np.int64))
+        assert len(rnd) == 0 and len(small_blocks) > 1
+        dense[retired] = dense[:, retired] = 0.0
+        assert np.array_equal(new.to_dense(), dense)
+
+    @pytest.mark.parametrize("dim, n, m, depth", [(2, 16, 4, 4), (3, 8, 2, 8)])
+    def test_entries_shared_many_deep(self, monkeypatch, small_blocks, dim, n, m, depth):
+        # the stencils of test_entries_updated_by_many_cells: the level-0
+        # Schur updates meet 4 (8) deep, so their rounds run to 3 (7)
+        t = sp.diags([-np.ones(n - 2), 2.5 * np.ones(n - 1), -np.ones(n - 2)], [-1, 0, 1])
+        k = t
+        for _ in range(dim - 1):
+            k = sp.kron(k, t)
+        calls, real = [], SparseSymMatrix.rebuilt
+
+        def rebuilt(self, *args):
+            # the level's matrix: rebuilt writes into none of its arrays
+            calls.append((SparseSymMatrix(self.n, self.indptr, self.indices, self.data,
+                                          self.active), args))
+            return real(self, *args)
+        monkeypatch.setattr(SparseSymMatrix, "rebuilt", rebuilt)
+        factor_mf(SparseSymMatrix.from_scipy(k), build_grid(dim, n, m))
+        monkeypatch.setattr(SparseSymMatrix, "rebuilt", real)
+        rounds = [int(check_rebuilt(a, *args)[1].max(initial=0)) for a, args in calls]
+        assert rounds[0] == depth - 1 and len(small_blocks) > 20 * len(rounds)
+
+    def test_update_takes_over_the_arrays(self):
         w, _ = random_sparse_sym(np.random.default_rng(6), 20, fill=0.2)
-        w.find(np.array([0]), np.array([0]))
         retired = np.zeros(w.n, dtype=bool)
         retired[[1, 4]] = True
-        new = w.rebuilt(retired, np.array([2, 9, 15]), np.array([3]))
+        new = w.rebuilt(retired, np.array([2, 9, 15]), np.array([3]))[0]
         w.update(new)
-        rows = np.repeat(np.arange(w.n), np.diff(w.indptr))
-        assert np.array_equal(w.find(rows, w.indices.astype(np.int64)), np.arange(len(rows)))
+        assert w.indptr is new.indptr and w.indices is new.indices and w.data is new.data
 
 
 class TestSubmatrix:
