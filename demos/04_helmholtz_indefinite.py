@@ -26,6 +26,6 @@ for eps in (1e-6, 1e-9):
     factor = factor_hifde(assemble(grid, field), grid, eps, spd=False)
     rep = gmres(a_csr, b, factor.apply_inverse, tol=1e-12)
     # count the 2x2 pivot blocks Bunch-Kaufman produced
-    n2x2 = sum(len(rec.factor.d.pairs) for lf in factor.levels for rec in lf.records)
+    n2x2 = sum(np.count_nonzero(rec.factor.d.sub) for lf in factor.levels for rec in lf.records)
     print(f"eps={eps:.0e}: gmres iterations={rep.n_i}, "
           f"residual={rep.residual:.1e}, 2x2 pivot blocks={n2x2}")

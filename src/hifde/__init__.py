@@ -14,8 +14,8 @@ from .dense import (BlockDiag, FactorizationError, IdResult, IndefiniteBlockErro
 from .discretize import (CoeffField, GridConfig, ProblemSpec, assemble, build_grid,
                          constant_field, field_to_csv, high_contrast_field,
                          smoothed_staggered_noise)
-from .driver import (GeneralizedLDL, LevelFactor, densify, factor_hifde, factor_hifde3x,
-                     factor_mf, load_factor, save_factor)
+from .driver import (GeneralizedLDL, LevelFactor, factor_hifde, factor_hifde3x, factor_mf,
+                     load_factor, save_factor)
 from .factor_ops import Record, eliminate_cell, skeletonize_cell
 from .krylov import (EstimateResult, SolveReport, estimate_apply_error,
                      estimate_solve_error, gmres, pcg)

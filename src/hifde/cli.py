@@ -32,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", type=int, required=True, choices=range(1, 7),
                    help="problem family 1-6 (1-3 are 2D, 4-6 are 3D)")
     p.add_argument("--algo", required=True, choices=["mf", "hifde", "hifde3x"])
-    p.add_argument("--dim", type=int, choices=[2, 3],
-                   help="must match the example's dimension if given")
     p.add_argument("--n", type=_positive_int_list, required=True,
                    help="grid size(s), comma separated; each must be a "
                         "power of two times the leaf width")
@@ -64,12 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    from .bench import EXAMPLE_DIMS, run_sweep, rows_to_csv
+    from .bench import run_sweep, rows_to_csv
 
-    if args.dim is not None and args.dim != EXAMPLE_DIMS[args.example]:
-        print(f"error: example {args.example} is "
-              f"{EXAMPLE_DIMS[args.example]}D, not {args.dim}D", file=sys.stderr)
-        return 2
     if args.algo != "mf" and not args.eps:
         print("error: --eps is required for hifde/hifde3x", file=sys.stderr)
         return 2

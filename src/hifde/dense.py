@@ -7,8 +7,10 @@ unit-lower-triangular solves (``d_stack``, ``solve_unit_lower_stack``),
 and the interpolative decomposition (ID) built on a column-pivoted QR.
 Each block operation has this one implementation: a single block is a
 stack of one (``ldl`` is ``ldl_stack`` on one block), and ``LdlFactor``
-and ``BlockDiag`` only hold a factored block's arrays. These are the only
-places the package touches LAPACK.
+and ``BlockDiag`` only hold a factored block's arrays. Each result comes
+in the form the factor stores: the ID's index sets ascending, D's
+subdiagonal zero-padded to D's length. These are the only places the
+package touches LAPACK.
 
 The module also owns the BLAS thread policy. NumPy's matmul and SciPy's
 trsm/LAPACK run on two separate OpenBLAS copies bundled with the wheels;
@@ -164,24 +166,19 @@ class SingularBlockError(FactorizationError):
 
 class BlockDiag:
     """Block-diagonal matrix with 1x1 and 2x2 blocks, as data: the diagonal
-    and the 2x2 pivots, where the subdiagonal ``sub`` is nonzero (the first
-    row of each 2x2 pivot block of Bunch-Kaufman pivoting)."""
+    ``diag`` and the subdiagonal ``sub`` zero-padded to its length, nonzero
+    where rows i, i + 1 form a 2x2 pivot of Bunch-Kaufman pivoting. Both are
+    held as given, not copied; a ``sub`` of another length raises ValueError."""
 
-    def __init__(self, diag: np.ndarray, sub=()):
-        self.n = len(diag)
+    def __init__(self, diag: np.ndarray, sub: np.ndarray):
         self.diag = np.asarray(diag, dtype=float)
-        self.pairs = [(int(i), self.diag[i], sub[i], self.diag[i + 1])
-                      for i in np.nonzero(sub)[0]]
-
-    def subdiag(self) -> np.ndarray:
-        """The subdiagonal, padded with a zero to length n."""
-        out = np.zeros(self.n)
-        for i, _, c, _ in self.pairs:
-            out[i] = c
-        return out
+        self.sub = np.asarray(sub, dtype=float)
+        self.n = len(self.diag)
+        if len(self.sub) != self.n:
+            raise ValueError(f"sub has length {len(self.sub)}, diag {self.n}")
 
     def nfloats(self) -> int:
-        return self.n + 3 * len(self.pairs)
+        return self.n + 3 * int(np.count_nonzero(self.sub))
 
 
 @dataclass
@@ -215,7 +212,7 @@ class LdlFactor:
 # The factor of a 0x0 block in each mode (keyed by spd_mode), shared by every
 # record that eliminates nothing.
 EMPTY_FACTOR = {spd: LdlFactor("cholesky" if spd else "ldl", np.zeros((0, 0)),
-                               BlockDiag(np.zeros(0)), np.arange(0))
+                               BlockDiag(np.zeros(0), np.zeros(0)), np.arange(0))
                 for spd in (True, False)}
 
 
@@ -301,9 +298,10 @@ class IdResult:
     """Interpolative decomposition of the columns of a dense matrix.
 
     ``sk`` and ``rd`` are disjoint 0-based column index arrays partitioning
-    range(n); ``t`` has shape (k, n - k) and satisfies
-    M[:, rd] ~= M[:, sk] @ t. ``resid`` is the relative magnitude of the
-    first rejected pivot (0 when the cut is exact).
+    range(n), each ascending, the form a factor stores them in; ``t`` has
+    shape (k, n - k), rows in ``sk`` order and columns in ``rd`` order, and
+    satisfies M[:, rd] ~= M[:, sk] @ t. ``resid`` is the relative magnitude
+    of the first rejected pivot (0 when the cut is exact).
     """
 
     sk: np.ndarray
@@ -326,7 +324,8 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
 
     The rank is the first index at which the pivot magnitude |R_kk| drops
     to eps * |R_11| (k = 0 for a zero matrix). eps = 0 selects the numerical
-    exact rank, with the cutoff at max(m, n) machine epsilons.
+    exact rank, with the cutoff at max(m, n) machine epsilons. ``sk`` and
+    ``rd`` come ascending, sorted only when the rank is below n.
 
     LAPACK is called directly: geqp3 for the pivoted QR (Q is never formed)
     and trtrs for T = R_11^{-1} R_12, handed R_11 the way scipy's
@@ -350,16 +349,17 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
         thr = max(m.shape) * np.finfo(float).eps * r11
     below = np.nonzero(rdiag <= thr)[0]
     k = int(below[0]) if below.size else rdiag.size
+    if k == ncols:
+        return IdResult(np.arange(ncols), np.arange(0), np.empty((k, 0)), k, 0.0)
     if k == 0:
         t = np.zeros((0, ncols))
-    elif k == ncols:
-        t = np.empty((k, 0))
     elif k == 1:
         t = _dtrtrs(r[:1, :1], r[:1, 1:])[0]
     else:
         t = _dtrtrs(r[:k, :k].T, r[:k, k:], lower=1, trans=1)[0]
     resid = float(rdiag[k] / r11) if k < rdiag.size else 0.0
-    return IdResult(piv[:k].copy(), piv[k:].copy(), t, k, resid)
+    sk_ord, rd_ord = np.argsort(piv[:k]), np.argsort(piv[k:])
+    return IdResult(piv[:k][sk_ord], piv[k:][rd_ord], t[np.ix_(sk_ord, rd_ord)], k, resid)
 
 
 def d_stack(diag: np.ndarray, sub: np.ndarray, pairs, t: np.ndarray,

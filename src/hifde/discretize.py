@@ -59,13 +59,9 @@ class GridConfig:
     def ndof(self) -> int:
         return (self.n - 1) ** self.dim
 
-    @property
-    def side(self) -> int:
-        return self.n - 1
-
     def dof_coords(self) -> np.ndarray:
         """Grid coordinates (1-based, in grid units) of every DOF, (N, dim)."""
-        side = self.side
+        side = self.n - 1
         idx = np.arange(self.ndof, dtype=np.int64)
         cols = []
         for _ in range(self.dim):

@@ -69,7 +69,6 @@ __all__ = [
     "factor_mf",
     "factor_hifde",
     "factor_hifde3x",
-    "densify",
     "save_factor",
     "load_factor",
 ]
@@ -176,7 +175,7 @@ class LevelFactor:
         mode = "cholesky" if self.spd else "ldl"
         empty = EMPTY_FACTOR[self.spd]
         return [
-            Record(rd, sk, LdlFactor(mode, lower.reshape(m, m), BlockDiag(diag, sub[:-1]), perm)
+            Record(rd, sk, LdlFactor(mode, lower.reshape(m, m), BlockDiag(diag, sub), perm)
                    if m else empty, x.reshape(m, n), t.reshape(n, m) if h else None)
             for m, n, h, rd, sk, x, t, lower, perm, diag, sub in zip(
                 r.tolist(), s.tolist(), hi.tolist(), *parts)]
@@ -215,11 +214,6 @@ class GeneralizedLDL:
 
     # -- operator actions --------------------------------------------------
 
-    def records(self) -> list[Record]:
-        """Every record, in the order the levels made them, as views of the
-        levels' flat arrays, built on each call (``LevelFactor.records``)."""
-        return [rec for lf in self.levels for rec in lf.records]
-
     def _groups(self) -> list[Group]:
         """The solve plan: the levels' groups, then the top block's, built
         on each call from views of ``top``'s arrays (an in-place edit of
@@ -229,7 +223,7 @@ class GeneralizedLDL:
         if m:
             groups.append(Group(self.top_idx[None], np.zeros((1, 0), np.int64),
                                 np.zeros((1, m, 0)), t.lower[None], t.perm[None],
-                                t.d.diag[None], t.d.subdiag()[None], None))
+                                t.d.diag[None], t.d.sub[None], None))
         return groups
 
     # A group's D block acts on its eliminated DOFs, which no later group
@@ -258,11 +252,9 @@ class GeneralizedLDL:
 
     # -- accounting ---------------------------------------------------------
 
-    def nfloats(self) -> int:
-        return self.top.nfloats() + sum(lf.nfloats() for lf in self.levels)
-
     def storage_bytes(self) -> int:
-        return 8 * self.nfloats()
+        """8 bytes per float of the levels' records and the top block."""
+        return 8 * (self.top.nfloats() + sum(lf.nfloats() for lf in self.levels))
 
     def check(self) -> None:
         """Raise ValueError unless the level tags strictly increase and the
@@ -285,9 +277,11 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
 
     A FactorizationError is given the level tag, the group's index and its
     size (``FactorizationError.locate``). A matrix of another size than
-    the grid raises ValueError."""
+    the grid, or an eps that is not finite and >= 0, raises ValueError."""
     if a.n != grid.ndof:
         raise ValueError(f"matrix of {a.n} DOFs on a grid of {grid.ndof} DOFs")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     t0 = time.perf_counter()
     w = SparseSymMatrix(a.n, a.indptr, a.indices, a.data, a.active.copy())
     levels: list[LevelFactor] = []
@@ -305,7 +299,7 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
         level_times.append((tag, time.perf_counter() - t_level))
     s_top = np.flatnonzero(w.active)
     try:
-        top = ldl(w.block(s_top), spd)
+        top = ldl(w.gather(s_top, s_top), spd)
     except FactorizationError as exc:
         exc.locate(None, None, len(s_top))
         raise
@@ -335,7 +329,9 @@ def _sweep_threads(v: np.ndarray):
 
 def _columns(x, n: int) -> np.ndarray:
     """A C-ordered float copy of x as an (n, m) array of columns; x must be
-    a vector of length n or an (n, m) array."""
+    a real vector of length n or a real (n, m) array."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"input is complex ({np.asarray(x).dtype}); a real one is needed")
     v = np.array(x, dtype=float, order="C")
     if v.ndim not in (1, 2) or len(v) != n:
         raise ValueError(f"expected a vector of length {n} or a ({n}, m) array, "
@@ -403,11 +399,6 @@ def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
     return _run_levels(a, grid, spd, eps, _hifde3x_schedule(grid, skip_levels))
 
 
-def densify(f: GeneralizedLDL) -> np.ndarray:
-    """Dense N x N matrix of the factored operator (testing oracle)."""
-    return f.apply(np.eye(f.n))
-
-
 # -- serialization -----------------------------------------------------------
 
 _VERSION = 2
@@ -446,7 +437,7 @@ def save_factor(f: GeneralizedLDL, path) -> None:
     ``diag`` and ``sub``. The block mode is not stored: it is Cholesky
     exactly when ``f.spd``.
     """
-    top = dict(lower=f.top.lower, perm=f.top.perm, diag=f.top.d.diag, sub=f.top.d.subdiag())
+    top = dict(lower=f.top.lower, perm=f.top.perm, diag=f.top.d.diag, sub=f.top.d.sub)
     members = dict(
         version=_VERSION, n=f.n, dim=f.dim, spd=f.spd, eps=f.eps,
         level_tags=np.array([lf.level for lf in f.levels], "<f8"),
@@ -529,7 +520,7 @@ def load_factor(path) -> GeneralizedLDL:
               for i, tag in enumerate(a["level_tags"])]
     lo, pd = cut["lower"][-1], cut["perm"][-1]
     top = (LdlFactor("cholesky" if spd else "ldl", a["lower"][lo:].reshape(mt, mt),
-                     BlockDiag(a["diag"][pd:], a["sub"][pd:-1]), a["perm"][pd:])
+                     BlockDiag(a["diag"][pd:], a["sub"][pd:]), a["perm"][pd:])
            if mt else EMPTY_FACTOR[spd])
     f = GeneralizedLDL(n=n, dim=int(a["dim"]), spd=spd, eps=float(a["eps"]),
                        levels=levels, top_idx=top_idx, top=top)

@@ -25,8 +25,10 @@ block, replace the neighbor block by its Schur complement, retire the
 pivot DOFs, with the steps' stacked kernels on stacks of one block
 (``dense.ldl``, ``dense.schur_stack``). A record is therefore one
 elimination S of ``rd`` against ``sk``, preceded on a skeletonized group
-by the interpolation Q. A record holds data only: the driver applies a
-level's records together, stacked by shape (``driver.Group``).
+by the interpolation Q. Records take the kernels' results in the form
+they come: the ID's ``sk`` and ``rd`` ascending, D's ``sub`` zero-padded.
+A record holds data only: the driver applies a level's records together,
+stacked by shape (``driver.Group``).
 
 Interactions outside the touched cell and its neighbor set are never read
 or written.
@@ -101,7 +103,7 @@ def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
     complement, and retire p."""
     fac = ldl(m_pp, spd)
     x, u = schur_stack(m_qp[None], fac.lower[None], fac.perm[None], fac.d.diag[None],
-                       fac.d.subdiag()[None])
+                       fac.d.sub[None])
     b = m_qq - u[0]
     b = 0.5 * (b + b.T)
     if len(q):
@@ -136,15 +138,8 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     nc = len(c)
     m = a.gather(np.concatenate([c, q]), c)
     idr = interpolative_decomposition(m[nc:], eps)
-
-    # ascending index sets; permute the interpolation matrix to match
-    sk_ord = np.argsort(idr.sk, kind="stable")
-    rd_ord = np.argsort(idr.rd, kind="stable")
-    lsk = idr.sk[sk_ord]
-    lrd = idr.rd[rd_ord]
-    skl = c[lsk]
-    rdl = c[lrd]
-    t = idr.t[np.ix_(sk_ord, rd_ord)]
+    lsk, lrd, t = idr.sk, idr.rd, idr.t
+    skl, rdl = c[lsk], c[lrd]
 
     if len(rdl) == 0:
         return Record(rdl, skl, EMPTY_FACTOR[spd], np.zeros((0, len(skl))), t)
@@ -460,15 +455,8 @@ def _skeleton_stacks(f: _Fronts, start: int, retired: np.ndarray, eps: float,
         m_qp = qp[oqp[i]:oqp[i] + nq * nc].reshape(nq, nc)
         live = ~retired[f.q[f.qstart[i]:f.qstart[i] + nq]]
         idr = interpolative_decomposition(m_qp if live.all() else m_qp[live], eps)
-        if idr.k == nc:
-            # not compressed: the skeletons in ascending order are all of c
-            ids.append((np.arange(nc), idr.rd, idr.t.reshape(nc, 0)))
-            continue
-        sk_ord = np.argsort(idr.sk, kind="stable")
-        rd_ord = np.argsort(idr.rd, kind="stable")
-        lrd = idr.rd[rd_ord]
-        retired[f.members[f.cstart[i] + lrd]] = True
-        ids.append((idr.sk[sk_ord], lrd, idr.t[np.ix_(sk_ord, rd_ord)]))
+        retired[f.members[f.cstart[i] + idr.rd]] = True
+        ids.append((idr.sk, idr.rd, idr.t))
 
     nrd = np.array([len(x[1]) for x in ids])
     rd_len[start:start + k] = nrd

@@ -37,16 +37,7 @@ class CellSet:
     level: float
     kind: str                      # "interior" | "edge" | "face"
     cells: list[np.ndarray]        # ascending DOF indices per group
-    centers: np.ndarray            # (ncells, dim), grid units
-
-    @property
-    def ncells(self) -> int:
-        return len(self.cells)
-
-    def all_members(self) -> np.ndarray:
-        if not self.cells:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(self.cells)
+    centers: np.ndarray            # (len(cells), dim), grid units
 
 
 @lru_cache(maxsize=8)

@@ -159,10 +159,6 @@ class SparseSymMatrix:
         owner, at = row_entries(self.indptr, rows)
         return owner, self.indices[at], self.data[at]
 
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        """Dense copy of the (idx, idx) block."""
-        return self._dense(idx, idx)
-
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense copy of the (rows, cols) block."""
         rows = np.asarray(rows, dtype=np.int64)

@@ -93,9 +93,14 @@ def apply_lt(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
     return fac.lower.T @ b[fac.perm]
 
 
+def pivots(d: BlockDiag):
+    """Each 2x2 pivot of D as (i, a, c, d): [[a, c], [c, d]] on rows i, i + 1."""
+    return [(i, d.diag[i], d.sub[i], d.diag[i + 1]) for i in np.flatnonzero(d.sub).tolist()]
+
+
 def d_apply(d: BlockDiag, b: np.ndarray) -> np.ndarray:
     out = (d.diag * b.T).T if b.ndim == 2 else d.diag * b
-    for i, a, c, dd in d.pairs:
+    for i, a, c, dd in pivots(d):
         bi, bj = b[i].copy(), b[i + 1].copy()
         out[i] = a * bi + c * bj
         out[i + 1] = c * bi + dd * bj
@@ -105,10 +110,10 @@ def d_apply(d: BlockDiag, b: np.ndarray) -> np.ndarray:
 def d_solve(d: BlockDiag, b: np.ndarray) -> np.ndarray:
     # the rows of the 2x2 pivots are set below; their diagonal may be 0
     div = d.diag.copy()
-    for i, *_ in d.pairs:
+    for i, *_ in pivots(d):
         div[i] = div[i + 1] = 1.0
     out = (b.T / div).T if b.ndim == 2 else b / div
-    for i, a, c, dd in d.pairs:
+    for i, a, c, dd in pivots(d):
         det = a * dd - c * c
         bi, bj = b[i], b[i + 1]
         out[i] = (dd * bi - c * bj) / det
@@ -129,7 +134,7 @@ def block_apply(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
 def check_nonsingular(d: BlockDiag, scale: float) -> None:
     thr = SINGULAR_PIVOT_RTOL * max(scale, 1e-300)
     mask = np.ones(d.n, dtype=bool)
-    for i, a, c, dd in d.pairs:
+    for i, a, c, dd in pivots(d):
         mask[i] = mask[i + 1] = False
         # smallest singular value of the symmetric 2x2 pivot
         t = 0.5 * (a + dd)
@@ -159,10 +164,10 @@ def reference_ldl(block: np.ndarray, spd_mode: bool) -> LdlFactor:
             raise IndefiniteBlockError(str(exc)) from exc
         dc = np.diagonal(c).copy()
         lower = c * (1.0 / dc)[None, :]
-        fac = LdlFactor("cholesky", lower, BlockDiag(dc * dc), np.arange(n))
+        fac = LdlFactor("cholesky", lower, BlockDiag(dc * dc, np.zeros(n)), np.arange(n))
     else:
         lu, dd, perm = sla.ldl(block, lower=True, check_finite=False)
-        d = BlockDiag(np.diagonal(dd).copy(), np.diagonal(dd, -1))
+        d = BlockDiag(np.diagonal(dd).copy(), np.append(np.diagonal(dd, -1), 0.0))
         fac = LdlFactor("ldl", lu[perm], d, np.asarray(perm))
     check_nonsingular(fac.d, scale)
     return fac
@@ -186,8 +191,8 @@ def assert_noninteracting(a, cs) -> None:
     the SparseSymMatrix ``a``."""
     if not cs.cells:
         return
-    members = cs.all_members()
-    owner = np.repeat(np.arange(cs.ncells), [len(c) for c in cs.cells])
+    members = np.concatenate(cs.cells)
+    owner = np.repeat(np.arange(len(cs.cells)), [len(c) for c in cs.cells])
     cell_of = np.full(a.n, -1, dtype=np.int64)
     cell_of[members] = owner
     row, at = row_entries(a.indptr, members)
@@ -242,8 +247,9 @@ def dense_after(a: SparseSymMatrix, rec: Record) -> np.ndarray:
 
 def reference_id(m: np.ndarray, eps: float) -> IdResult:
     """The column ID through scipy's wrappers (sla.qr, which also forms the
-    economic Q, and sla.solve_triangular): what
-    interpolative_decomposition must reproduce bit for bit."""
+    economic Q, and sla.solve_triangular), with sk and rd sorted ascending
+    and T permuted to match: what interpolative_decomposition must
+    reproduce bit for bit."""
     m = np.asarray(m, dtype=float)
     ncols = m.shape[1]
     if m.size == 0 or not np.any(m):
@@ -254,10 +260,13 @@ def reference_id(m: np.ndarray, eps: float) -> IdResult:
     thr = eps * r11 if eps > 0.0 else max(m.shape) * np.finfo(float).eps * r11
     below = np.nonzero(rdiag <= thr)[0]
     k = int(below[0]) if below.size else rdiag.size
+    if k == ncols:
+        return IdResult(np.arange(ncols), np.arange(0), np.empty((k, 0)), k, 0.0)
     t = sla.solve_triangular(r[:k, :k], r[:k, k:], lower=False, check_finite=False) \
         if k else np.zeros((0, ncols))
     resid = float(rdiag[k] / r11) if k < rdiag.size else 0.0
-    return IdResult(piv[:k].copy(), piv[k:].copy(), t, k, resid)
+    sk_ord, rd_ord = np.argsort(piv[:k], kind="stable"), np.argsort(piv[k:], kind="stable")
+    return IdResult(piv[:k][sk_ord], piv[k:][rd_ord], t[np.ix_(sk_ord, rd_ord)], k, resid)
 
 
 def reference_csr(a: SparseSymMatrix):
@@ -324,10 +333,15 @@ def solve_d(rec: Record, v: np.ndarray) -> None:
         v[rec.rd] = d_solve(rec.factor.d, v[rec.rd])
 
 
+def all_records(f) -> list[Record]:
+    """Every record of ``f``, in the order the levels made them."""
+    return [rec for lf in f.levels for rec in lf.records]
+
+
 def reference_apply(f, x: np.ndarray) -> np.ndarray:
     """A x through the factor's records one at a time (GeneralizedLDL.apply)."""
     v = np.array(x, dtype=float, copy=True)
-    recs = f.records()
+    recs = all_records(f)
     for rec in recs:
         apply_u_inv(rec, v)
         apply_d(rec, v)
@@ -341,7 +355,7 @@ def reference_apply_inverse(f, b: np.ndarray) -> np.ndarray:
     """A^{-1} b through the factor's records one at a time
     (GeneralizedLDL.apply_inverse)."""
     v = np.array(b, dtype=float, copy=True)
-    recs = f.records()
+    recs = all_records(f)
     for rec in recs:
         apply_ut(rec, v)
         solve_d(rec, v)
@@ -522,7 +536,7 @@ def _pack(recs: list[Record], facs: list) -> dict:
         lower=([fac.lower for fac in facs], "<f8"),
         perm=([fac.perm for fac in facs], "<i8"),
         diag=([fac.d.diag for fac in facs], "<f8"),
-        sub=([fac.d.subdiag() for fac in facs], "<f8"),
+        sub=([fac.d.sub for fac in facs], "<f8"),
     )
 
 
@@ -579,10 +593,10 @@ def factor_digest(f) -> str:
             put(fac.lower, np.float64)
             put(fac.perm, np.int64)
             put(fac.d.diag, np.float64)
-            put(fac.d.subdiag(), np.float64)
+            put(fac.d.sub, np.float64)
     put(f.top_idx, np.int64)
     put(f.top.lower, np.float64)
     put(f.top.perm, np.int64)
     put(f.top.d.diag, np.float64)
-    put(f.top.d.subdiag(), np.float64)
+    put(f.top.d.sub, np.float64)
     return h.hexdigest()

@@ -140,11 +140,6 @@ class TestCli:
         assert len(rows) == 4
         assert all(r["status"] == "ok" for r in rows)
 
-    def test_dim_mismatch_rejected(self):
-        out = self.run_cli("--example", "1", "--algo", "mf", "--n", "16",
-                           "--dim", "3")
-        assert out.returncode == 2
-
     def test_eps_required_for_hifde(self):
         out = self.run_cli("--example", "1", "--algo", "hifde", "--n", "16")
         assert out.returncode == 2

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hifde import (GeneralizedLDL, IndefiniteBlockError, SingularBlockError,
+from hifde import (BlockDiag, GeneralizedLDL, IndefiniteBlockError, SingularBlockError,
                    interpolative_decomposition, ldl)
 from hifde.dense import ldl_stack, schur_stack
 
@@ -69,11 +69,18 @@ class TestLdl:
     def test_2x2_pivots_only_when_indefinite(self):
         hollow = np.array([[0.0, 1.0], [1.0, 0.0]])
         fac = ldl(hollow, spd_mode=False)
-        assert fac.d.pairs
+        assert np.count_nonzero(fac.d.sub) == 1 and len(fac.d.sub) == 2
         assert np.allclose(block_apply(fac, np.eye(fac.n)), hollow)
         rng = np.random.default_rng(5)
         spd_fac = ldl(random_spd(rng, 12), spd_mode=True)
-        assert not spd_fac.d.pairs
+        assert not spd_fac.d.sub.any() and len(spd_fac.d.sub) == 12
+
+    def test_block_diag_refuses_a_sub_of_another_length(self):
+        for sub in (np.zeros(2), np.zeros(4), np.zeros(0)):
+            with pytest.raises(ValueError, match="length"):
+                BlockDiag(np.ones(3), sub)
+        d = BlockDiag(np.ones(3), np.array([0.5, 0.0, 0.0]))
+        assert d.n == 3 and d.nfloats() == 3 + 3
 
 
 def same_id(x, y):
@@ -83,9 +90,8 @@ def same_id(x, y):
 
 
 class TestInterpolativeDecomposition:
-    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-6, 1e-2])
-    def test_bitwise_equal_to_qr_formulation(self, eps):
-        # direct geqp3/trtrs calls against sla.qr + sla.solve_triangular
+    @staticmethod
+    def shape_sweep():
         rng = np.random.default_rng(11)
         cases = [np.zeros((4, 3)), np.zeros((0, 3)), np.zeros((3, 0)), np.ones((1, 1)),
                  rng.standard_normal((7, 1)), rng.standard_normal((1, 7)),
@@ -96,8 +102,28 @@ class TestInterpolativeDecomposition:
             cases += [rng.standard_normal((m, n)),                                 # full rank
                       rng.standard_normal((m, r)) @ rng.standard_normal((r, n)),   # deficient
                       rng.standard_normal((m, n)) * np.geomspace(1.0, 1e-13, n)]   # graded
-        for m in cases:
+        return cases
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-6, 1e-2])
+    def test_bitwise_equal_to_qr_formulation(self, eps):
+        # direct geqp3/trtrs calls against sla.qr + sla.solve_triangular
+        for m in self.shape_sweep():
             assert same_id(interpolative_decomposition(m, eps), reference_id(m, eps)), m.shape
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-6, 1e-2, 2.0])
+    def test_sets_ascending_with_t_to_match(self, eps):
+        ranks = set()
+        for m in self.shape_sweep():
+            res = interpolative_decomposition(m, eps)
+            ncols = m.shape[1]
+            assert np.all(np.diff(res.sk) > 0) and np.all(np.diff(res.rd) > 0), m.shape
+            assert np.array_equal(np.union1d(res.sk, res.rd), np.arange(ncols))
+            assert res.t.shape == (res.k, ncols - res.k)
+            if len(res.rd) and m.size:
+                err = np.linalg.norm(m[:, res.rd] - m[:, res.sk] @ res.t)
+                assert err <= max(10.0 * eps, 1e-10) * np.linalg.norm(m) * ncols
+            ranks.add("zero" if res.k == 0 else "full" if res.k == ncols else "cut")
+        assert ranks == ({"full", "zero", "cut"} if eps < 1.0 else {"zero"})
 
 
     def test_proportional_columns(self):
@@ -199,7 +225,7 @@ def outcome(fn):
 def same_factor(fac, ref):
     return (fac.mode == ref.mode and np.array_equal(fac.lower, ref.lower)
             and np.array_equal(fac.perm, ref.perm) and np.array_equal(fac.d.diag, ref.d.diag)
-            and np.array_equal(fac.d.subdiag(), ref.d.subdiag()))
+            and np.array_equal(fac.d.sub, ref.d.sub))
 
 
 def embed(n, *blocks):
@@ -262,7 +288,7 @@ class TestStackedKernels:
             if not isinstance(ref, tuple):
                 assert np.array_equal(lower[j], ref.lower) and np.array_equal(perm[j], ref.perm)
                 assert np.array_equal(diag[j], ref.d.diag)
-                assert np.array_equal(sub[j], ref.d.subdiag())
+                assert np.array_equal(sub[j], ref.d.sub)
         # Cholesky has no 2x2 pivots; HOLLOW (block 2) has two
         assert not sub.any() if spd else np.count_nonzero(sub[2]) == 2
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hifde import (GridConfig, IndefiniteBlockError, SingularBlockError, SparseSymMatrix,
-                   assemble, build_grid, constant_field, densify, factor_hifde,
+                   assemble, build_grid, constant_field, driver, factor_hifde,
                    factor_hifde3x, factor_mf, high_contrast_field, interior_cells,
                    load_factor, make_problem, save_factor)
 
@@ -22,7 +22,7 @@ class TestMultifrontal:
         g, a, csr = laplace(2, 8, 2)
         f = factor_mf(a, g)
         dense = csr.toarray()
-        err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
+        err = np.linalg.norm(dense - f.apply(np.eye(f.n)), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-12
 
     def test_single_dof_grid(self):
@@ -53,7 +53,7 @@ class TestHifde:
         g, a, csr = laplace(2, 16, 2)
         f = factor_hifde(a, g, 1e-15)
         dense = csr.toarray()
-        err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
+        err = np.linalg.norm(dense - f.apply(np.eye(f.n)), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-12
 
     def test_skip_all_levels_equals_mf_bitwise(self):
@@ -80,7 +80,7 @@ class TestHifde:
         a = assemble(g, high_contrast_field(g, seed=5))
         dense = a.to_dense()
         f = factor_hifde(a, g, eps)
-        err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
+        err = np.linalg.norm(dense - f.apply(np.eye(f.n)), 2) / np.linalg.norm(dense, 2)
         assert err <= 100 * eps
 
     def test_compression_reduces_top_block(self):
@@ -94,7 +94,8 @@ class TestHifde:
     def test_metrics_fields(self):
         g, a, _ = laplace(2, 16, 2)
         f = factor_hifde(a, g, 1e-9)
-        assert f.metrics["m_f_bytes"] == 8 * f.nfloats()
+        assert f.metrics["m_f_bytes"] == f.storage_bytes() == 8 * (
+            f.top.nfloats() + sum(lf.nfloats() for lf in f.levels))
         assert f.metrics["t_f_seconds"] > 0
         levels = [tag for tag, _ in f.metrics["active_trace"][1:]]
         assert levels == [lf.level for lf in f.levels]
@@ -105,7 +106,7 @@ class TestHifde3d:
         g, a, csr = laplace(3, 8, 2)
         f = factor_hifde(a, g, 1e-6)
         dense = csr.toarray()
-        err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
+        err = np.linalg.norm(dense - f.apply(np.eye(f.n)), 2) / np.linalg.norm(dense, 2)
         assert err <= 100 * 1e-6
 
     @pytest.mark.parametrize("skip", [0, 1])
@@ -113,7 +114,7 @@ class TestHifde3d:
         g, a, csr = laplace(3, 8, 2)
         f = factor_hifde3x(a, g, 1e-9, skip_levels=skip)
         dense = csr.toarray()
-        err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
+        err = np.linalg.norm(dense - f.apply(np.eye(f.n)), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-7
         f.check()
 
@@ -121,7 +122,7 @@ class TestHifde3d:
         g, a, csr = laplace(3, 8, 2)
         f = factor_hifde3x(a, g, 1e-15)
         dense = csr.toarray()
-        err = np.linalg.norm(dense - densify(f), 2) / np.linalg.norm(dense, 2)
+        err = np.linalg.norm(dense - f.apply(np.eye(f.n)), 2) / np.linalg.norm(dense, 2)
         assert err <= 1e-11
 
     def test_hifde3x_rejects_2d(self):
@@ -282,6 +283,30 @@ class TestBadInput:
         for op in (f.apply, f.apply_inverse):
             with pytest.raises(ValueError, match=f"length {f.n}"):
                 op(x)
+
+    def test_apply_complex_input(self):
+        # refused, not cast to its real part with a ComplexWarning
+        g, a, _ = laplace(2, 8, 2)
+        f = factor_hifde(a, g, 1e-6)
+        x = np.ones(f.n) + 1j
+        for op in (f.apply, f.apply_inverse):
+            for v in (x, np.stack([x, x], axis=1), x.real.astype(complex)):
+                with pytest.raises(ValueError, match=r"complex \(complex128\)"):
+                    op(v)
+
+    @pytest.mark.parametrize("algo", ["hifde", "hifde3x"])
+    @pytest.mark.parametrize("eps", [-1e-6, float("nan"), float("inf")])
+    def test_eps_not_finite_and_nonnegative(self, algo, eps, monkeypatch):
+        # negative and NaN would be taken as exact rank, inf as rank 0
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level ran")
+        monkeypatch.setattr(driver, "eliminate_level", no_level)
+        monkeypatch.setattr(driver, "skeletonize_level", no_level)
+        g = build_grid(3, 8, 2) if algo == "hifde3x" else build_grid(2, 16, 2)
+        a = assemble(g, constant_field(g, 1.0, 0.0))
+        factor = factor_hifde3x if algo == "hifde3x" else factor_hifde
+        with pytest.raises(ValueError, match=f"eps must be finite and >= 0, got {eps}"):
+            factor(a, g, eps)
 
 
 class TestSerialization:

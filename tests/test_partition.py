@@ -29,7 +29,7 @@ class TestInteriorCells:
     def test_level0_enumeration_2d(self):
         g, a = laplace(2, 8, 2)
         cs = interior_cells(g, 0, a.active)
-        assert cs.ncells == 16
+        assert len(cs.cells) == 16
         coords = g.dof_coords()
         for members, center in zip(cs.cells, cs.centers):
             # enumerate the interior points of this cell directly
@@ -42,7 +42,7 @@ class TestInteriorCells:
     def test_union_with_separators_covers_grid(self):
         g, a = laplace(2, 8, 2)
         cs = interior_cells(g, 0, a.active)
-        members = cs.all_members()
+        members = np.concatenate(cs.cells)
         coords = g.dof_coords()
         on_sep = (coords % 2 == 0).any(axis=1)
         assert len(members) + int(on_sep.sum()) == g.ndof
@@ -81,14 +81,14 @@ class TestInterfaceCells:
         run_level0(g, a)
         # one level below the top: K = 2, so 2*K*(K-1) = 4 edge groups
         cs = interface_cells(g, 1, a.active, "edge")
-        assert cs.ncells == 4
+        assert len(cs.cells) == 4
 
     def test_level0_edges_on_fresh_grid(self):
         g, a = laplace(2, 8, 2)
         run_level0(g, a)
         cs = interface_cells(g, 0, a.active, "edge")
         k = 2 ** g.nlevels
-        assert cs.ncells == 2 * k * (k - 1)
+        assert len(cs.cells) == 2 * k * (k - 1)
 
     def test_corner_points_in_no_group(self):
         g, a = laplace(2, 8, 2)
@@ -97,7 +97,7 @@ class TestInterfaceCells:
         coords = g.dof_coords()
         corner_mask = (coords % 2 == 0).all(axis=1)
         corners = set(np.flatnonzero(corner_mask & a.active).tolist())
-        grouped = set(cs.all_members().tolist())
+        grouped = set(np.concatenate(cs.cells).tolist())
         assert corners and not (corners & grouped)
 
     def test_groups_cover_active_except_corners(self):
@@ -107,7 +107,7 @@ class TestInterfaceCells:
         coords = g.dof_coords()
         corner_mask = (coords % 2 == 0).all(axis=1)
         expected = set(np.flatnonzero(a.active & ~corner_mask).tolist())
-        assert set(cs.all_members().tolist()) == expected
+        assert set(np.concatenate(cs.cells).tolist()) == expected
 
     def test_neighbors_confined_to_adjoining_cells(self):
         g, a = laplace(2, 8, 2)
@@ -135,18 +135,18 @@ class TestInterfaceCells:
         cs = interface_cells(g, 0, a.active, "face")
         coords = g.dof_coords()
         on2 = (coords % 2 == 0).sum(axis=1) >= 2
-        grouped = set(cs.all_members().tolist())
+        grouped = set(np.concatenate(cs.cells).tolist())
         edge_dofs = set(np.flatnonzero(on2 & a.active).tolist())
         assert edge_dofs and not (edge_dofs & grouped)
         k = 2 ** g.nlevels
-        assert cs.ncells == 3 * (k - 1) * k * k
+        assert len(cs.cells) == 3 * (k - 1) * k * k
 
     def test_3d_edges_exclude_triple_corners(self):
         g, a = laplace(3, 8, 2)
         cs = interface_cells(g, 0, a.active, "edge")
         coords = g.dof_coords()
         triple = set(np.flatnonzero((coords % 2 == 0).all(axis=1)).tolist())
-        grouped = set(cs.all_members().tolist())
+        grouped = set(np.concatenate(cs.cells).tolist())
         assert triple and not (triple & grouped)
 
     def test_bad_kind_rejected(self):
@@ -160,7 +160,7 @@ class TestInterfaceCells:
         path = tmp_path / "cells.csv"
         cells_to_csv(cs, path)
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(cs.all_members()) + 1
+        assert len(lines) == len(np.concatenate(cs.cells)) + 1
 
 
 class TestAdaptiveInteriorCells:
@@ -219,4 +219,4 @@ class TestAdaptiveInteriorCells:
             eliminate_cell(a, state, c, 0.0, True)
         cs1 = adaptive_interior_cells(a, g, 1)
         assert_noninteracting(a, cs1)
-        assert cs1.ncells >= 1
+        assert len(cs1.cells) >= 1

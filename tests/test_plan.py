@@ -92,7 +92,8 @@ def test_top_block_is_the_last_group(factor):
     assert top.interp is None
     assert np.shares_memory(top.lower, factor.top.lower)
     assert np.shares_memory(top.diag, factor.top.d.diag)
-    assert top.pairs[0].size == len(factor.top.d.pairs)
+    assert np.shares_memory(top.sub, factor.top.d.sub)
+    assert top.pairs[0].size == np.count_nonzero(factor.top.d.sub)
     for m in (1, 5):
         b = columns(factor, m, seed=m)
         for steps, ref in (("solve", block_solve), ("apply", block_apply)):

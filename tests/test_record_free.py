@@ -1,5 +1,5 @@
 """The record-free factor: a level keeps its flat arrays and its groups only.
-Its accounting (nfloats, storage_bytes, check, eliminated_count) read from
+Its accounting (storage_bytes, check, eliminated_count) read from
 the flat arrays equals the record-based figures; save_factor writes the
 archive the record-based packer writes, byte for byte, and a file from
 that packer loads; records are views built on demand, and none is
@@ -13,7 +13,7 @@ import pytest
 from hifde import (BlockDiag, LdlFactor, Record, assemble, factor_hifde, factor_hifde3x,
                    factor_mf, load_factor, make_problem, save_factor)
 
-from oracles import reference_save
+from oracles import all_records, reference_save
 
 # (example, algorithm, n, spd): Cholesky and Bunch-Kaufman for each
 # algorithm; Ex. 6 hifde3x has 2x2 pivots
@@ -55,9 +55,8 @@ def covers_once(f, rd_parts) -> bool:
 
 
 def test_accounting_equals_record_based(factor):
-    records = factor.records()
+    records = all_records(factor)
     nfloats = factor.top.nfloats() + sum(rec.nfloats() for rec in records)
-    assert factor.nfloats() == nfloats
     assert factor.storage_bytes() == 8 * nfloats
     for lf in factor.levels:
         assert lf.eliminated_count() == sum(len(rec.eliminated()) for rec in lf.records)
@@ -71,12 +70,13 @@ def test_two_by_two_pivots_are_counted():
     # a Bunch-Kaufman factor whose D has 2x2 pivots: each counts 3 floats
     problem = make_problem(6, 16)
     f = factor_hifde3x(assemble(problem.grid, problem.field), problem.grid, 1e-6, spd=False)
-    pairs = sum(len(rec.factor.d.pairs) for rec in f.records())
+    records = all_records(f)
+    pairs = sum(np.count_nonzero(rec.factor.d.sub) for rec in records)
     assert pairs > 0
-    assert f.nfloats() == f.top.nfloats() + sum(rec.nfloats() for rec in f.records())
+    assert f.storage_bytes() == 8 * (f.top.nfloats() + sum(rec.nfloats() for rec in records))
     assert sum(lf.nfloats() for lf in f.levels) == sum(
         rec.factor.lower.size + rec.factor.d.n + rec.coupling.size
-        + (rec.interp.size if rec.interp is not None else 0) for rec in f.records()) + 3 * pairs
+        + (rec.interp.size if rec.interp is not None else 0) for rec in records) + 3 * pairs
 
 
 def test_check_refuses_a_broken_partition(fresh, tmp_path):
@@ -85,7 +85,7 @@ def test_check_refuses_a_broken_partition(fresh, tmp_path):
     g = load_factor(path)
     lf = next(lf for lf in g.levels if len(lf.flats["rd"]) > 1)
     lf.flats["rd"][0] = lf.flats["rd"][1]
-    assert not covers_once(g, [rec.rd for rec in g.records()])
+    assert not covers_once(g, [rec.rd for rec in all_records(g)])
     with pytest.raises(ValueError, match="exactly once"):
         g.check()
 
@@ -121,10 +121,20 @@ def test_records_are_views_of_the_flat_arrays(factor):
                 assert np.shares_memory(rec.factor.lower, p["lower"])
                 assert np.shares_memory(rec.factor.perm, p["perm"])
                 assert np.shares_memory(rec.factor.d.diag, p["diag"])
+                assert np.shares_memory(rec.factor.d.sub, p["sub"])
+                assert len(rec.factor.d.sub) == len(rec.rd)
             if rec.interp is not None and rec.interp.size:
                 assert np.shares_memory(rec.interp, p["interp"])
         if lf.records:
             assert lf.records[0] is not lf.records[0]
+
+
+def test_reloaded_top_block_sub_is_a_view_of_the_archive(reloaded):
+    # as the levels' flat arrays are; test_plan checks that the sweep reads
+    # the top block's sub as it is
+    assert len(reloaded.top.d.sub) == len(reloaded.top_idx)
+    base = reloaded.top.d.sub.base
+    assert base is not None and all(lf.flats["sub"].base is base for lf in reloaded.levels)
 
 
 def reachable(root) -> list:
