@@ -7,9 +7,11 @@ Examples 1-3 live on the unit square, 4-6 on the unit cube:
 3/6  Helmholtz with wave count kappa tied to the resolution
      (32 DOFs per wavelength in 2D, 8 in 3D; indefinite)
 
-run_example assembles, factors, times one apply and one solve, runs both
-error estimators, and solves one random right-hand side with CG (SPD) or
-GMRES (indefinite) preconditioned by the factorization, to 1e-12.
+run_example assembles, factors, times one warm apply (after an untimed
+one), the first solve (which builds the solve plan's inverses) and a warm
+solve after it, runs both error estimators, and solves one random
+right-hand side with CG (SPD) or GMRES (indefinite) preconditioned by the
+factorization, to 1e-12.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ DOFS_PER_WAVELENGTH = {2: 32.0, 3: 8.0}
 DEFAULT_LEAF = 4
 VERIFY_MAX_N = 400
 
-CSV_COLUMNS = ["example", "algo", "dim", "n", "N", "eps", "kappa", "seed",
-               "s_L", "t_f", "m_f", "t_a", "t_s", "e_a", "e_s", "n_i", "status"]
+CSV_COLUMNS = ["example", "algo", "dim", "n", "N", "eps", "kappa", "seed", "s_L", "t_f",
+               "m_f", "t_a", "t_s", "t_s_first", "e_a", "e_s", "n_i", "status"]
 
 
 @dataclass
@@ -58,6 +60,7 @@ class BenchRow:
     m_f: Optional[int] = None
     t_a: Optional[float] = None
     t_s: Optional[float] = None
+    t_s_first: Optional[float] = None
     e_a: Optional[float] = None
     e_s: Optional[float] = None
     n_i: Optional[int] = None
@@ -145,12 +148,10 @@ def run_example(example_id: int, algorithm: str, n: int,
 
     rng = np.random.default_rng((seed, 2))
     x = rng.random(grid.ndof)
-    t0 = time.perf_counter()
     f.apply(x)
-    row.t_a = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    f.apply_inverse(x)
-    row.t_s = time.perf_counter() - t0
+    row.t_a = _seconds(f.apply, x)
+    row.t_s_first = _seconds(f.apply_inverse, x)
+    row.t_s = _seconds(f.apply_inverse, x)
 
     row.e_a = estimate_apply_error(a_csr, f, seed=seed).value
     row.e_s = estimate_solve_error(a_csr, f, seed=seed).value
@@ -174,6 +175,12 @@ def run_example(example_id: int, algorithm: str, n: int,
     if export_factor is not None:
         save_factor(f, export_factor)
     return row
+
+
+def _seconds(op, x) -> float:
+    t0 = time.perf_counter()
+    op(x)
+    return time.perf_counter() - t0
 
 
 def run_sweep(specs: Iterable[dict]) -> Iterable[BenchRow]:

@@ -3,8 +3,10 @@
 Everything here operates on stacks of small dense blocks extracted from
 the sparse working matrix: symmetric LDL/Cholesky factorization
 (``ldl_stack``), Schur complements (``schur_stack``), block-diagonal and
-unit-lower-triangular solves (``d_stack``, ``solve_unit_lower_stack``),
-and the interpolative decomposition (ID) built on a column-pivoted QR.
+unit-lower-triangular solves (``d_stack``, ``solve_unit_lower``, one
+block by trsm), the inverses of unit lower triangular blocks
+(``invert_unit_lower_stack``), and the interpolative decomposition (ID)
+built on a column-pivoted QR.
 Each block operation has this one implementation: a single block is a
 stack of one (``ldl`` is ``ldl_stack`` on one block), and ``LdlFactor``
 and ``BlockDiag`` only hold a factored block's arrays. Each result comes
@@ -42,7 +44,7 @@ from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 
-def _solve_unit_lower(tri: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
+def solve_unit_lower(tri: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
     """Unit-lower-triangular solve via BLAS trsm (thin wrapper, low overhead).
 
     A C-ordered L is handed to BLAS as the Fortran-ordered upper triangle
@@ -130,7 +132,8 @@ __all__ = [
     "interpolative_decomposition",
     "schur_stack",
     "d_stack",
-    "solve_unit_lower_stack",
+    "solve_unit_lower",
+    "invert_unit_lower_stack",
 ]
 
 # Relative pivot threshold below which a diagonal block is reported singular.
@@ -397,7 +400,7 @@ def schur_stack(a_qp: np.ndarray, lower: np.ndarray, perm: np.ndarray,
     yt = np.empty((k, q, p))
     if q:
         for j in range(k):
-            yt[j] = _solve_unit_lower(lower[j], a_qp[j].T[perm[j]], trans=False).T
+            yt[j] = solve_unit_lower(lower[j], a_qp[j].T[perm[j]], trans=False).T
     # each block of x is Fortran-ordered (elementwise results keep the
     # layout of the transposed yt), so the matmul makes the BLAS calls of
     # the per-block product y.T @ x and rounds the same
@@ -405,24 +408,16 @@ def schur_stack(a_qp: np.ndarray, lower: np.ndarray, perm: np.ndarray,
     return x, yt @ x
 
 
-def solve_unit_lower_stack(lower: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
-    """Solve L y = b (L^T y = b when ``trans``) for each block of a stack of
-    unit lower triangular ``lower`` (k, r, r) and right-hand sides ``b``
-    (k, r, m). ``b`` may be overwritten.
-
-    Substitution across the stack takes r - 1 NumPy steps whatever k is;
-    one trsm per block takes k calls. So a stack of many small blocks
-    (r <= k) is solved by substitution, one row at a time as a stacked dot
-    product (measured faster than the column-oriented form), and a stack of
-    a few large blocks by trsm.
+def invert_unit_lower_stack(lower: np.ndarray) -> np.ndarray:
+    """W = L^{-1} for each block of a stack of unit lower triangular
+    ``lower`` (k, r, r): substitution on the identity across the stack, r - 1
+    NumPy steps whatever k is, one row at a time as a stacked dot product.
+    Row i of W is -L[i, :i] W[:i, :i] left of the diagonal, so W is unit
+    lower triangular exactly: ones on the diagonal, zeros above it.
     """
     k, r = lower.shape[:2]
-    if r > k:
-        return np.stack([_solve_unit_lower(tri, y, trans) for tri, y in zip(lower, b)])
-    if trans:
-        for i in range(r - 2, -1, -1):
-            b[:, i] -= (lower[:, None, i + 1:, i] @ b[:, i + 1:])[:, 0]
-    else:
-        for i in range(1, r):
-            b[:, i] -= (lower[:, i, None, :i] @ b[:, :i])[:, 0]
-    return b
+    w = np.zeros((k, r, r))
+    w[:, np.arange(r), np.arange(r)] = 1.0
+    for i in range(1, r):
+        w[:, i, :i] = -(lower[:, i, None, :i] @ w[:, :i, :i])[:, 0]
+    return w

@@ -35,6 +35,11 @@ records with the same shape whose arrays are stacked, and a sweep step
 applies a whole group with stacked matmuls and triangular solves; the top
 block is the last group, an elimination with no neighbors. A level's
 arrays are held once: its groups' stacks are views of its flat arrays.
+The plan adds one cache: a group of many small blocks keeps the inverses
+of its L factors (``Group.lower_inv``), built on its first solve, and
+apply_inverse sweeps them as stacked matmuls (selective inversion). The
+cache is not part of the factor: save_factor and storage_bytes leave it
+out, and neither the factorization nor load_factor builds it.
 
 save_factor/load_factor persist a factor as an ``.npz`` archive of the
 levels' flat arrays, joined, so each group is a contiguous run that
@@ -53,7 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import (EMPTY_FACTOR, BlockDiag, FactorizationError, LdlFactor, blas_threads,
-                    d_stack, ldl, one_blas_thread, solve_unit_lower_stack)
+                    d_stack, invert_unit_lower_stack, ldl, one_blas_thread,
+                    solve_unit_lower)
 from .discretize import GridConfig
 # eliminate_cell and skeletonize_cell, the per-cell reference of the level
 # steps, are not called here; perfbench/tracing.py patches these names
@@ -87,6 +93,15 @@ class Group:
     DOFs; cell eliminations share their neighbor DOFs ``sk``, so their
     updates to ``sk`` are accumulated with ufunc.at, in record order.
     Each step acts in place on v, an (N, m) array of columns.
+
+    A stack of many small blocks (r <= k) is solved with its inverses
+    ``lower_inv`` W = L^{-1} (k, r, r), one stacked matmul per sweep step
+    where substitution takes r - 1 steps; W is None until the group's first
+    solve builds it (``invert_unit_lower_stack``), and apply does not use
+    it. A stack of a few large blocks (r > k: the top block, the large 3D
+    fronts) is solved by one trsm per block and keeps no inverse. W is a
+    function of L alone, so two threads that make a group's first solve at
+    once build the same bits, and each sweeps with its own.
     """
 
     def __init__(self, rd, sk, coupling, lower, perm, diag, sub, interp):
@@ -95,6 +110,7 @@ class Group:
         # rd in pivot order: P applied to v[rd] is v[prd]
         self.prd = np.take_along_axis(rd, perm, axis=1)
         self.pairs = np.nonzero(sub)   # the 2x2 pivots of D
+        self.lower_inv = None
 
     def _add_to_sk(self, v: np.ndarray, vals: np.ndarray, ufunc) -> None:
         """v[sk] = ufunc(v[sk], vals), summing in record order where the
@@ -103,22 +119,34 @@ class Group:
             v[self.sk] = ufunc(v[self.sk], vals)
             return
         m = v.shape[1]
-        # one flat 1-D index, the fast path of ufunc.at
-        idx = (self.sk[:, :, None] * m + np.arange(m)).ravel() if m > 1 else self.sk.ravel()
+        # one flat 1-D index, the fast path of ufunc.at (empty for m = 0)
+        idx = (self.sk[:, :, None] * m + np.arange(m)).ravel() if m != 1 else self.sk.ravel()
         ufunc.at(v.reshape(-1), idx, vals.ravel())
+
+    def _solve_lower(self, b: np.ndarray, trans: bool) -> np.ndarray:
+        """L^{-1} b, or L^{-T} b when ``trans``, for each block of the stack:
+        one trsm per block when the blocks are few and large (r > k), else
+        one stacked matmul with the cached inverses."""
+        k, r = self.lower.shape[:2]
+        if r > k:
+            return np.stack([solve_unit_lower(tri, y, trans) for tri, y in zip(self.lower, b)])
+        w = self.lower_inv
+        if w is None:
+            w = self.lower_inv = invert_unit_lower_stack(self.lower)
+        return (_mT(w) if trans else w) @ b
 
     def solve_forward(self, v: np.ndarray) -> None:
         """v <- D^{-1} U^T v: the first sweep of apply_inverse."""
         if self.interp is not None:
             v[self.rd] -= _mT(self.interp) @ v[self.sk]
-        t = solve_unit_lower_stack(self.lower, v[self.prd], trans=False)
+        t = self._solve_lower(v[self.prd], trans=False)
         self._add_to_sk(v, _mT(self.coupling) @ t, np.subtract)
         v[self.rd] = d_stack(self.diag, self.sub, self.pairs, t, inverse=True)
 
     def solve_backward(self, v: np.ndarray) -> None:
         """v <- U v: the second sweep of apply_inverse."""
         t = v[self.rd] - self.coupling @ v[self.sk]
-        v[self.prd] = solve_unit_lower_stack(self.lower, t, trans=True)
+        v[self.prd] = self._solve_lower(t, trans=True)
         if self.interp is not None:
             v[self.sk] -= self.interp @ v[self.rd]
 

@@ -16,7 +16,7 @@ from hifde import (SparseSymMatrix, DofState, eliminate_cell, skeletonize_cell,
                    interpolative_decomposition)
 from hifde import (BlockDiag, IdResult, IndefiniteBlockError, LdlFactor, Record,
                    SingularBlockError)
-from hifde.dense import EMPTY_FACTOR, SINGULAR_PIVOT_RTOL, _solve_unit_lower
+from hifde.dense import EMPTY_FACTOR, SINGULAR_PIVOT_RTOL, solve_unit_lower
 from hifde.sparse import row_entries
 
 
@@ -61,22 +61,22 @@ def svd_rank(m: np.ndarray, rtol: float) -> int:
 # -- per-block reference kernels: one factored block at a time ----------------
 # The factor of one block (LdlFactor, BlockDiag) applied and solved with, and
 # factored, block by block: what the stacked kernels of hifde.dense
-# (d_stack, solve_unit_lower_stack, schur_stack, ldl_stack) and the top block
-# of the solve plan must reproduce. P^T L and L^T P act in factored
+# (d_stack, schur_stack, ldl_stack) and the solve plan's groups, the top
+# block among them, must reproduce. P^T L and L^T P act in factored
 # coordinates; the permutation is internal.
 
 def solve_l(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if fac.n == 0 or b.size == 0:
         return b.copy()
-    return _solve_unit_lower(fac.lower, b[fac.perm], trans=False)
+    return solve_unit_lower(fac.lower, b[fac.perm], trans=False)
 
 
 def solve_lt(fac: LdlFactor, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if fac.n == 0 or b.size == 0:
         return b.copy()
-    y = _solve_unit_lower(fac.lower, b, trans=True)
+    y = solve_unit_lower(fac.lower, b, trans=True)
     out = np.empty_like(y)
     out[fac.perm] = y
     return out

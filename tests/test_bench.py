@@ -5,16 +5,17 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hifde import (assemble, factor_hifde, load_factor, make_problem, rows_to_csv, run_example,
-                   run_sweep)
+from hifde import (GeneralizedLDL, assemble, factor_hifde, load_factor, make_problem,
+                   rows_to_csv, run_example, run_sweep)
 from hifde.bench import CSV_COLUMNS
 
-TIMING_COLS = {"t_f", "t_a", "t_s"}
+TIMING_COLS = {"t_f", "t_a", "t_s", "t_s_first"}
 
 
 class TestMakeProblem:
@@ -78,6 +79,28 @@ class TestRunExample:
         f2 = load_factor(path)
         x = np.random.default_rng(0).random(f.n)
         assert np.array_equal(f.apply(x), f2.apply(x))
+
+    def test_first_and_warm_times(self, monkeypatch):
+        # t_a and t_s each time a second call, and t_s_first the first
+        # solve: a first call that is slow (apply_inverse's builds the plan's
+        # inverses) is in t_s_first only
+        original = {op: getattr(GeneralizedLDL, op) for op in ("apply", "apply_inverse")}
+        first = set()
+
+        def slow_first(op):
+            def call(f, x):
+                if (id(f), op) not in first:
+                    first.add((id(f), op))
+                    time.sleep(0.5)
+                return original[op](f, x)
+            return call
+
+        for op in original:
+            monkeypatch.setattr(GeneralizedLDL, op, slow_first(op))
+        row = run_example(1, "hifde", 16, eps=1e-6)
+        assert row.status == "ok"
+        assert len(first) == 2
+        assert row.t_a < 0.5 and row.t_s < 0.5 <= row.t_s_first
 
     def test_indefinite_example_uses_gmres(self):
         row = run_example(3, "hifde", 16, eps=1e-9)

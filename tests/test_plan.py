@@ -1,6 +1,10 @@
 """The level-batched solve plan: GeneralizedLDL.apply/apply_inverse against
 the per-record reference sweep, reproducibility, one stored copy of each
-array, and (N, m) blocks of right-hand sides."""
+array, the inverses a small-block group caches on its first solve, and
+(N, m) blocks of right-hand sides."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -137,3 +141,88 @@ def test_block_of_columns(case):
         one = op(cols[:, :1])
         assert one.shape == (f.n, 1)
         assert np.array_equal(one[:, 0], op(cols[:, 0]))
+
+
+def level_groups(f):
+    return [g for lf in f.levels for g in lf.groups]
+
+
+def small(g):
+    # a stack of many small blocks, solved with its cached inverses
+    k, r = g.lower.shape[:2]
+    return r <= k
+
+
+def test_cached_inverses_are_unit_lower(factor):
+    factor.apply_inverse(columns(factor, 1)[:, 0])
+    groups = level_groups(factor)
+    assert any(small(g) for g in groups)
+    for g in groups:
+        if not small(g):
+            assert g.lower_inv is None
+            continue
+        w, r = g.lower_inv, g.lower.shape[1]
+        assert w.shape == g.lower.shape
+        assert np.all(np.triu(w, 1) == 0.0)
+        assert np.all(np.diagonal(w, axis1=1, axis2=2) == 1.0)
+        assert np.abs(w @ g.lower - np.eye(r)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_no_inverse_until_the_first_solve(case, tmp_path):
+    # neither the factorization nor load_factor builds the cache, and apply
+    # does not use it; it is not saved and not counted as storage
+    f = build(*CASES[case])
+    path, again = tmp_path / "factor.gldl", tmp_path / "again.gldl"
+    save_factor(f, path)
+    nbytes = f.storage_bytes()
+    b = columns(f, 1)[:, 0]
+    for g in (f, load_factor(path)):
+        assert all(grp.lower_inv is None for grp in level_groups(g))
+        g.apply(b)
+        assert all(grp.lower_inv is None for grp in level_groups(g))
+        g.apply_inverse(b)
+        assert all((grp.lower_inv is not None) == small(grp) for grp in level_groups(g))
+    save_factor(f, again)
+    assert path.read_bytes() == again.read_bytes()
+    assert f.storage_bytes() == nbytes
+
+
+def test_first_solve_in_threads(factor, tmp_path):
+    # threads (more than the host's cores, switching as often as the
+    # interpreter allows) that build a loaded factor's inverses at once get
+    # the result of one serial first solve, bit for bit
+    path = tmp_path / "factor.gldl"
+    save_factor(factor, path)
+    b = columns(factor, 1)[:, 0]
+    serial = load_factor(path).apply_inverse(b)
+    g = load_factor(path)
+    nthreads = 4
+    start, out = threading.Barrier(nthreads, timeout=60), [None] * nthreads
+
+    def solve(i):
+        start.wait()
+        out[i] = g.apply_inverse(b)
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(x is not None and np.array_equal(x, serial) for x in out)
+    assert np.array_equal(g.apply_inverse(b), serial)
+
+
+@pytest.mark.parametrize("algo", ["mf", "hifde"])
+def test_block_of_no_columns(algo):
+    # an (N, 0) block gives an (N, 0) block, as a block of columns does
+    f = build(1, algo, 16)
+    for op in (f.apply, f.apply_inverse):
+        out = op(np.zeros((f.n, 0)))
+        assert out.shape == (f.n, 0)
