@@ -356,8 +356,6 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
         return IdResult(np.arange(ncols), np.arange(0), np.empty((k, 0)), k, 0.0)
     if k == 0:
         t = np.zeros((0, ncols))
-    elif k == 1:
-        t = _dtrtrs(r[:1, :1], r[:1, 1:])[0]
     else:
         t = _dtrtrs(r[:k, :k].T, r[:k, k:], lower=1, trans=1)[0]
     resid = float(rdiag[k] / r11) if k < rdiag.size else 0.0

@@ -370,13 +370,6 @@ def _columns(x, n: int) -> np.ndarray:
 # The schedules: each yields (level_tag, cellset, is_skeleton) per level
 # from the working matrix ``mat`` as the factorization reaches that level.
 
-def _mf_schedule(grid: GridConfig):
-    def schedule(mat):
-        for ell in range(grid.nlevels):
-            yield float(ell), interior_cells(grid, ell, mat.active), False
-    return schedule
-
-
 def _hifde_schedule(grid: GridConfig, skip_levels: int):
     kind = "edge" if grid.dim == 2 else "face"
 
@@ -405,7 +398,8 @@ def _hifde3x_schedule(grid: GridConfig, skip_levels: int):
 
 def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True) -> GeneralizedLDL:
     """Multifrontal factorization: exact to rounding."""
-    return _run_levels(a, grid, spd, 0.0, _mf_schedule(grid))
+    # no level reaches skip_levels, so no level skeletonizes
+    return _run_levels(a, grid, spd, 0.0, _hifde_schedule(grid, grid.nlevels))
 
 
 def factor_hifde(a: SparseSymMatrix, grid: GridConfig, eps: float,

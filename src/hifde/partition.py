@@ -9,6 +9,9 @@ in 3D) are assigned to no group, which keeps every group's neighbor set
 local to the adjoining cells; any other distance tie goes to the center
 with the lowest linear index. All coordinate arithmetic is exact (integer,
 in doubled grid units) so tie detection is deterministic.
+
+Each grouping keys every DOF to its center once, in vectorized integer
+arithmetic, and one split (``_cellset``) turns the keys into groups.
 """
 
 from __future__ import annotations
@@ -45,14 +48,36 @@ def _coords_cached(dim: int, n: int) -> np.ndarray:
     return GridConfig(dim, n, 2, 1, 1.0 / n).dof_coords()
 
 
-def _group_by_key(sel: np.ndarray, keys: np.ndarray):
-    """Split DOF indices by group key; yields (key, ascending members)."""
+def _width(grid: GridConfig, ell: int) -> tuple[int, int]:
+    """Cell width w and cells per side k of level ``ell``."""
+    if not (0 <= ell < max(grid.nlevels, 1)):
+        raise ValueError(f"level {ell} out of range")
+    w = (1 << ell) * grid.m
+    return w, grid.n // w
+
+
+def _nearest(x2: np.ndarray, w: int, k: int, half) -> tuple[np.ndarray, np.ndarray]:
+    """Index i of the lattice center nearest each coordinate x2, and that
+    center (x2 and the center in doubled grid units). The centers lie at
+    w*(i+1), i in [0, k-1), or, where ``half``, at w*(i+1/2), i in [0, k).
+    Ties round down; ``half`` broadcasts against x2."""
+    i = np.clip((x2 + w - 1 + half * w) // (2 * w), 1, k - 1 + half) - 1
+    return i, w * (2 * i + 2 - half)
+
+
+def _cellset(level, kind: str, sel: np.ndarray, keys: np.ndarray, cen2: np.ndarray) -> CellSet:
+    """The DOFs ``sel`` grouped by ascending key (keys >= 0); a group's center
+    is its first member's center ``cen2`` (doubled grid units)."""
     order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    bounds = np.r_[starts, len(sk)]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        yield sk[a], sel[order[a:b]]
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    return CellSet(float(level), kind, np.split(sel[order], starts)[1:],
+                   cen2[order[starts]] / 2.0)
+
+
+def _voronoi_cells(grid: GridConfig, w: int, k: int, sel: np.ndarray):
+    """Key (linear index) and center (doubled units) of each DOF's cell."""
+    i, cen2 = _nearest(2 * _coords_cached(grid.dim, grid.n)[sel], w, k, True)
+    return i @ k ** np.arange(grid.dim), cen2
 
 
 def interior_cells(grid: GridConfig, ell: int, active: np.ndarray) -> CellSet:
@@ -61,38 +86,10 @@ def interior_cells(grid: GridConfig, ell: int, active: np.ndarray) -> CellSet:
     DOFs on the separator hyperplanes (any coordinate a multiple of the
     cell width) are excluded; empty cells are dropped.
     """
-    if not (0 <= ell < max(grid.nlevels, 1)):
-        raise ValueError(f"level {ell} out of range")
-    w = (1 << ell) * grid.m
-    k = grid.n // w
+    w, k = _width(grid, ell)
     act = np.flatnonzero(active)
-    coords = _coords_cached(grid.dim, grid.n)[act]
-    inside = (coords % w != 0).all(axis=1)
-    sel = act[inside]
-    cidx = coords[inside] // w
-    keys = cidx[:, 0].astype(np.int64)
-    for i in range(1, grid.dim):
-        keys = keys + cidx[:, i].astype(np.int64) * (k ** i)
-    cells, centers = [], []
-    for key, members in _group_by_key(sel, keys):
-        cells.append(members)
-        jj = [(key // k ** i) % k for i in range(grid.dim)]
-        centers.append([w * (j + 0.5) for j in jj])
-    return CellSet(float(ell), "interior", cells,
-                   np.array(centers, dtype=float).reshape(len(cells), grid.dim))
-
-
-def _nearest_multiple(x2: np.ndarray, w: int, kmax: int) -> np.ndarray:
-    """Nearest j in [1, kmax] with center at w*j; ties round down.
-    x2 is in doubled grid units."""
-    j = (x2 + w - 1) // (2 * w)
-    return np.clip(j, 1, kmax)
-
-
-def _nearest_half(x2: np.ndarray, w: int, kmax: int) -> np.ndarray:
-    """Nearest j in [1, kmax] with center at w*(j - 1/2); ties round down."""
-    j = (x2 + 2 * w - 1) // (2 * w)
-    return np.clip(j, 1, kmax)
+    sel = act[(_coords_cached(grid.dim, grid.n)[act] % w != 0).all(axis=1)]
+    return _cellset(ell, "interior", sel, *_voronoi_cells(grid, w, k, sel))
 
 
 def interface_cells(grid: GridConfig, ell: int, active: np.ndarray,
@@ -105,70 +102,25 @@ def interface_cells(grid: GridConfig, ell: int, active: np.ndarray,
     dim = grid.dim
     if (dim, kind) not in {(2, "edge"), (3, "face"), (3, "edge")}:
         raise ValueError(f"unsupported interface kind {kind!r} in {dim}D")
-    w = (1 << ell) * grid.m
-    k = grid.n // w
+    w, k = _width(grid, ell)
+    if k < 2:
+        raise ValueError(f"level {ell} has no interfaces: one cell spans the grid")
     act = np.flatnonzero(active)
     coords = _coords_cached(dim, grid.n)[act]
-    on_plane = coords % w == 0
-    nplanes = on_plane.sum(axis=1)
-    if dim == 2:
-        excluded = nplanes == 2
-    elif kind == "face":
-        excluded = nplanes >= 2
-    else:
-        excluded = nplanes == 3
-    sel = act[~excluded]
-    c2 = 2 * coords[~excluded].astype(np.int64)
+    kept = (coords % w == 0).sum(axis=1) < (dim if kind == "edge" else 2)
+    sel, x2 = act[kept], 2 * coords[kept]
 
     # Families: one per axis. For faces the family axis is the face
     # normal (centers at multiples along it, half-offsets along the rest);
     # for edges it is the direction the edge runs (half-offset along it,
-    # multiples along the rest).
-    fam_dist = np.empty((len(sel), dim), dtype=np.int64)
-    fam_key = np.empty((len(sel), dim), dtype=np.int64)
-    for f in range(dim):
-        dist = np.zeros(len(sel), dtype=np.int64)
-        key = np.zeros(len(sel), dtype=np.int64)
-        mul = 1
-        for ax in range(dim):
-            x2 = c2[:, ax]
-            if kind == "face":
-                normal_like = ax == f
-            else:
-                normal_like = ax != f
-            if normal_like:
-                j = _nearest_multiple(x2, w, k - 1)
-                cen2 = 2 * w * j
-                nj = k - 1
-            else:
-                j = _nearest_half(x2, w, k)
-                cen2 = w * (2 * j - 1)
-                nj = k
-            dist += (x2 - cen2) ** 2
-            key += (j - 1) * mul
-            mul *= nj
-        fam_dist[:, f] = dist
-        fam_key[:, f] = key
-    best = np.argmin(fam_dist, axis=1)
+    # multiples along the rest). idx and cen are (N, family, axis).
+    half = (np.arange(dim)[:, None] == np.arange(dim)) != (kind == "face")
+    idx, cen = _nearest(x2[:, None, :], w, k, half)
+    mul = np.cumprod(np.c_[np.ones(dim, dtype=np.int64), k - 1 + half[:, :-1]], axis=1)
+    best = np.argmin(((x2[:, None, :] - cen) ** 2).sum(axis=2), axis=1)
     rows = np.arange(len(sel))
-    keys = best.astype(np.int64) * (k ** dim * 2 * dim) + fam_key[rows, best]
-
-    cells, centers = [], []
-    kind_out = kind if dim == 3 else "edge"
-    for key, members in _group_by_key(sel, keys):
-        cells.append(members)
-        fam = int(key // (k ** dim * 2 * dim))
-        rem = int(key % (k ** dim * 2 * dim))
-        cen = []
-        for ax in range(dim):
-            normal_like = (ax == fam) if kind == "face" else (ax != fam)
-            nj = (k - 1) if normal_like else k
-            j = rem % nj + 1
-            rem //= nj
-            cen.append(w * j if normal_like else w * (j - 0.5))
-        centers.append(cen)
-    return CellSet(float(ell), kind_out, cells,
-                   np.array(centers, dtype=float).reshape(len(cells), dim))
+    keys = best * k ** dim + (idx[rows, best] * mul[best]).sum(axis=1)
+    return _cellset(ell, kind, sel, keys, cen[rows, best])
 
 
 def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
@@ -179,38 +131,27 @@ def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
     still couple to any other current cell. The resulting cells are
     mutually non-interacting. ``a`` is the working matrix, a
     SparseSymMatrix, whose CSR arrays are read without a copy.
+
+    In closed form: a cell keeps exactly the Voronoi members that couple
+    to no member of a later cell's Voronoi set. Of two adjacent cells, the
+    earlier one gives its boundary layer to the separator and the later one
+    keeps all of its DOFs that face the earlier one.
     """
-    w = (1 << ell) * grid.m
-    k = grid.n // w
+    w, k = _width(grid, ell)
     act = np.flatnonzero(a.active)
-    coords = _coords_cached(grid.dim, grid.n)[act]
-    c2 = 2 * coords.astype(np.int64)
-    keys = np.zeros(len(act), dtype=np.int64)
-    mul = 1
-    for ax in range(grid.dim):
-        j = _nearest_half(c2[:, ax], w, k)
-        keys += (j - 1) * mul
-        mul *= k
+    keys, cen2 = _voronoi_cells(grid, w, k, act)
+    vor = _cellset(ell, "interior", act, keys, cen2)
     cell_of = np.full(a.n, -1, dtype=np.int64)
     cell_of[act] = keys
-
-    groups = list(_group_by_key(act, keys))
-    cells, centers = [], []
-    for key, members in groups:
+    kept = []
+    for members in vor.cells:
+        key = cell_of[members[0]]
         owner, at = row_entries(a.indptr, members)
         cnb = cell_of[a.indices[at]]
-        shed = members[np.unique(owner[(cnb != -1) & (cnb != key)])]
-        if len(shed):
-            cell_of[shed] = -1
-            keep = members[cell_of[members] == key]
-        else:
-            keep = members
-        if len(keep):
-            cells.append(keep)
-            jj = [int(key // k ** i) % k for i in range(grid.dim)]
-            centers.append([w * (j + 0.5) for j in jj])
-    return CellSet(float(ell), "interior", cells,
-                   np.array(centers, dtype=float).reshape(len(cells), grid.dim))
+        cell_of[members[owner[(cnb != -1) & (cnb != key)]]] = -1
+        kept.append(members[cell_of[members] == key])
+    nonempty = np.array([len(c) > 0 for c in kept], dtype=bool)
+    return CellSet(vor.level, vor.kind, [c for c in kept if len(c)], vor.centers[nonempty])
 
 
 def cells_to_csv(cs: CellSet, path) -> None:

@@ -111,8 +111,15 @@ class SparseSymMatrix:
         s.sort_indices()
         if not np.all(np.isfinite(s.data)):
             raise ValueError("matrix has non-finite entries")
-        if (s != s.T).nnz != 0:
+        t = s.T.tocsr()
+        if (s != t).nnz != 0:
             raise ValueError("matrix is not symmetric")
+        if not (np.array_equal(s.indptr, t.indptr) and np.array_equal(s.indices, t.indices)):
+            # a stored entry whose mirror is not stored is a zero: store the
+            # mirror too; adding -0.0 leaves every stored value as it is
+            c = s.tocoo()
+            s = sp.csr_matrix((np.r_[c.data, np.full(c.nnz, -0.0)],
+                               (np.r_[c.row, c.col], np.r_[c.col, c.row])), shape=s.shape)
         n = s.shape[0]
         return cls(n, s.indptr.astype(np.int64), s.indices.astype(np.int32, copy=False),
                    s.data.astype(np.float64, copy=False), np.ones(n, dtype=bool))

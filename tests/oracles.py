@@ -481,12 +481,10 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
     from hifde import driver
     from hifde.dense import FactorizationError, ldl
 
-    if algo == "mf":
-        schedule = driver._mf_schedule(grid)
-    elif algo == "hifde":
-        schedule = driver._hifde_schedule(grid, skip_levels or 0)
-    else:
+    if algo == "hifde3x":
         schedule = driver._hifde3x_schedule(grid, 1 if skip_levels is None else skip_levels)
+    else:   # mf is hifde with no level skeletonized
+        schedule = driver._hifde_schedule(grid, grid.nlevels if algo == "mf" else skip_levels or 0)
     state = DofState(a.n)
     levels = []
     for tag, cs, is_skel in schedule(a):

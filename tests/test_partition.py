@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hifde import (DofState, SparseSymMatrix, adaptive_interior_cells, assemble, build_grid,
-                   cells_to_csv, constant_field, eliminate_cell, interface_cells,
-                   interior_cells)
+from hifde import (DofState, GridConfig, SparseSymMatrix, adaptive_interior_cells, assemble,
+                   build_grid, cells_to_csv, constant_field, eliminate_cell, factor_hifde,
+                   factor_hifde3x, interface_cells, interior_cells)
+from hifde import driver
 
 from oracles import assert_noninteracting
 
@@ -56,9 +57,18 @@ class TestInteriorCells:
                 assert_noninteracting(a, cs)
 
     def test_level_out_of_range(self):
-        g, a = laplace(2, 8, 2)
-        with pytest.raises(ValueError):
-            interior_cells(g, 2, a.active)
+        # every grouping refuses a level outside [0, L) alike (L = 2 here)
+        g, a = laplace(2, 16, 4)
+        groupings = (lambda ell: interior_cells(g, ell, a.active),
+                     lambda ell: interface_cells(g, ell, a.active, "edge"),
+                     lambda ell: adaptive_interior_cells(a, g, ell))
+        for grouping in groupings:
+            for ell in (-1, g.nlevels, g.nlevels + 1):
+                with pytest.raises(ValueError, match=f"level {ell} out of range"):
+                    grouping(ell)
+        one = GridConfig(2, 8, 8, 0, 1 / 8)     # one cell spans the grid
+        with pytest.raises(ValueError, match="no interfaces"):
+            interface_cells(one, 0, np.ones(one.ndof, dtype=bool), "edge")
 
     def test_mf_levels_cover_everything(self):
         g, a = laplace(2, 16, 2)
@@ -163,6 +173,51 @@ class TestInterfaceCells:
         assert len(lines) == len(np.concatenate(cs.cells)) + 1
 
 
+def interface_lattice(g, ell, kind):
+    """Every interface center of level ell, in grid units, family by family:
+    half-offsets along the edge (across the face), multiples of the cell
+    width w elsewhere."""
+    w = (1 << ell) * g.m
+    k = g.n // w
+    centers = []
+    for f in range(g.dim):
+        axes = [w * (np.arange(1, k + 1) - 0.5) if (ax == f) != (kind == "face")
+                else w * np.arange(1.0, k) for ax in range(g.dim)]
+        centers.append(np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, g.dim))
+    return np.concatenate(centers)
+
+
+@pytest.mark.parametrize("dim, n, factor", [(2, 32, factor_hifde), (3, 16, factor_hifde3x)])
+def test_interface_groups_are_voronoi_cells(monkeypatch, dim, n, factor):
+    # the groups of every level and kind, on the active sets that a
+    # factorization leaves, against a brute-force search of the lattice
+    g, a = laplace(dim, n, 2)
+    calls = []
+
+    def spy(grid, ell, active, kind):
+        calls.append((ell, kind, active.copy(), interface_cells(grid, ell, active, kind)))
+        return calls[-1][-1]
+    monkeypatch.setattr(driver, "interface_cells", spy)
+    factor(a, g, 1e-6, skip_levels=0)
+    kinds = ("edge",) if dim == 2 else ("face", "edge")
+    assert sorted((ell, kind) for ell, kind, _, _ in calls) == \
+        sorted((ell, kind) for ell in range(g.nlevels) for kind in kinds)
+    coords = g.dof_coords()
+    for ell, kind, active, cs in calls:
+        # corners (2D), corner edges (3D faces), triple corners (3D edges)
+        planes = (coords % ((1 << ell) * g.m) == 0).sum(axis=1)
+        excluded = planes >= (3 if (dim, kind) == (3, "edge") else 2)
+        members = np.concatenate(cs.cells)
+        assert np.array_equal(np.sort(members), np.flatnonzero(active & ~excluded))
+        assert len(np.unique(cs.centers, axis=0)) == len(cs.centers)
+        lattice = interface_lattice(g, ell, kind)
+        assert {tuple(c) for c in cs.centers} <= {tuple(c) for c in lattice}
+        x = coords[members]
+        own = np.repeat(cs.centers, [len(c) for c in cs.cells], axis=0)
+        nearest = np.min([((x - c) ** 2).sum(axis=1) for c in lattice], axis=0)
+        assert np.all(((x - own) ** 2).sum(axis=1) <= nearest), (ell, kind)
+
+
 class TestAdaptiveInteriorCells:
     def test_block_diagonal_matrix_keeps_voronoi_cells(self):
         g = build_grid(3, 4, 2)
@@ -220,3 +275,32 @@ class TestAdaptiveInteriorCells:
         cs1 = adaptive_interior_cells(a, g, 1)
         assert_noninteracting(a, cs1)
         assert len(cs1.cells) >= 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sheds_in_closed_form(self, seed):
+        # a cell keeps exactly the Voronoi members that couple to no member
+        # of a later cell (ascending center order)
+        rng = np.random.default_rng(seed)
+        g = build_grid(*((2, 16) if seed % 2 else (3, 8)), 2)
+        r = sp.random(g.ndof, g.ndof, density=rng.choice([1.0, 4.0]) / g.ndof,
+                      random_state=rng)
+        a = SparseSymMatrix.from_scipy(r + r.T + sp.identity(g.ndof))
+        a.active[:] = rng.random(g.ndof) < rng.choice([0.5, 1.0])
+        s = a.to_scipy().tocoo()
+        coords = g.dof_coords()
+        for ell in range(g.nlevels):
+            w = (1 << ell) * g.m
+            k = g.n // w
+            # cell centers in linear index order; argmin takes the lowest on a tie
+            jj = np.stack(np.meshgrid(*[np.arange(k)] * g.dim, indexing="ij"),
+                          -1).reshape(-1, g.dim)[:, ::-1]
+            centers = w * (jj + 0.5)
+            cell = np.where(a.active, np.argmin(
+                [((coords - c) ** 2).sum(axis=1) for c in centers], axis=0), -1)
+            later = (cell[s.row] >= 0) & (cell[s.col] > cell[s.row])
+            keep = (cell >= 0) & ~np.isin(np.arange(g.ndof), s.row[later])
+            ids = np.unique(cell[keep])
+            cs = adaptive_interior_cells(a, g, ell)
+            assert [c.tolist() for c in cs.cells] == \
+                [np.flatnonzero(keep & (cell == i)).tolist() for i in ids]
+            assert np.array_equal(cs.centers, centers[ids].reshape(-1, g.dim))

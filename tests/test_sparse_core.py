@@ -76,6 +76,26 @@ class TestConstruction:
             assert np.array_equal(got, want)
         assert np.array_equal(a.to_dense(), [[2.0, 3.0], [3.0, 3.0]])
 
+    def test_one_sided_stored_zero_gets_its_mirror(self):
+        # zeros stored at (0, 2) and at (3, 1) only, one of them signed
+        rows, cols = [0, 0, 1, 2, 3, 3], [0, 2, 1, 2, 1, 3]
+        vals = np.array([1.0, 0.0, 2.0, 3.0, -0.0, 4.0])
+        a = SparseSymMatrix.from_scipy(sp.csr_matrix((vals, (rows, cols)), shape=(4, 4)))
+        row = np.repeat(np.arange(4), np.diff(a.indptr))
+        stored = {(int(i), int(j)): v for i, j, v in zip(row, a.indices, a.data)}
+        assert all((j, i) in stored for i, j in stored)
+        assert all(np.all(np.diff(ix) > 0) for ix in a.row_idx)
+        given = dict(zip(zip(rows, cols), vals))
+        for ij, v in stored.items():
+            if ij in given:     # unchanged, the sign of a zero included
+                assert v == given[ij] and np.signbit(v) == np.signbit(given[ij]), ij
+            else:               # a mirror
+                assert v == 0.0, ij
+        assert len(stored) == 8
+        assert a.neighbors(np.array([0])).tolist() == [2]
+        assert a.neighbors(np.array([2])).tolist() == [0]
+        assert a.neighbors(np.array([1])).tolist() == [3]
+
     @pytest.mark.parametrize("s, what", [
         (sp.csr_matrix(np.ones((2, 3))), r"not square: shape \(2, 3\)"),
         (np.ones(3), "must be 2-D, got a 1-D input"),
