@@ -6,7 +6,10 @@ the sparse working matrix: symmetric LDL/Cholesky factorization
 unit-lower-triangular solves (``d_stack``, ``solve_unit_lower``, one
 block by trsm), the inverses of unit lower triangular blocks
 (``invert_unit_lower_stack``), and the interpolative decomposition (ID)
-built on a column-pivoted QR.
+built on a column-pivoted QR, with an exact screen
+(``keeps_every_column``): for a stack of ID blocks of at most
+SCREEN_MAX_COLS columns it proves, from a bound on their singular values,
+which ones the ID would keep whole, so that the ID need not run on them.
 Each block operation has this one implementation: a single block is a
 stack of one (``ldl`` is ``ldl_stack`` on one block), and ``LdlFactor``
 and ``BlockDiag`` only hold a factored block's arrays. Each result comes
@@ -130,6 +133,8 @@ __all__ = [
     "ldl",
     "ldl_stack",
     "interpolative_decomposition",
+    "keeps_every_column",
+    "SCREEN_MAX_COLS",
     "schur_stack",
     "d_stack",
     "solve_unit_lower",
@@ -361,6 +366,62 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
     resid = float(rdiag[k] / r11) if k < rdiag.size else 0.0
     sk_ord, rd_ord = np.argsort(piv[:k]), np.argsort(piv[k:])
     return IdResult(piv[:k][sk_ord], piv[k:][rd_ord], t[np.ix_(sk_ord, rd_ord)], k, resid)
+
+
+# The most columns of an ID block that keeps_every_column screens. Wider
+# blocks are the large fronts, which mostly compress: there the screen's
+# cost would come on top of the ID it cannot spare.
+SCREEN_MAX_COLS = 12
+
+
+def keeps_every_column(blocks: np.ndarray, eps: float) -> np.ndarray:
+    """For each block M of a stack (k, m, n), whether it is proven that
+    ``interpolative_decomposition(M, eps)`` keeps every column, and so
+    returns its fixed full-rank result: ``sk = arange(n)``, an empty ``rd``,
+    an (n, 0) ``t``, ``k = n`` and ``resid = 0``.
+
+    The proof: with singular values s_1 >= ... >= s_n, the ID's first pivot
+    |R_11|, the largest column norm, is at most s_1, and every later |R_jj|,
+    the distance of a column from the span of the columns pivoted before
+    it, is at least s_n. So if s_n > c s_1, where c is the ID's cutoff ratio
+    (eps, or max(m, n) u at eps = 0, u the machine epsilon), no pivot falls
+    to the cutoff. The screen asks s_n > tau s_1 with tau = 2 max(eps,
+    max(m, n) u) + 100 max(m, n) u, whose margin covers the rounding of
+    geqp3 (of order n max(m, n) u s_1 at worst) for the at most
+    SCREEN_MAX_COLS columns screened.
+
+    The test runs on the Gram matrix G = M^T M, whose trace ||M||_F^2 is
+    at least s_1^2: a Cholesky factorization of G - (tau^2 + rho) tr(G) I,
+    with rho = 100 (m + n) u, stacked (one column of every block per step),
+    that completes proves s_n^2 > tau^2 s_1^2. Its own rounding, (n + 1) u
+    tr(G), and that of forming G, m u tr(G), are within rho. It costs a
+    fraction of an SVD of the stack. Blocks with s_n / ||M||_F between tau
+    and sqrt(tau^2 + rho) are not proven and go to the ID (sqrt(rho) is
+    1e-6 for m + n = 45).
+
+    Zero rows change neither G nor the singular values; they only raise m,
+    and so tau and rho, which makes the test stricter: blocks of one width
+    may be zero-padded to one row count and screened as one stack. Blocks
+    with fewer rows than columns, none, or more than SCREEN_MAX_COLS columns
+    never pass.
+    """
+    k, m, n = blocks.shape
+    if not 0 < n <= min(m, SCREEN_MAX_COLS):
+        return np.zeros(k, dtype=bool)
+    u, big = np.finfo(float).eps, max(m, n)
+    tau = 2.0 * max(eps, big * u) + 100.0 * big * u
+    h = blocks.transpose(0, 2, 1) @ blocks
+    shift = (tau * tau + 100.0 * (m + n) * u) * np.trace(h, axis1=1, axis2=2)
+    h[:, np.arange(n), np.arange(n)] -= shift[:, None]
+    # left-looking: column j of L from the columns before it, in the lower
+    # triangle of h; a block that fails keeps zero columns from there on
+    ok = np.ones(k, dtype=bool)
+    for j in range(n):
+        col = h[:, j:, j] - (h[:, j:, :j] @ h[:, j, :j, None])[:, :, 0]
+        ok &= col[:, 0] > 0.0
+        r = np.sqrt(np.where(ok, col[:, 0], 1.0))
+        h[:, j:, j] = np.where(ok[:, None], col / r[:, None], 0.0)
+    return ok
 
 
 def d_stack(diag: np.ndarray, sub: np.ndarray, pairs, t: np.ndarray,

@@ -7,7 +7,9 @@ working matrix (``sparse.SparseSymMatrix``), reading its CSR arrays:
   against their neighbors; cells that interact raise ValueError naming two.
 * skeletonize_level skeletonizes a level's interface groups: the IDs
   first, in group order, then each compressed group's congruence, which
-  truncates the coupling of its redundant DOFs rd to the outside.
+  truncates the coupling of its redundant DOFs rd to the outside. A group
+  whose ID block an exact screen proves full rank skips its ID, so levels
+  whose fronts are too small to compress run none.
 
 Both check their groups (``_groups``), then retire DOFs by one
 elimination step (``_retire``), as the per-cell operations below end in
@@ -36,12 +38,13 @@ or written.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (EMPTY_FACTOR, LdlFactor, interpolative_decomposition, ldl, ldl_stack,
-                    schur_stack)
+from .dense import (EMPTY_FACTOR, SCREEN_MAX_COLS, LdlFactor, interpolative_decomposition,
+                    keeps_every_column, ldl, ldl_stack, schur_stack)
 from .sparse import DofState, SparseSymMatrix, sorted_unique, spans
 
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
@@ -412,6 +415,14 @@ def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
     level-start matrix with a mask of the retired DOFs. Then the compressed
     groups' rd are eliminated against their sk by the elimination step
     (_retire); their sk are disjoint, so no two updates meet.
+
+    A group's ID is skipped where its result is known. If the level-start
+    block of a group of at most SCREEN_MAX_COLS columns passes the screen
+    (``dense.keeps_every_column``), its ID keeps every column; so does the
+    block at the group's turn if none of its rows is retired by then, since
+    a retired row leaves the block and can lower its rank. Such a group
+    keeps its cell as its sk and runs no geqp3. Every other group runs its
+    ID in group order, and the factor is the same bit for bit.
     """
     if not cells:
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), True).out
@@ -446,19 +457,55 @@ def _skeleton_stacks(f: _Fronts, start: int, retired: np.ndarray, eps: float,
     group order: marks each group's rd in ``retired`` and its |rd| in
     ``rd_len``. Returns the compressed groups as stacks of one shape for
     _retire, with the blocks of the congruence (B_rr, B_sr) over their rd
-    and sk, and appends each uncompressed shape's (idx, sk) to ``kept``."""
+    and sk, and appends each uncompressed shape's (idx, sk) to ``kept``.
+
+    The groups that pass the screen (one call per width) skip their ID.
+    The others are taken from a heap in group order; one that compresses
+    pushes the screened later groups with a row in its rd, found in an
+    index of the screened groups' rows by DOF, built at most once per
+    chunk."""
     k = len(f.clen)
-    pp, opp, qp, oqp = f.gather(np.arange(k))
-    ids = []
-    for i in range(k):
+    group = np.repeat(np.arange(k), f.qlen)
+    # screened: at most SCREEN_MAX_COLS columns, at least as many rows, and
+    # none of them retired by an earlier chunk
+    screened = ((f.clen <= SCREEN_MAX_COLS) & (f.qlen >= f.clen)
+                & (np.bincount(group, retired[f.q], k) == 0))
+    order, runs = _shape_runs(np.where(screened, f.clen, 0))
+    pp, opp, qp, oqp = f.gather(order)
+    run = np.ones(k, dtype=bool)
+    for a, b in runs:
+        idx = order[a:b]
+        if screened[idx[0]]:
+            # the blocks of one width, laid out back to back, zero-padded to
+            # the most rows
+            c, q = int(f.clen[idx[0]]), f.qlen[idx]
+            blocks = np.zeros((b - a, q.max(), c))
+            blocks[np.arange(q.max()) < q[:, None]] = qp[oqp[idx[0]]:][:q.sum() * c].reshape(-1, c)
+            run[idx] = ~keeps_every_column(blocks, eps)
+    todo, ids, nrd = np.flatnonzero(run).tolist(), {}, np.zeros(k, np.int64)
+    rows = None
+    while todo:
+        i = heapq.heappop(todo)
         nc, nq = int(f.clen[i]), int(f.qlen[i])
         m_qp = qp[oqp[i]:oqp[i] + nq * nc].reshape(nq, nc)
         live = ~retired[f.q[f.qstart[i]:f.qstart[i] + nq]]
         idr = interpolative_decomposition(m_qp if live.all() else m_qp[live], eps)
-        retired[f.members[f.cstart[i] + idr.rd]] = True
-        ids.append((idr.sk, idr.rd, idr.t))
+        if not len(idr.rd):
+            continue
+        ids[i], nrd[i] = (idr.sk, idr.rd, idr.t), len(idr.rd)
+        rd = f.members[f.cstart[i] + idr.rd]
+        retired[rd] = True
+        if rows is None:
+            # the rows of the screened groups by DOF, and their groups
+            watch = ~run[group]
+            by_dof = np.argsort(f.q[watch], kind="stable")
+            rows, owner = f.q[watch][by_dof], group[watch][by_dof]
+        lo, hi = np.searchsorted(rows, rd), np.searchsorted(rows, rd, side="right")
+        for j in {j for a, b in zip(lo.tolist(), hi.tolist())
+                  for j in owner[a:b].tolist() if j > i and not run[j]}:
+            run[j] = True
+            heapq.heappush(todo, j)
 
-    nrd = np.array([len(x[1]) for x in ids])
     rd_len[start:start + k] = nrd
     order, runs = _shape_runs(nrd * (f.clen.max() + 1) + f.clen)
     stacks = []
@@ -466,13 +513,14 @@ def _skeleton_stacks(f: _Fronts, start: int, retired: np.ndarray, eps: float,
         idx = order[a:b]
         m, nc = int(nrd[idx[0]]), int(f.clen[idx[0]])
         c = f.cells(idx)
-        lsk = np.stack([ids[i][0] for i in idx.tolist()]).reshape(b - a, nc - m)
-        sk = np.take_along_axis(c, lsk, 1)
         if not m:
-            kept.append((start + idx, sk))
+            # an uncompressed group keeps its cell as it is
+            kept.append((start + idx, c))
             continue
+        lsk = np.stack([ids[i][0] for i in idx.tolist()]).reshape(b - a, nc - m)
         lrd = np.stack([ids[i][1] for i in idx.tolist()]).reshape(b - a, m)
         t = np.stack([ids[i][2] for i in idx.tolist()]).reshape(b - a, nc - m, m)
+        sk = np.take_along_axis(c, lsk, 1)
         app = pp[opp[idx][:, None] + np.arange(nc * nc)].reshape(b - a, nc, nc)
         g = np.arange(b - a)[:, None, None]
         a_rr = app[g, lrd[:, :, None], lrd[:, None, :]]

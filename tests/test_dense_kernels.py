@@ -8,7 +8,7 @@ import pytest
 
 from hifde import (BlockDiag, GeneralizedLDL, IndefiniteBlockError, SingularBlockError,
                    interpolative_decomposition, ldl)
-from hifde.dense import ldl_stack, schur_stack
+from hifde.dense import SCREEN_MAX_COLS, IdResult, keeps_every_column, ldl_stack, schur_stack
 
 from oracles import (apply_l, apply_lt, block_apply, block_solve, check_id_properties,
                      random_spd, random_symmetric, reference_id, reference_ldl,
@@ -179,6 +179,78 @@ class TestInterpolativeDecomposition:
 
     def test_property_suite(self):
         check_id_properties(200)
+
+
+def full_rank_id(ncols):
+    """The ID's fixed result when it keeps every column."""
+    return IdResult(np.arange(ncols), np.arange(0), np.empty((ncols, 0)), ncols, 0.0)
+
+
+def screen_tau(m, n, eps):
+    u = np.finfo(float).eps
+    return 2.0 * max(eps, max(m, n) * u) + 100.0 * max(m, n) * u
+
+
+def with_singular_values(rng, m, s):
+    """A random m x len(s) block with singular values s."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    return (u * s) @ v.T
+
+
+def graded(rng, m, n, ratio):
+    """An m x n block with singular values from 1 down to ratio, log-spaced."""
+    return with_singular_values(rng, m, np.geomspace(1.0, ratio, n))
+
+
+class TestKeepsEveryColumn:
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-6, 1e-2])
+    def test_passes_only_where_the_id_keeps_every_column(self, eps):
+        # each block alone, and below three zero rows, as the level step
+        # pads the blocks of one width
+        rng = np.random.default_rng(17)
+        cases = TestInterpolativeDecomposition.shape_sweep()
+        for m, n in ((20, 3), (44, 7), (12, 12), (3, 3)):
+            tau = screen_tau(m + 3, n, eps)
+            for r in (0.5, 0.99, 1.01, 1.5, 10.0):
+                cases.append(graded(rng, m, n, min(r * tau, 1.0)))
+            cases += [graded(rng, m, n, r) for r in (1e-5, 1e-3, 0.1, 0.5)]
+        passed = 0
+        for blk in cases:
+            m, n = blk.shape
+            for padded in (blk, np.vstack([blk, np.zeros((3, n))])):
+                ok = keeps_every_column(padded[None], eps)[0]
+                if not ok:
+                    continue
+                passed += 1
+                s = np.linalg.svd(blk, compute_uv=False)
+                assert s[-1] > screen_tau(*padded.shape, eps) * s[0], blk.shape
+                assert same_id(interpolative_decomposition(blk, eps), full_rank_id(n)), blk.shape
+        assert passed >= 20
+
+    def test_tight_where_tau_dominates_its_rounding(self):
+        # at eps = 1e-2 a block just above tau passes, one just below never
+        # does (one large singular value, so ||M||_F is within 0.3% of s_1)
+        rng = np.random.default_rng(18)
+        for m, n in ((20, 3), (44, 7), (12, 12)):
+            tau = screen_tau(m, n, 1e-2)
+            blocks = np.stack([with_singular_values(rng, m, [1.0] + [r * tau] * (n - 1))
+                               for r in (0.99, 1.01)])
+            assert keeps_every_column(blocks, 1e-2).tolist() == [False, True]
+
+    def test_stack_is_screened_block_by_block(self):
+        rng = np.random.default_rng(19)
+        blocks = np.stack([graded(rng, 20, 3, r) for r in (0.5, 1e-9, 0.1, 1.0)])
+        blocks[3] = 0.0
+        assert keeps_every_column(blocks, 1e-6).tolist() == [True, False, True, False]
+        assert keeps_every_column(blocks[:0], 1e-6).shape == (0,)
+
+    def test_shapes_never_screened(self):
+        # fewer rows than columns, no columns, more than SCREEN_MAX_COLS
+        n = SCREEN_MAX_COLS
+        assert keeps_every_column(np.eye(n)[None], 1e-6).tolist() == [True]
+        for blk in (np.eye(n + 1), np.eye(3)[:2], np.zeros((4, 0))):
+            assert keeps_every_column(blk[None], 1e-6).tolist() == [False]
 
 
 class TestSchurComplement:

@@ -13,6 +13,7 @@ from hifde import (IndefiniteBlockError, SingularBlockError, SparseSymMatrix, as
                    make_problem)
 from hifde import factor_ops
 from hifde.bench import EXAMPLE_SPD
+from hifde.dense import keeps_every_column
 from hifde.sparse import spans
 
 from oracles import factor_digest, reference_factor
@@ -161,6 +162,65 @@ def test_skeleton_level_that_compresses_nothing(monkeypatch):
     assert factor_digest(f) == factor_digest(g)
     assert seen[0] == (0.5, 480, 0, True)
     assert all(rd and not same for _, _, rd, same in seen[2:])
+
+
+def test_no_id_where_nothing_compresses(monkeypatch):
+    # Ex. 1 n=64 at eps=1e-6: levels 0.5 and 1.5 (3- and 7-DOF edges) pass
+    # the screen and run no ID; every group of a compressing level runs one
+    ids, seen = [], []
+    spy(monkeypatch, "interpolative_decomposition", ids)
+    real = factor_ops.skeletonize_level
+
+    def level(w, cells, eps, tag, spd):
+        before = len(ids)
+        out = real(w, cells, eps, tag, spd)
+        seen.append((tag, len(cells), len(ids) - before, np.count_nonzero(out["rd_len"])))
+        return out
+    monkeypatch.setattr("hifde.driver.skeletonize_level", level)
+    make, grid = problem(1, 64)
+    f = factor_hifde(make(), grid, 1e-6)
+    assert [(tag, calls, rd) for tag, _, calls, rd in seen[:2]] == [(0.5, 0, 0), (1.5, 0, 0)]
+    assert all(calls == groups and rd for _, groups, calls, rd in seen[2:])
+    assert len(seen) > 2
+    assert factor_digest(f) == factor_digest(reference_factor(make(), grid, "hifde", 1e-6))
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one_chunk", "chunk_per_group"])
+def test_screen_sees_rows_retired_earlier_in_the_level(monkeypatch, budget):
+    # level 0.5 of 2D n=16, m=4 holds the edges A = [45, 46, 47] and then
+    # B = [49, 50, 51]; the level-0 cells couple to nothing, and 52, 108,
+    # 112 are vertices on the level-1 separator. A's block, rows 50 and
+    # 108, compresses at eps=1e-6 and retires 46 and 47. B's level-start
+    # block, rows 46, 52 and 112, is a permuted identity and passes the
+    # screen; without row 46 its column 50 is zero, so B's ID must run, on
+    # the rows left, and retire 50.
+    grid = build_grid(2, 16, 4)
+    pairs = {(108, 45): 1e8, (108, 46): 0.5e8, (108, 47): 0.25e8,
+             (50, 46): 1.0, (52, 49): 1.0, (112, 51): 1.0}
+    i, j = np.array(list(pairs)).T
+    v = np.array(list(pairs.values()))
+    k = sp.coo_matrix((np.r_[v, v], (np.r_[i, j], np.r_[j, i])), shape=(225, 225))
+    k = k + 1e9 * sp.eye(225)
+    if budget is not None:
+        monkeypatch.setattr(factor_ops, "spans", lambda costs: spans(costs, budget))
+    ids, starts = [], []
+    spy(monkeypatch, "interpolative_decomposition", ids)
+    real = factor_ops.skeletonize_level
+
+    def level(w, cells, eps, tag, spd):
+        if tag == 0.5:
+            assert cells[0].tolist() == [45, 46, 47] and cells[1].tolist() == [49, 50, 51]
+            starts.append(w.gather(w.neighbors(cells[1]), cells[1]))
+        return real(w, cells, eps, tag, spd)
+    monkeypatch.setattr("hifde.driver.skeletonize_level", level)
+    f = factor_hifde(SparseSymMatrix.from_scipy(k), grid, 1e-6)
+    assert keeps_every_column(starts[0][None], 1e-6).tolist() == [True]
+    runs = [(args[0].tolist(), out.rd.tolist()) for args, out in ids]
+    assert ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [1]) in runs
+    lf = f.levels[1]
+    assert lf.level == 0.5 and [50] in [r.rd.tolist() for r in lf.records]
+    g = reference_factor(SparseSymMatrix.from_scipy(k), grid, "hifde", 1e-6)
+    assert factor_digest(f) == factor_digest(g)
 
 
 def test_3d_elimination_one_cell_per_chunk(monkeypatch):
