@@ -3,11 +3,12 @@
 Emits one CSV row per (example, n, eps) combination. Exit code is 0 only
 if every row succeeded.
 
-BLAS threads: the factorization runs on the process's count,
-OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before Python starts, and its
-bits depend on that count. Solves of a block of columns run on one
-OpenBLAS thread (process-wide while they run); single columns keep the
-process's count.
+BLAS threads: the factorization runs SciPy's OpenBLAS copy on one thread
+and NumPy's on the process's count, OPENBLAS_NUM_THREADS /
+OMP_NUM_THREADS set before Python starts; its bits depend on that count
+through NumPy's matmul. Solves of a block of columns run both copies on
+one thread; single columns keep the process's count. Each pin is
+process-wide while it is held.
 """
 
 from __future__ import annotations

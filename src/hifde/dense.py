@@ -20,13 +20,15 @@ package touches LAPACK.
 The module also owns the BLAS thread policy. NumPy's matmul and SciPy's
 trsm/LAPACK run on two separate OpenBLAS copies bundled with the wheels;
 ``blas_threads`` reads their thread counts and ``one_blas_thread`` pins
-both to one thread for a block of code, through their own entry points
-(ctypes), and restores the previous counts on exit. The pin is
-process-wide; blocks that overlap in several threads share it. The
-factorization runs on the process's thread count, because every level
-kernel (the ID, potrf/sytrf, trsm, matmul) rounds differently with it, so
-the factor's bits depend on it; only the multi-column solves are pinned
-(``driver.GeneralizedLDL``).
+the libraries its caller names to one thread for a block of code, through
+their own entry points (ctypes), and restores each one's previous count
+on exit. The pin is process-wide and kept per library; blocks that
+overlap in several threads share it. The factorization pins SciPy's copy
+only (``driver._factor_threads``): its level steps make thousands of
+small per-block LAPACK calls, whose second thread only contends with
+NumPy's pool for the cores. NumPy's stacked matmuls keep the process's
+count, because pinning them too changes the 3D factors' ranks. The
+multi-column solves pin both libraries (``driver.GeneralizedLDL``).
 """
 
 from __future__ import annotations
@@ -88,37 +90,48 @@ def blas_threads() -> dict | None:
 
 
 class _Pin:
-    """The process-wide pin of one_blas_thread: how many blocks hold it and
-    the counts to restore when the last of them exits."""
+    """The process-wide pin of one_blas_thread, kept per library (by its
+    position in ``_openblas()``): how many blocks hold each one and the
+    count to restore when the last of them exits."""
 
     lock = threading.Lock()
-    depth = 0
-    saved: list = []
+    depth: dict = {}
+    saved: dict = {}
+
+
+_LIBRARIES = ("numpy", "scipy")
 
 
 @contextmanager
-def one_blas_thread():
-    """Run the block on one OpenBLAS thread in every library found,
-    process-wide, and restore each library's previous count on exit, also
-    on an exception. Does nothing when no OpenBLAS copy is found.
+def one_blas_thread(*names: str):
+    """Run the block on one OpenBLAS thread in the libraries named ("numpy"
+    for NumPy's matmul, "scipy" for SciPy's BLAS and LAPACK; every library
+    found when none is named), process-wide, and restore each one's
+    previous count on exit, also on an exception. A library with no
+    OpenBLAS copy found is left alone; an unknown name raises ValueError.
 
-    Blocks that overlap, in one thread or several, share the pin: the
-    first one in saves the counts and pins, the last one out restores."""
-    libs = _openblas()
+    Blocks that overlap, in one thread or several, share each library's
+    pin: the first one in saves its count and pins it, the last one out
+    restores it."""
+    unknown = set(names).difference(_LIBRARIES)
+    if unknown:
+        raise ValueError(f"unknown BLAS libraries {sorted(unknown)}; expected some of {_LIBRARIES}")
+    libs = [(i, get, put) for i, (name, get, put) in enumerate(_openblas())
+            if not names or name in names]
     with _Pin.lock:
-        if not _Pin.depth:
-            _Pin.saved = [get() for _, get, _ in libs]
-            for _, _, put in libs:
+        for i, get, put in libs:
+            if not _Pin.depth.get(i):
+                _Pin.saved[i] = get()
                 put(1)
-        _Pin.depth += 1
+            _Pin.depth[i] = _Pin.depth.get(i, 0) + 1
     try:
         yield
     finally:
         with _Pin.lock:
-            _Pin.depth -= 1
-            if not _Pin.depth:
-                for (_, _, put), k in zip(libs, _Pin.saved):
-                    put(k)
+            for i, _, put in libs:
+                _Pin.depth[i] -= 1
+                if not _Pin.depth[i]:
+                    put(_Pin.saved.pop(i))
 
 
 __all__ = [
@@ -320,11 +333,15 @@ class IdResult:
 
 
 @lru_cache(maxsize=1024)
-def _geqp3_lwork(m: int, n: int) -> int:
-    """geqp3's optimal workspace for an m x n block, from a workspace query,
-    as scipy.linalg.qr sizes it (geqp3's blocking, and so its rounding,
-    depends on the workspace)."""
-    return int(_dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
+def _geqp3_lwork(n: int) -> int:
+    """geqp3's optimal workspace for a block of n >= 1 columns and any
+    number m >= 1 of rows, from a workspace query, as scipy.linalg.qr sizes
+    it (geqp3's blocking, and so its rounding, depends on the workspace).
+    LAPACK sizes it as 2n + (n + 1)·nb, with nb from ilaenv for geqrf,
+    which does not depend on m, so a 1-row block is queried: f2py copies
+    the queried block to Fortran order, and an m x n one costs m times
+    more for the same answer."""
+    return int(_dgeqp3(np.zeros((1, n)), lwork=-1)[3][0])
 
 
 def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
@@ -347,7 +364,7 @@ def interpolative_decomposition(m: np.ndarray, eps: float) -> IdResult:
     ncols = m.shape[1]
     if m.size == 0 or not np.any(m):
         return IdResult(np.arange(0), np.arange(ncols), np.zeros((0, ncols)), 0, 0.0)
-    r, piv, _, _, _ = _dgeqp3(m, lwork=_geqp3_lwork(*m.shape))
+    r, piv, _, _, _ = _dgeqp3(m, lwork=_geqp3_lwork(ncols))
     piv -= 1
     rdiag = np.abs(np.diag(r))
     r11 = rdiag[0]

@@ -301,7 +301,8 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
     """Common driver loop: ``schedule`` yields (level_tag, cellset,
     is_skeleton) from the working matrix, which starts as ``a``'s entries
     with a copy of its active flags and is replaced by each level's step;
-    ``a`` is not changed.
+    ``a`` is not changed. It all runs under ``_factor_threads``, whose
+    counts ``metrics["blas_threads"]`` records.
 
     A FactorizationError is given the level tag, the group's index and its
     size (``FactorizationError.locate``). A matrix of another size than
@@ -311,26 +312,27 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     t0 = time.perf_counter()
-    w = SparseSymMatrix(a.n, a.indptr, a.indices, a.data, a.active.copy())
-    levels: list[LevelFactor] = []
-    trace: list[tuple[float, int]] = [(-1.0, int(w.active.sum()))]
-    level_times: list[tuple[float, float]] = []
-    threads = blas_threads()
-    for tag, cs, is_skel in schedule(w):
-        t_level = time.perf_counter()
-        if is_skel:
-            flats = skeletonize_level(w, cs.cells, eps, tag, spd)
-        else:
-            flats = eliminate_level(w, cs.cells, tag, spd)
-        levels.append(_level(tag, spd, flats))
-        trace.append((tag, int(w.active.sum())))
-        level_times.append((tag, time.perf_counter() - t_level))
-    s_top = np.flatnonzero(w.active)
-    try:
-        top = ldl(w.gather(s_top, s_top), spd)
-    except FactorizationError as exc:
-        exc.locate(None, None, len(s_top))
-        raise
+    with _factor_threads():
+        threads = blas_threads()
+        w = SparseSymMatrix(a.n, a.indptr, a.indices, a.data, a.active.copy())
+        levels: list[LevelFactor] = []
+        trace: list[tuple[float, int]] = [(-1.0, int(w.active.sum()))]
+        level_times: list[tuple[float, float]] = []
+        for tag, cs, is_skel in schedule(w):
+            t_level = time.perf_counter()
+            if is_skel:
+                flats = skeletonize_level(w, cs.cells, eps, tag, spd)
+            else:
+                flats = eliminate_level(w, cs.cells, tag, spd)
+            levels.append(_level(tag, spd, flats))
+            trace.append((tag, int(w.active.sum())))
+            level_times.append((tag, time.perf_counter() - t_level))
+        s_top = np.flatnonzero(w.active)
+        try:
+            top = ldl(w.gather(s_top, s_top), spd)
+        except FactorizationError as exc:
+            exc.locate(None, None, len(s_top))
+            raise
     f = GeneralizedLDL(
         n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
         top_idx=s_top, top=top,
@@ -347,12 +349,25 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
     return f
 
 
+def _factor_threads():
+    """The BLAS threads of a factorization (its schedule, level steps and
+    top block): SciPy's copy on one thread, NumPy's on the process's count.
+    The level steps make thousands of small per-block LAPACK and trsm
+    calls, and a second SciPy thread only contends with NumPy's pool for
+    the cores (on 2 cores, Ex. 6 3D n=32 hifde3x took 6.0-6.9 s unpinned
+    against 3.6-5.1 s pinned). The pin is set once per factor: setting a
+    count costs more than one small call gains. NumPy's stacked matmuls
+    keep the process's count, as pinning them too changes the 3D factors'
+    ranks."""
+    return one_blas_thread("scipy")
+
+
 def _sweep_threads(v: np.ndarray):
     """The BLAS threads of a sweep over the columns v: one for a block,
     whose stacked matmuls and trsms ran ~2.5x faster so on a 2-core host;
     the process's count for a single column, whose gemv-sized calls gain
     nothing and pay the switch."""
-    return one_blas_thread() if v.shape[1] > 1 else nullcontext()
+    return one_blas_thread("numpy", "scipy") if v.shape[1] > 1 else nullcontext()
 
 
 def _columns(x, n: int) -> np.ndarray:

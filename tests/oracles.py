@@ -477,7 +477,8 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
                      skip_levels: int | None = None, verify: bool = False):
     """The factor of ``factor_<algo>`` built group by group with
     eliminate_cell and skeletonize_cell on the row-list matrix ``a``, over
-    the same schedule: the per-cell loop the level steps must reproduce."""
+    the same schedule and under the same BLAS thread pin: the per-cell loop
+    the level steps must reproduce."""
     from hifde import driver
     from hifde.dense import FactorizationError, ldl
 
@@ -485,29 +486,30 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
         schedule = driver._hifde3x_schedule(grid, 1 if skip_levels is None else skip_levels)
     else:   # mf is hifde with no level skeletonized
         schedule = driver._hifde_schedule(grid, grid.nlevels if algo == "mf" else skip_levels or 0)
-    state = DofState(a.n)
-    levels = []
-    for tag, cs, is_skel in schedule(a):
-        if verify and not is_skel:
-            assert_noninteracting(a, cs)
-        records = []
-        for i, members in enumerate(cs.cells):
-            try:
-                if is_skel:
-                    records.append(skeletonize_cell(a, state, members, eps, tag, spd))
-                else:
-                    records.append(eliminate_cell(a, state, members, tag, spd))
-            except FactorizationError as exc:
-                exc.locate(tag, i, len(members))
-                raise
-        records.sort(key=lambda r: (len(r.rd), len(r.sk), r.interp is not None))
-        levels.append(reference_level(tag, spd, records))
-    s_top = np.flatnonzero(a.active)
-    try:
-        top = ldl(a.gather(s_top, s_top), spd)
-    except FactorizationError as exc:
-        exc.locate(None, None, len(s_top))
-        raise
+    with driver._factor_threads():
+        state = DofState(a.n)
+        levels = []
+        for tag, cs, is_skel in schedule(a):
+            if verify and not is_skel:
+                assert_noninteracting(a, cs)
+            records = []
+            for i, members in enumerate(cs.cells):
+                try:
+                    if is_skel:
+                        records.append(skeletonize_cell(a, state, members, eps, tag, spd))
+                    else:
+                        records.append(eliminate_cell(a, state, members, tag, spd))
+                except FactorizationError as exc:
+                    exc.locate(tag, i, len(members))
+                    raise
+            records.sort(key=lambda r: (len(r.rd), len(r.sk), r.interp is not None))
+            levels.append(reference_level(tag, spd, records))
+        s_top = np.flatnonzero(a.active)
+        try:
+            top = ldl(a.gather(s_top, s_top), spd)
+        except FactorizationError as exc:
+            exc.locate(None, None, len(s_top))
+            raise
     f = driver.GeneralizedLDL(n=a.n, dim=grid.dim, spd=spd, eps=eps, levels=levels,
                               top_idx=s_top, top=top)
     f.check()

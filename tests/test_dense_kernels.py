@@ -110,6 +110,16 @@ class TestInterpolativeDecomposition:
         for m in self.shape_sweep():
             assert same_id(interpolative_decomposition(m, eps), reference_id(m, eps)), m.shape
 
+    def test_workspace_query_of_one_row_is_the_full_query(self):
+        # geqp3's workspace sets its blocking, and so its rounding: the
+        # 1-row query must size it as the query of the m x n block does
+        from scipy.linalg.lapack import dgeqp3
+        from hifde.dense import _geqp3_lwork
+        for n in (1, 2, 3, 7, 12, 13, 31, 32, 33, 64, 100, 129, 257, 400):
+            for m in sorted({1, max(1, n // 2), max(1, n - 1), n, n + 1, 3 * n, 4000}):
+                full = int(dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
+                assert _geqp3_lwork(n) == full, (m, n)
+
     @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-6, 1e-2, 2.0])
     def test_sets_ascending_with_t_to_match(self, eps):
         ranks = set()
