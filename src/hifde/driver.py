@@ -21,9 +21,13 @@ back in a few flat arrays (``LevelFactor.flats``), and ``records`` builds
 Each level is one level-synchronous step on the working matrix
 (``factor_ops.eliminate_level``, ``factor_ops.skeletonize_level``): the
 fronts of all its groups are gathered in vectorized passes, the dense
-blocks are factored as stacks, and the matrix's entries are replaced once
-(``SparseSymMatrix.rebuilt``). The working matrix starts from the input's
-CSR arrays without a copy and never writes into them, so the input is
+blocks are factored as stacks, and the matrix's entries are replaced once.
+The working matrix is one object across the levels, in one of two
+storages (``sparse``): it starts from the input's CSR arrays without a
+copy, and the first step whose output is at least 1/8 stored
+(``factor_ops.DENSE_SHARE``) turns it into a dense matrix over the DOFs
+still active, which the later steps write in place and the top block is
+gathered from. It never writes into the input's arrays, so the input is
 left unchanged. The result is bit-identical to eliminating or
 skeletonizing the groups one by one (``eliminate_cell``,
 ``skeletonize_cell``), the reference the tests compare against; the steps
@@ -50,6 +54,7 @@ the archive and refuses a corrupted one.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import zipfile
 from contextlib import nullcontext
@@ -66,7 +71,7 @@ from .discretize import GridConfig
 from .factor_ops import (FLAT_DTYPES, Record, eliminate_cell,  # noqa: F401
                          eliminate_level, record_sizes, skeletonize_cell, skeletonize_level)
 from .partition import adaptive_interior_cells, interface_cells, interior_cells
-from .sparse import SparseSymMatrix
+from .sparse import DenseSymMatrix, SparseSymMatrix
 
 __all__ = [
     "Group",
@@ -302,7 +307,9 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
     is_skeleton) from the working matrix, which starts as ``a``'s entries
     with a copy of its active flags and is replaced by each level's step;
     ``a`` is not changed. It all runs under ``_factor_threads``, whose
-    counts ``metrics["blas_threads"]`` records.
+    counts ``metrics["blas_threads"]`` records. ``metrics["dense_from"]``
+    is the tag of the level whose output made the working matrix dense
+    (None if none did) and ``metrics["dense_order"]`` its order then.
 
     A FactorizationError is given the level tag, the group's index and its
     size (``FactorizationError.locate``). A matrix of another size than
@@ -318,6 +325,7 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
         levels: list[LevelFactor] = []
         trace: list[tuple[float, int]] = [(-1.0, int(w.active.sum()))]
         level_times: list[tuple[float, float]] = []
+        dense_from = dense_order = None
         for tag, cs, is_skel in schedule(w):
             t_level = time.perf_counter()
             if is_skel:
@@ -326,10 +334,15 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
                 flats = eliminate_level(w, cs.cells, tag, spd)
             levels.append(_level(tag, spd, flats))
             trace.append((tag, int(w.active.sum())))
+            if dense_from is None and isinstance(w, DenseSymMatrix):
+                dense_from, dense_order = tag, len(w.dofs)
             level_times.append((tag, time.perf_counter() - t_level))
         s_top = np.flatnonzero(w.active)
+        block = w.gather(s_top, s_top)
+        # the working matrix, dense by now on most grids, is not needed again
+        del w
         try:
-            top = ldl(w.gather(s_top, s_top), spd)
+            top = ldl(block, spd)
         except FactorizationError as exc:
             exc.locate(None, None, len(s_top))
             raise
@@ -343,6 +356,8 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
         "active_trace": trace,
         "level_seconds": level_times,
         "blas_threads": threads,
+        "dense_from": dense_from,
+        "dense_order": dense_order,
         "m_f_bytes": f.storage_bytes(),
         "t_f_seconds": time.perf_counter() - t0,
     }
@@ -417,9 +432,17 @@ def factor_mf(a: SparseSymMatrix, grid: GridConfig, spd: bool = True) -> General
     return _run_levels(a, grid, spd, 0.0, _hifde_schedule(grid, grid.nlevels))
 
 
+def _check_skip_levels(skip_levels) -> None:
+    if isinstance(skip_levels, bool) or not isinstance(skip_levels, numbers.Integral) \
+            or skip_levels < 0:
+        raise ValueError(f"skip_levels must be an integer >= 0, got {skip_levels!r}")
+
+
 def factor_hifde(a: SparseSymMatrix, grid: GridConfig, eps: float,
                  spd: bool = True, skip_levels: int = 0) -> GeneralizedLDL:
-    """Interior elimination plus edge (2D) / face (3D) skeletonization."""
+    """Interior elimination plus edge (2D) / face (3D) skeletonization,
+    from level ``skip_levels`` on (an integer >= 0, else ValueError)."""
+    _check_skip_levels(skip_levels)
     return _run_levels(a, grid, spd, eps, _hifde_schedule(grid, skip_levels))
 
 
@@ -429,10 +452,12 @@ def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
 
     Edge compression couples DOFs across cell boundaries, so interior
     cells at levels >= 1 are rebuilt adaptively from the sparsity pattern.
-    Edge skeletonization is skipped for the first ``skip_levels`` levels.
+    Edge skeletonization is skipped for the first ``skip_levels`` levels
+    (an integer >= 0, else ValueError).
     """
     if grid.dim != 3:
         raise ValueError("factor_hifde3x requires a 3D grid")
+    _check_skip_levels(skip_levels)
     return _run_levels(a, grid, spd, eps, _hifde3x_schedule(grid, skip_levels))
 
 

@@ -1,7 +1,7 @@
 """Elimination and skeletonization of the working matrix.
 
 The factorization runs one level-synchronous step per level on the
-working matrix (``sparse.SparseSymMatrix``), reading its CSR arrays:
+working matrix, in either of its storages (``sparse``):
 
 * eliminate_level eliminates a level's mutually non-interacting cells
   against their neighbors; cells that interact raise ValueError naming two.
@@ -15,8 +15,13 @@ Both check their groups (``_groups``), then retire DOFs by one
 elimination step (``_retire``), as the per-cell operations below end in
 ``_eliminate``: the pivot blocks of one shape factored as a stack
 (``dense.ldl_stack``), each front's Schur update (``dense.schur_stack``)
-written where ``SparseSymMatrix.rebuilt`` places it in the matrix's new
-entries, and the records into their level's flat arrays (FLAT_DTYPES).
+written into the matrix's output, and the records into their level's flat
+arrays (FLAT_DTYPES). On CSR the output is new arrays, laid out by
+``SparseSymMatrix.rebuilt``, which places each update. The first step
+whose output is at least DENSE_SHARE stored writes it into a new dense
+matrix instead (``sparse.DenseSymMatrix``), and the steps after it read
+their fronts from that matrix by np.ix_ gathers and write into it in
+place: the dense tail, which the merged fronts of the last levels fill.
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
 through the matrix's per-cell methods, changing it in place and returning
@@ -45,7 +50,7 @@ import numpy as np
 
 from .dense import (EMPTY_FACTOR, SCREEN_MAX_COLS, LdlFactor, interpolative_decomposition,
                     keeps_every_column, ldl, ldl_stack, schur_stack)
-from .sparse import DofState, SparseSymMatrix, sorted_unique, spans
+from .sparse import DenseSymMatrix, DofState, SparseSymMatrix, sorted_unique, spans
 
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
            "skeletonize_level"]
@@ -159,8 +164,8 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
 
 
 # -- level-synchronous steps -------------------------------------------------
-# The factorization proper: a whole level at once on the CSR arrays of the
-# working matrix, with the arithmetic of the per-cell operations above and
+# The factorization proper: a whole level at once on the working matrix,
+# CSR or dense, with the arithmetic of the per-cell operations above and
 # so the same factor, bit for bit. A level's groups are taken in chunks, in
 # group order, of about sparse.CHUNK entries (row entries and dense blocks),
 # and the blocks of one shape within a chunk are factored as one stack.
@@ -204,7 +209,7 @@ def _groups(w: SparseSymMatrix, cells: list, mark: np.ndarray, level: float):
         g, h = group([i, seen[i]])
         raise ValueError(f"group {g} {at} holds DOF {members[i]} twice" if g == h else
                          f"group {g} {at} shares DOF {members[i]} with group {h}")
-    return members, clen, np.add.reduceat(np.diff(w.indptr)[members], ends - clen)
+    return members, clen, np.add.reduceat(w.row_lengths(members), ends - clen)
 
 
 def _neighbors(w: SparseSymMatrix, cells: list, mark: np.ndarray, label: np.ndarray,
@@ -226,17 +231,37 @@ def _neighbors(w: SparseSymMatrix, cells: list, mark: np.ndarray, label: np.ndar
 
 class _Fronts:
     """The fronts of consecutive groups ``cells`` of a level, read from the
-    working matrix ``w`` in vectorized passes: each group's active neighbors
-    (``q``, flat, ascending per group, ``qlen`` each) and the entries of
-    its rows, split into those of A[c, c] and of A[q, c] (the mirror of
-    A[c, q]); ``mark`` as in _expand.
+    working matrix ``w``: each group's active neighbors (``q``, flat,
+    ascending per group, ``qlen`` each) and its blocks A[c, c] and A[q, c]
+    (the mirror of A[c, q]); ``mark`` as in _expand.
+
+    On CSR the entries of the groups' rows are read in vectorized passes
+    and split into the two blocks. On the dense storage a group's neighbors
+    are the stored columns of its rows outside it, and ``gather`` reads its
+    blocks by np.ix_ gathers: the same values, as a slot that is not stored
+    holds +0.0.
     """
 
-    def __init__(self, w: SparseSymMatrix, cells: list, mark: np.ndarray):
-        n = w.n
-        self.members, row, g, cols, vals, inside, nb = _expand(w, cells, mark)
+    def __init__(self, w: SparseSymMatrix | DenseSymMatrix, cells: list, mark: np.ndarray):
         self.clen = np.fromiter(map(len, cells), np.int64, len(cells))
         self.cstart = np.cumsum(self.clen) - self.clen
+        self._dense = w if isinstance(w, DenseSymMatrix) else None
+        if self._dense is not None:
+            self.members = np.concatenate(cells)
+            live = w.active[w.dofs]
+            # each group's slots and its neighbors' slots
+            self._slots = []
+            for c in cells:
+                p = w.slot[c]
+                nb = w.stored[p].any(axis=0) & live
+                nb[p] = False
+                self._slots.append((p, np.flatnonzero(nb)))
+            self.qlen = np.array([len(s) for _, s in self._slots], dtype=np.int64)
+            self.qstart = np.cumsum(self.qlen) - self.qlen
+            self.q = w.dofs[np.concatenate([s for _, s in self._slots])]
+            return
+        n = w.n
+        self.members, row, g, cols, vals, inside, nb = _expand(w, cells, mark)
         pos = np.arange(len(self.members)) - np.repeat(self.cstart, self.clen)
         mark[self.members] = pos
         col_pos = mark[cols[inside]]
@@ -266,6 +291,14 @@ class _Fronts:
         opp[order] = np.cumsum(cl * cl) - cl * cl
         oqp[order] = np.cumsum(ql * cl) - ql * cl
         pp, qp = np.zeros(int((cl * cl).sum())), np.zeros(int((ql * cl).sum()))
+        if self._dense is not None:
+            a = self._dense.values
+            for i in order.tolist():
+                p, s = self._slots[i]
+                pp[opp[i]:opp[i] + p.size * p.size] = a[np.ix_(p, p)].ravel()
+                qp[oqp[i]:oqp[i] + s.size * p.size].reshape(s.size, p.size)[...] = \
+                    a[np.ix_(p, s)].T
+            return pp, opp, qp, oqp
         g, r, c, v = self._pp
         pp[opp[g] + r * self.clen[g] + c] = v
         g, r, c, v = self._qp
@@ -309,24 +342,67 @@ def _shape_runs(keys: np.ndarray):
     return order, list(zip(edges, edges[1:]))
 
 
-def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes: np.ndarray,
-            chunks, flats: _Flats, cells: list, level: float, spd: bool) -> None:
+# A level step's output goes dense, and stays so up to the top block, once
+# its bound (the kept entries and every clique's |clique|^2 pairs) is at
+# least DENSE_SHARE of m^2, m the DOFs active after it. The bounds fall far
+# on either side: over Ex. 1-3 2D n=128-512 (hifde, mf) and Ex. 4 and 6 3D
+# n=16-32 (hifde, hifde3x, mf) at eps 1e-6, the CSR levels read at most
+# 0.076 (an exact share stored of at most 0.057) and the tail levels at
+# least 0.280 (0.220). The level that switches, as bound (share), and m:
+#
+#   problem, algo                last CSR level        switch
+#   Ex. 1 2D n=256 hifde         3.5: 0.065 (0.056)    4.0: 0.321 (0.226), 777
+#   Ex. 1 2D n=512 hifde         4.5: 0.066 (0.057)    5.0: 0.326 (0.229), 915
+#   Ex. 6 3D n=16 hifde3x, mf    0.0: 0.043 (0.037)    1.0: 0.467 (0.363), 631
+#   Ex. 6 3D n=32 hifde3x        1.67: 0.064 (0.057)   2.0: 0.553 (0.406), 2,780
+DENSE_SHARE = 1 / 8
+
+
+def _goes_dense(w: SparseSymMatrix, retired: np.ndarray, sizes: np.ndarray) -> bool:
+    """Whether the output of the step that retires the DOFs of the boolean
+    mask ``retired`` from ``w`` and writes cliques of ``sizes`` goes dense
+    (DENSE_SHARE)."""
+    rows = np.flatnonzero(retired)
+    cols = w.entries(rows)[1]
+    # as many entries lie in the retired columns as in the retired rows
+    kept = int(w.indptr[-1]) - 2 * len(cols) + np.count_nonzero(retired[cols])
+    m = np.count_nonzero(w.active) - len(rows)
+    return kept + int((sizes * sizes).sum()) >= DENSE_SHARE * m * m
+
+
+def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: np.ndarray,
+            sizes: np.ndarray, chunks, flats: _Flats, cells: list, level: float,
+            spd: bool) -> None:
     """The elimination step of both level steps: eliminate the DOFs
-    ``retired`` against their fronts, chunk by chunk, and replace the
-    entries of ``w`` by those without them, laid out first (``rebuilt``):
-    the kept entries and each group's sk x sk pairs (``cliques`` flat, one
-    per group in group order, ``sizes`` each, empty if it retires nothing).
+    ``retired`` against their fronts, chunk by chunk, and drop every entry
+    that couples them from ``w``, whose other entries and each group's
+    sk x sk pairs (``cliques`` flat, one per group in group order,
+    ``sizes`` each, empty if it retires nothing) are stored after it.
 
     ``chunks`` yields, in group order, a chunk's groups as stacks of one
     shape (idx, rd, sk, A_pp, A_qp, interp): the groups' indices in the
     level, the DOFs eliminated, their front, the blocks over them and the
-    interpolation T (None on a cell elimination). A failed pivot block
-    raises, located at the chunk's lowest failing group, before ``w``
-    changes. Each entry of a front gets v <- 0.5 ((v - u_ij) + (v - u_ji))
-    once per group, in group order: a chunk writes one round at a time.
+    interpolation T (None on a cell elimination). Each entry of a front
+    gets v <- 0.5 ((v - u_ij) + (v - u_ji)) once per group, in group order.
+
+    On CSR, and at the switch to the dense tail (_goes_dense), the output
+    is laid out first, as new arrays (``rebuilt``) or a new dense matrix
+    (``DenseSymMatrix.kept``), and ``w`` takes it over at the end, so a
+    failed pivot block, which raises located at the chunk's lowest failing
+    group, leaves ``w`` as it was. A CSR chunk writes one round at a time,
+    by the positions and rounds ``rebuilt`` gives; a dense one writes its
+    groups one by one (``schur_write``). On the dense storage the step
+    writes in place, so a failure leaves the earlier chunks' updates, and
+    it clears the retired DOFs at the end (``clear``).
     """
-    new, offset, rnd = w.rebuilt(retired, cliques, sizes)
-    first = np.cumsum(sizes * sizes) - sizes * sizes
+    if isinstance(w, DenseSymMatrix):
+        new = w
+    elif _goes_dense(w, retired, sizes):
+        new = DenseSymMatrix.kept(w, retired)
+    else:
+        new, offset, rnd = w.rebuilt(retired, cliques, sizes)
+        first = np.cumsum(sizes * sizes) - sizes * sizes
+    dense = isinstance(new, DenseSymMatrix)
     for chunk in chunks:
         blocks, failures = [], []
         for idx, rd, sk, m_pp, m_qp, interp in chunk:
@@ -343,6 +419,9 @@ def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes:
             x, u = schur_stack(m_qp, lower, perm, diag, sub)
             flats.put(idx, rd=rd, sk=sk, coupling=x, interp=interp, lower=lower,
                       perm=perm, diag=diag, sub=sub)
+            if dense:
+                updates += zip(idx.tolist(), sk, u)
+                continue
             # the pairs (sk_r, sk_c), r <= c, of each group, row-major
             nq = sk.shape[1]
             r, c = np.triu_indices(nq)
@@ -350,6 +429,10 @@ def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes:
             updates.append((new.indptr[sk[:, r]] + offset[ij], new.indptr[sk[:, c]] + offset[ji],
                             rnd[ij], u[:, r, c], u[:, c, r]))
             del x, u, ij, ji
+        if dense:
+            for _, dofs, u in sorted(updates, key=lambda g: g[0]):
+                new.schur_write(dofs, u)
+            continue
         pij, pji, depth, uij, uji = (np.concatenate([x.ravel() for x in xs])
                                      for xs in zip(*updates))
         del updates
@@ -359,8 +442,11 @@ def _retire(w: SparseSymMatrix, retired: np.ndarray, cliques: np.ndarray, sizes:
             i, j = pij[sel], pji[sel]
             v = new.data[i]
             new.data[i] = new.data[j] = 0.5 * ((v - uij[sel]) + (v - uji[sel]))
+    if new is w:
+        w.clear(retired)
+    else:
+        w.update(new)
     w.active[retired] = False
-    w.update(new)
 
 
 def eliminate_level(w: SparseSymMatrix, cells: list, level: float, spd: bool) -> dict:

@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .discretize import GridConfig
-from .sparse import row_entries
 
 __all__ = [
     "CellSet",
@@ -129,8 +128,8 @@ def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
     Active DOFs are Voronoi-assigned to the level-ell cell centers; each
     cell, taken in ascending center order, then sheds the members that
     still couple to any other current cell. The resulting cells are
-    mutually non-interacting. ``a`` is the working matrix, a
-    SparseSymMatrix, whose CSR arrays are read without a copy.
+    mutually non-interacting. ``a`` is the working matrix, in either
+    storage; its rows are read through ``entries``.
 
     In closed form: a cell keeps exactly the Voronoi members that couple
     to no member of a later cell's Voronoi set. Of two adjacent cells, the
@@ -146,8 +145,8 @@ def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
     kept = []
     for members in vor.cells:
         key = cell_of[members[0]]
-        owner, at = row_entries(a.indptr, members)
-        cnb = cell_of[a.indices[at]]
+        owner, cols, _ = a.entries(members)
+        cnb = cell_of[cols]
         cell_of[members[owner[(cnb != -1) & (cnb != key)]]] = -1
         kept.append(members[cell_of[members] == key])
     nonempty = np.array([len(c) > 0 for c in kept], dtype=bool)

@@ -1,18 +1,30 @@
-"""Symmetric sparse storage of the working matrix.
+"""Symmetric storage of the working matrix: sparse, then dense.
 
-``SparseSymMatrix`` is the one sparse matrix, from assembly to the top
-block of the factorization: the CSR arrays ``indptr`` (int64), ``indices``
-(int32, ascending in each row) and ``data``, mirrored so both (i, j) and
-(j, i) are stored, and an ``active`` flag per DOF. Neighbor queries see
-active DOFs only; the canonical row <= col view is used for nonzero counts
-and Matrix Market export. A retired DOF keeps no stored entry, so storage
-only ever couples active DOFs.
+The working matrix has two storages. ``SparseSymMatrix`` holds it from
+assembly on: the CSR arrays ``indptr`` (int64), ``indices`` (int32,
+ascending in each row) and ``data``, mirrored so both (i, j) and (j, i)
+are stored, and an ``active`` flag per DOF. ``DenseSymMatrix`` holds the
+tail of the factorization, once its fronts have merged: an m x m value
+array and an m x m "stored" pattern over the m DOFs active when it was
+built, in ascending order. Both answer the same reads, which are all the
+level steps and the partition make: ``entries`` (a row's stored columns,
+ascending, and their values), ``row_lengths`` and ``gather``; a slot that
+is not stored reads +0.0, and a stored zero keeps its sign. Neighbor
+queries see active DOFs only; the canonical row <= col view is used for
+nonzero counts and Matrix Market export. A retired DOF keeps no stored
+entry, so storage only ever couples active DOFs. The values are symmetric
+bit for bit, the sign of a zero included, since the input is made so
+(``from_scipy``) and every write sets (i, j) and (j, i) to one value.
 
 The factorization reads a whole level's fronts from the matrix
-(``entries``) and replaces its entries once, at the level's end:
-``rebuilt`` lays out new arrays and places each front's pairs in them, the
-level step writes its Schur updates there and the matrix takes them over
-(``update``). No method writes into arrays it did not make, so the
+(``entries``) and replaces its entries once, at the level's end. On CSR,
+``rebuilt`` lays out new arrays and places each front's pairs in them,
+the level step writes its Schur updates there and the matrix takes them
+over (``update``). The step whose output is at least 1/8 stored builds a
+dense matrix instead (``DenseSymMatrix.kept``), writes its updates into
+it, and the working matrix becomes it (``update``); from then on each
+step writes its updates in place (``schur_write``) and clears the DOFs it
+retires (``clear``). No method writes into arrays it did not make, so the
 factorization starts from its input's arrays without a copy and leaves
 the input unchanged.
 
@@ -32,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["DofState", "SparseSymMatrix"]
+__all__ = ["DofState", "SparseSymMatrix", "DenseSymMatrix"]
 
 _EMPTY_I = np.empty(0, dtype=np.int32)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -83,7 +95,44 @@ class DofState:
         self.elim_level[c] = level
 
 
-class SparseSymMatrix:
+class _SymMatrix:
+    """The reads that both storages of the working matrix answer alike,
+    from their ``entries`` and ``_dense``."""
+
+    n: int
+    active: np.ndarray
+
+    def to_dense(self) -> np.ndarray:
+        return self.to_scipy().toarray()
+
+    def nnz(self) -> int:
+        """Number of stored entries in the canonical row <= col view."""
+        return sp.triu(self.to_scipy()).nnz
+
+    def _positions(self, idx: np.ndarray) -> np.ndarray:
+        """Each DOF's position in ``idx`` (its last, if repeated), -1 for a
+        DOF outside ``idx``."""
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[idx] = np.arange(len(idx))
+        return pos
+
+    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Dense copy of the (rows, cols) block."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if (len(rows) and (rows.min() < 0 or rows.max() >= self.n)) or \
+           (len(cols) and (cols.min() < 0 or cols.max() >= self.n)):
+            raise IndexError("gather index out of range")
+        return self._dense(rows, cols)
+
+    def neighbors(self, c: np.ndarray) -> np.ndarray:
+        """Active DOFs outside c with a stored coupling to c, ascending."""
+        c = np.asarray(c, dtype=np.int64)
+        u = sorted_unique(self.entries(c)[1]).astype(np.int64)
+        return u[(self._positions(c)[u] < 0) & self.active[u]]
+
+
+class SparseSymMatrix(_SymMatrix):
     """Order-N symmetric sparse matrix over an active DOF set, held as CSR
     arrays (see the module docstring)."""
 
@@ -114,11 +163,14 @@ class SparseSymMatrix:
         t = s.T.tocsr()
         if (s != t).nnz != 0:
             raise ValueError("matrix is not symmetric")
-        if not (np.array_equal(s.indptr, t.indptr) and np.array_equal(s.indices, t.indices)):
-            # a stored entry whose mirror is not stored is a zero: store the
-            # mirror too; adding -0.0 leaves every stored value as it is
+        if not (np.array_equal(s.indptr, t.indptr) and np.array_equal(s.indices, t.indices)
+                and np.array_equal(np.signbit(s.data), np.signbit(t.data))):
+            # a stored entry whose mirror is not stored is a zero, and so are
+            # two mirrors of unlike sign: add to each entry its mirror's
+            # signed zero, which leaves every other value as it is, gives a
+            # lone zero's mirror its sign and makes an unlike pair +0.0
             c = s.tocoo()
-            s = sp.csr_matrix((np.r_[c.data, np.full(c.nnz, -0.0)],
+            s = sp.csr_matrix((np.r_[c.data, np.copysign(0.0, c.data)],
                                (np.r_[c.row, c.col], np.r_[c.col, c.row])), shape=s.shape)
         n = s.shape[0]
         return cls(n, s.indptr.astype(np.int64), s.indices.astype(np.int32, copy=False),
@@ -129,14 +181,7 @@ class SparseSymMatrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n),
                              copy=True)
 
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
     # -- queries -----------------------------------------------------------
-
-    def nnz(self) -> int:
-        """Number of stored entries in the canonical row <= col view."""
-        return sp.triu(self.to_scipy()).nnz
 
     @property
     def row_idx(self) -> list[np.ndarray]:
@@ -153,27 +198,15 @@ class SparseSymMatrix:
         ends = self.indptr.tolist()
         return [x[a:b] for a, b in zip(ends, ends[1:])]
 
-    def _positions(self, idx: np.ndarray) -> np.ndarray:
-        """Each DOF's position in ``idx`` (its last, if repeated), -1 for a
-        DOF outside ``idx``."""
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[idx] = np.arange(len(idx))
-        return pos
-
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored entries of ``rows``: the index into ``rows`` of each
         entry's row, its column and its value."""
         owner, at = row_entries(self.indptr, rows)
         return owner, self.indices[at], self.data[at]
 
-    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense copy of the (rows, cols) block."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if (len(rows) and (rows.min() < 0 or rows.max() >= self.n)) or \
-           (len(cols) and (cols.min() < 0 or cols.max() >= self.n)):
-            raise IndexError("gather index out of range")
-        return self._dense(rows, cols)
+    def row_lengths(self, rows: np.ndarray) -> np.ndarray:
+        """The number of stored entries of each of ``rows``."""
+        return self.indptr[np.asarray(rows) + 1] - self.indptr[rows]
 
     def _dense(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         owner, c, vals = self.entries(rows)
@@ -182,12 +215,6 @@ class SparseSymMatrix:
         out = np.zeros((len(rows), len(cols)))
         out[owner[keep], at[keep]] = vals[keep]
         return out
-
-    def neighbors(self, c: np.ndarray) -> np.ndarray:
-        """Active DOFs outside c with a stored coupling to c, ascending."""
-        c = np.asarray(c, dtype=np.int64)
-        u = sorted_unique(self.indices[row_entries(self.indptr, c)[1]]).astype(np.int64)
-        return u[(self._positions(c)[u] < 0) & self.active[u]]
 
     # -- the level steps' replacement ----------------------------------------
 
@@ -243,8 +270,14 @@ class SparseSymMatrix:
             at += len(keys)
         return SparseSymMatrix(n, indptr, indices[:at], data[:at], self.active), offset, rnd
 
-    def update(self, other: "SparseSymMatrix") -> None:
-        """Take over the arrays of ``other``, not copies."""
+    def update(self, other: "SparseSymMatrix | DenseSymMatrix") -> None:
+        """Take over the arrays of ``other``, not copies. A DenseSymMatrix
+        ``other`` is the switch to the dense tail: the matrix becomes it,
+        the object staying the one its holders have, and drops its CSR
+        arrays."""
+        if isinstance(other, DenseSymMatrix):
+            self.__class__, self.__dict__ = DenseSymMatrix, vars(other)
+            return
         self.indptr, self.indices, self.data = other.indptr, other.indices, other.data
 
     # -- the per-cell reference's mutations ----------------------------------
@@ -337,3 +370,88 @@ class SparseSymMatrix:
     def load_matrix_market(cls, path) -> "SparseSymMatrix":
         from scipy.io import mmread
         return cls.from_scipy(mmread(path))
+
+
+class DenseSymMatrix(_SymMatrix):
+    """The working matrix in its dense storage, the tail of the
+    factorization: the values ``values`` (m x m) and the pattern ``stored``
+    (m x m, bool) over the DOFs ``dofs``, ascending, those active when it
+    was built, and an ``active`` flag per DOF of the order-n matrix. DOF
+    ``dofs[k]`` has slot k (``slot``, -1 outside ``dofs``), so a row's
+    stored columns come in ascending order as on CSR. A slot that is not
+    stored holds +0.0."""
+
+    def __init__(self, n: int, dofs: np.ndarray, values: np.ndarray, stored: np.ndarray,
+                 active: np.ndarray):
+        self.n, self.active, self.dofs = n, active, dofs
+        self.values, self.stored = values, stored
+        self.slot = self._positions(dofs)
+
+    @classmethod
+    def kept(cls, w: SparseSymMatrix, retired: np.ndarray) -> "DenseSymMatrix":
+        """The stored entries of ``w`` that couple no DOF of the boolean mask
+        ``retired``, over the active DOFs outside it, sharing ``active``;
+        ``w`` is not changed."""
+        dofs = np.flatnonzero(w.active & ~retired)
+        m = len(dofs)
+        new = cls(w.n, dofs, np.zeros((m, m)), np.zeros((m, m), dtype=bool), w.active)
+        # in blocks of rows, so the entries read at once stay small
+        for a, b in spans(w.row_lengths(dofs)):
+            owner, cols, vals = w.entries(dofs[a:b])
+            at = new.slot[cols]
+            keep = at >= 0
+            new.values[a + owner[keep], at[keep]] = vals[keep]
+            new.stored[a + owner[keep], at[keep]] = True
+        return new
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries of ``rows``, as ``SparseSymMatrix.entries``."""
+        p = self.slot[rows]
+        inside = np.flatnonzero(p >= 0)
+        owner, j = np.nonzero(self.stored[p[inside]])
+        return inside[owner], self.dofs[j], self.values[p[inside][owner], j]
+
+    def row_lengths(self, rows: np.ndarray) -> np.ndarray:
+        """The number of stored entries of each of ``rows``."""
+        p = self.slot[rows]
+        out = np.zeros(len(p), dtype=np.int64)
+        out[p >= 0] = np.count_nonzero(self.stored[p[p >= 0]], axis=1)
+        return out
+
+    def _dense(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        p, q = self.slot[rows], self.slot[cols]
+        out = self.values[np.ix_(p, q)]
+        out[p < 0] = 0.0
+        out[:, q < 0] = 0.0
+        return out
+
+    def to_scipy(self) -> sp.csr_matrix:
+        """A CSR copy of the stored entries."""
+        rows = np.arange(self.n)
+        _, cols, vals = self.entries(rows)
+        indptr = np.append(0, np.cumsum(self.row_lengths(rows)))
+        return sp.csr_matrix((vals, cols, indptr), shape=(self.n, self.n))
+
+    # -- the level steps' writes -------------------------------------------
+
+    def schur_write(self, dofs: np.ndarray, u: np.ndarray) -> None:
+        """A[dofs, dofs] <- 0.5 ((v - u) + (v - u^T)), v its values, and the
+        block stored: the arithmetic of a CSR step's write of one round,
+        which gives (i, j) and (j, i) one value, v being symmetric."""
+        ix = np.ix_(self.slot[dofs], self.slot[dofs])
+        v = self.values[ix]
+        t = v - u
+        v -= u.T
+        t += v
+        t *= 0.5
+        self.values[ix] = t
+        self.stored[ix] = True
+
+    def clear(self, retired: np.ndarray) -> None:
+        """Drop the stored entries in the rows and columns of the DOFs of the
+        boolean mask ``retired``: not stored, +0.0."""
+        p = self.slot[np.flatnonzero(retired)]
+        self.values[p] = 0.0
+        self.values[:, p] = 0.0
+        self.stored[p] = False
+        self.stored[:, p] = False

@@ -1,5 +1,7 @@
 """Factorization drivers: construction, apply/solve, persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ class TestMultifrontal:
         a = assemble(g, constant_field(g, 1.0, 0.0))
         f = factor_mf(a, g)
         assert f.levels == []
+        assert f.metrics["dense_from"] is None and f.metrics["dense_order"] is None
         assert f.apply(np.array([2.0]))[0] == pytest.approx(32.0)
         assert f.apply_inverse(np.array([16.0]))[0] == pytest.approx(1.0)
 
@@ -99,6 +102,23 @@ class TestHifde:
         assert f.metrics["t_f_seconds"] > 0
         levels = [tag for tag, _ in f.metrics["active_trace"][1:]]
         assert levels == [lf.level for lf in f.levels]
+
+
+class TestDenseTail:
+    @pytest.mark.parametrize("example, n, algo, tag, order", [
+        # output bound 0.467 at level 1, against 0.043 at level 0
+        (6, 16, "hifde3x", 1.0, 631), (6, 16, "mf", 1.0, 631),
+        # 0.321 at level 4, against 0.075 and 0.065 at levels 3 and 3.5
+        (1, 256, "hifde", 4.0, 777),
+    ])
+    def test_the_level_that_goes_dense(self, example, n, algo, tag, order):
+        p = make_problem(example, n)
+        a = assemble(p.grid, p.field)
+        spd = example == 1
+        f = factor_mf(a, p.grid, spd=spd) if algo == "mf" else \
+            (factor_hifde3x if algo == "hifde3x" else factor_hifde)(a, p.grid, 1e-6, spd=spd)
+        assert (f.metrics["dense_from"], f.metrics["dense_order"]) == (tag, order)
+        assert (tag, order) in f.metrics["active_trace"]
 
 
 class TestHifde3d:
@@ -240,6 +260,21 @@ class TestErrors:
         # the failed top block is what the reference's matrix still has active
         assert (exc.level, exc.group, exc.block_size) == (None, None, int(ref.active.sum()))
         assert str(exc).endswith(f"not positive definite (top block, {exc.block_size} DOFs)")
+
+    @pytest.mark.parametrize("algo", ["hifde", "hifde3x"])
+    @pytest.mark.parametrize("skip", [-1, 1.5], ids=["negative", "not_an_integer"])
+    def test_skip_levels_not_a_count(self, algo, skip, monkeypatch):
+        # -1 used to factor as 0 does
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level ran")
+        monkeypatch.setattr(driver, "eliminate_level", no_level)
+        monkeypatch.setattr(driver, "skeletonize_level", no_level)
+        g = build_grid(3, 8, 2) if algo == "hifde3x" else build_grid(2, 16, 2)
+        a = assemble(g, constant_field(g, 1.0, 0.0))
+        factor = factor_hifde3x if algo == "hifde3x" else factor_hifde
+        what = f"skip_levels must be an integer >= 0, got {skip}"
+        with pytest.raises(ValueError, match="^" + re.escape(what) + "$"):
+            factor(a, g, 1e-6, skip_levels=skip)
 
 
 class TestBadInput:

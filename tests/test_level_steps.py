@@ -14,7 +14,7 @@ from hifde import (IndefiniteBlockError, SingularBlockError, SparseSymMatrix, as
 from hifde import factor_ops
 from hifde.bench import EXAMPLE_SPD
 from hifde.dense import keeps_every_column
-from hifde.sparse import spans
+from hifde.sparse import DenseSymMatrix, spans
 
 from oracles import factor_digest, reference_factor
 from test_plan import CASES
@@ -86,18 +86,28 @@ def test_factor_leaves_its_input_unchanged(algo, example, n):
     assert_unchanged(a, before)
 
 
-@pytest.mark.parametrize("algo", ["mf", "hifde"])
-def test_failed_factor_leaves_its_input_unchanged(algo):
-    # Example 3 (Helmholtz) is indefinite; its Cholesky fails in the top block
-    make, grid = problem(3, 32)
+@pytest.mark.parametrize("algo", ["mf", "hifde", "hifde3x"], ids=["mf", "hifde", "hifde3x-3d"])
+def test_failed_factor_leaves_its_input_unchanged(algo, monkeypatch):
+    # Examples 3 and 6 (Helmholtz) are indefinite. The 2D Cholesky fails in
+    # the top block; the 3D one in the step of level 1, whose output goes
+    # dense, after that dense output is built
+    example, n, where = (6, 16, "level 1, group 0, 127 DOFs") if algo == "hifde3x" else \
+        (3, 32, "top block")
+    built, real = [], DenseSymMatrix.kept
+    monkeypatch.setattr(DenseSymMatrix, "kept",
+                        classmethod(lambda cls, *args: built.append(real(*args)) or built[-1]))
+    make, grid = problem(example, n)
     a = make()
     before = arrays(a)
-    with pytest.raises(IndefiniteBlockError, match="top block"):
-        if algo == "mf":
-            factor_mf(a, grid, spd=True)
-        else:
-            factor_hifde(a, grid, 1e-6, spd=True)
+    args = () if algo == "mf" else (1e-6,)
+    with pytest.raises(IndefiniteBlockError, match=re.escape(f"({where}")) as info:
+        FACTORS[algo](a, grid, *args, spd=True)
     assert_unchanged(a, before)
+    if algo == "hifde3x":
+        assert (info.value.level, info.value.group, info.value.block_size) == (1.0, 0, 127)
+        assert [len(d.dofs) for d in built] == [631]
+        ref = raised(lambda: reference_factor(make(), grid, algo, 1e-6, spd=True))
+        assert ref == (IndefiniteBlockError, str(info.value), (1.0, 0, 127))
 
 
 def spy(monkeypatch, name, log):
@@ -125,7 +135,7 @@ def test_skeleton_level_in_chunks_of_mixed_groups(monkeypatch):
     def level(w, cells, eps, tag, spd):
         # the step's chunk costs, as it computes them
         clen = np.array([len(c) for c in cells])
-        row_nnz = np.add.reduceat(np.diff(w.indptr)[np.concatenate(cells)],
+        row_nnz = np.add.reduceat(w.row_lengths(np.concatenate(cells)),
                                   np.cumsum(clen) - clen)
         start = len(chunks)
         out = real(w, cells, eps, tag, spd)
@@ -146,15 +156,19 @@ def test_skeleton_level_in_chunks_of_mixed_groups(monkeypatch):
 
 def test_skeleton_level_that_compresses_nothing(monkeypatch):
     # level 0.5 of Ex. 1 n=64 at eps=1e-6 compresses none of its 480 groups:
-    # the snapshot is not rebuilt
+    # the snapshot is not rebuilt (on either storage, the matrix keeps its
+    # arrays, its pattern and its values)
     seen = []
     real = factor_ops.skeletonize_level
 
     def level(w, cells, eps, tag, spd):
-        before = w.indptr, w.data, w.data.copy()
+        rows = np.arange(w.n)
+        arrays, before = dict(vars(w)), w.entries(rows)
         out = real(w, cells, eps, tag, spd)
-        seen.append((tag, len(cells), len(out["rd"]), w.indptr is before[0]
-                     and w.data is before[1] and np.array_equal(w.data, before[2])))
+        same = vars(w).keys() == arrays.keys() and all(
+            vars(w)[key] is x for key, x in arrays.items())
+        seen.append((tag, len(cells), len(out["rd"]), same and all(
+            np.array_equal(x, y) for x, y in zip(w.entries(rows), before))))
         return out
     monkeypatch.setattr("hifde.driver.skeletonize_level", level)
     make, grid = problem(1, 64)

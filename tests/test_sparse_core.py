@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from hifde import DofState, SparseSymMatrix, build_grid, eliminate_cell, factor_mf
-from hifde import sparse
+from hifde import factor_ops, sparse
+from hifde.sparse import DenseSymMatrix
 
 from oracles import random_sparse_sym, reference_csr
 
@@ -89,12 +90,21 @@ class TestConstruction:
         for ij, v in stored.items():
             if ij in given:     # unchanged, the sign of a zero included
                 assert v == given[ij] and np.signbit(v) == np.signbit(given[ij]), ij
-            else:               # a mirror
-                assert v == 0.0, ij
+            else:               # a mirror, with the sign of its zero
+                assert v == 0.0 and np.signbit(v) == np.signbit(given[ij[::-1]]), ij
         assert len(stored) == 8
         assert a.neighbors(np.array([0])).tolist() == [2]
         assert a.neighbors(np.array([2])).tolist() == [0]
         assert a.neighbors(np.array([1])).tolist() == [3]
+
+    def test_zeros_of_unlike_sign_become_one_zero(self):
+        # (0, 1) stores +0.0 and (1, 0) stores -0.0: both read +0.0, so the
+        # stored values are symmetric bit for bit
+        s = sp.csr_matrix((np.array([1.0, 0.0, -0.0, 2.0]), ([0, 0, 1, 1], [0, 1, 0, 1])),
+                          shape=(2, 2))
+        a = SparseSymMatrix.from_scipy(s)
+        assert a.indices.tolist() == [0, 1, 0, 1]
+        assert a.data.tolist() == [1.0, 0.0, 0.0, 2.0] and not np.signbit(a.data).any()
 
     @pytest.mark.parametrize("s, what", [
         (sp.csr_matrix(np.ones((2, 3))), r"not square: shape \(2, 3\)"),
@@ -202,21 +212,25 @@ class TestRebuilt:
     @pytest.mark.parametrize("dim, n, m, depth", [(2, 16, 4, 4), (3, 8, 2, 8)])
     def test_entries_shared_many_deep(self, monkeypatch, small_blocks, dim, n, m, depth):
         # the stencils of test_entries_updated_by_many_cells: the level-0
-        # Schur updates meet 4 (8) deep, so their rounds run to 3 (7)
+        # Schur updates meet 4 (8) deep, so their rounds run to 3 (7). Level
+        # 0's output is dense enough to go dense, so rebuilt is checked on
+        # the CSR inputs of the factor's elimination steps
         t = sp.diags([-np.ones(n - 2), 2.5 * np.ones(n - 1), -np.ones(n - 2)], [-1, 0, 1])
         k = t
         for _ in range(dim - 1):
             k = sp.kron(k, t)
-        calls, real = [], SparseSymMatrix.rebuilt
+        calls, real = [], factor_ops._retire
 
-        def rebuilt(self, *args):
-            # the level's matrix: rebuilt writes into none of its arrays
-            calls.append((SparseSymMatrix(self.n, self.indptr, self.indices, self.data,
-                                          self.active), args))
-            return real(self, *args)
-        monkeypatch.setattr(SparseSymMatrix, "rebuilt", rebuilt)
-        factor_mf(SparseSymMatrix.from_scipy(k), build_grid(dim, n, m))
-        monkeypatch.setattr(SparseSymMatrix, "rebuilt", real)
+        def retire(w, retired, cliques, sizes, *args):
+            # the level's matrix: the step writes into none of its arrays
+            if isinstance(w, SparseSymMatrix):
+                calls.append((SparseSymMatrix(w.n, w.indptr, w.indices, w.data,
+                                              w.active.copy()), (retired, cliques, sizes)))
+            return real(w, retired, cliques, sizes, *args)
+        monkeypatch.setattr(factor_ops, "_retire", retire)
+        f = factor_mf(SparseSymMatrix.from_scipy(k), build_grid(dim, n, m))
+        monkeypatch.setattr(factor_ops, "_retire", real)
+        assert f.metrics["dense_from"] == 0.0 and len(calls) == 1
         rounds = [int(check_rebuilt(a, *args)[1].max(initial=0)) for a, args in calls]
         assert rounds[0] == depth - 1 and len(small_blocks) > 20 * len(rounds)
 
@@ -378,3 +392,109 @@ class TestMirrorSequences:
                 # (np.linalg.solve against the library's LDL solves)
                 assert np.allclose(a.gather(act, act), dense[np.ix_(act, act)],
                                    rtol=0, atol=1e-12 * np.abs(dense).max())
+
+
+# -- the dense storage --------------------------------------------------------
+
+def same(x, y) -> bool:
+    """Equal arrays, floats bit for bit (the sign of a zero included)."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind == "f" or y.dtype.kind == "f":
+        return x.shape == y.shape and x.astype(float).tobytes() == y.astype(float).tobytes()
+    return np.array_equal(x, y)
+
+
+def storages(seed: int, n: int):
+    """One random symmetric matrix in both storages, each with its own
+    active flags: about a fifth of its off-diagonal pairs store 0.0 and one
+    pair stores -0.0, and about a tenth of its DOFs (at least one, outside
+    that pair) are retired. Returns
+    the CSR matrix, the dense one and the -0.0 pair."""
+    rng = np.random.default_rng(seed)
+    dense = random_sparse_sym(rng, n)[1]
+    i, j = np.nonzero(np.triu(dense, 1))
+    vals = dense[i, j]
+    vals[rng.random(len(i)) < 0.2] = 0.0
+    vals[0] = -0.0
+    k = np.arange(n)
+    w = SparseSymMatrix.from_scipy(sp.csr_matrix(
+        (np.r_[vals, vals, np.diag(dense)], (np.r_[i, j, k], np.r_[j, i, k])), shape=(n, n)))
+    retired = rng.random(n) < 0.1
+    retired[[i[0], j[0]]] = False
+    retired[rng.choice(np.setdiff1d(np.arange(n), [i[0], j[0]]))] = True
+    csr = w.rebuilt(retired, np.zeros(0, np.int64), np.zeros(0, np.int64))[0]
+    d = DenseSymMatrix.kept(w, retired)
+    return (SparseSymMatrix(n, csr.indptr, csr.indices, csr.data, ~retired),
+            DenseSymMatrix(n, d.dofs, d.values, d.stored, ~retired), (i[0], j[0]))
+
+
+def cells_apart(w, rng) -> list:
+    """Groups of one or two active DOFs of ``w``, no two of which couple."""
+    member = np.zeros(w.n, dtype=bool)
+    cells = []
+    for i in rng.permutation(np.flatnonzero(w.active))[:w.n // 3].tolist():
+        nb = w.neighbors([i])
+        c = np.sort([i, nb[0]]) if len(nb) and rng.random() < 0.5 else np.array([i])
+        if not member[c].any() and not member[w.neighbors(c)].any():
+            member[c] = True
+            cells.append(c)
+    return cells
+
+
+class TestDenseStorage:
+    def test_reads_answer_as_on_csr(self):
+        rng = np.random.default_rng(11)
+        for seed in range(30):
+            n = int(rng.integers(5, 40))
+            s, d, (i, j) = storages(seed, n)
+            assert s.data.size > np.count_nonzero(s.data) and len(d.dofs) < n
+            rows = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            assert all(same(x, y) for x, y in zip(d.entries(rows), s.entries(rows)))
+            assert same(d.row_lengths(rows), s.row_lengths(rows))
+            assert same(d.gather(rows, cols), s.gather(rows, cols))
+            every = np.arange(n)
+            assert same(d.gather(every, every), s.gather(every, every))
+            assert all(same(getattr(d.to_scipy(), key), getattr(s.to_scipy(), key))
+                       for key in ("indptr", "indices", "data"))
+            assert d.nnz() == s.nnz()
+            assert same(d.neighbors(rows[:3]), s.neighbors(rows[:3]))
+            # the stored -0.0 survives; a slot not stored reads +0.0
+            for m in (s, d):
+                assert same(m.gather([i], [j]), [[-0.0]]) and same(m.gather([j], [i]), [[-0.0]])
+            unstored = np.argwhere(~d.stored)
+            if len(unstored):
+                r, c = d.dofs[unstored[0]]
+                assert same(d.gather([r], [c]), [[0.0]]) and same(s.gather([r], [c]), [[0.0]])
+
+    @pytest.mark.parametrize("step", ["eliminate", "skeletonize"])
+    def test_level_step_on_each_storage(self, monkeypatch, step):
+        # on CSR throughout, switching to dense at the step, and dense
+        # before it: the same flat arrays and the same matrix after
+        shared = compressed = 0
+        for seed in range(12):
+            n = 45
+            runs = []
+            for share, storage in ((np.inf, 0), (0.0, 0), (np.inf, 1)):
+                monkeypatch.setattr(factor_ops, "DENSE_SHARE", share)
+                w = storages(seed, n)[storage]
+                rng = np.random.default_rng(seed)
+                if step == "eliminate":
+                    cells = cells_apart(w, rng)
+                    flats = factor_ops.eliminate_level(w, cells, 0.0, True)
+                else:
+                    dofs = rng.permutation(np.flatnonzero(w.active))[:2 * n // 3]
+                    cells = [np.sort(c) for c in np.split(dofs, np.arange(4, len(dofs), 4))]
+                    flats = factor_ops.skeletonize_level(w, cells, 0.3, 0.5, False)
+                every = np.arange(n)
+                runs.append((type(w), flats, w.entries(every) + (w.gather(every, every),),
+                             w.active.copy()))
+            assert [r[0] for r in runs] == [SparseSymMatrix, DenseSymMatrix, DenseSymMatrix]
+            (_, flats, entries, active), *others = runs
+            for _, f, e, act in others:
+                assert f.keys() == flats.keys()
+                assert all(f[k].dtype == flats[k].dtype and same(f[k], flats[k]) for k in f)
+                assert all(same(x, y) for x, y in zip(e, entries)) and same(act, active)
+            shared += np.bincount(flats["sk"]).max(initial=0) > 1
+            compressed += np.count_nonzero(flats["rd_len"])
+        assert compressed and (step == "skeletonize" or shared)
