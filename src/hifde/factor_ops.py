@@ -43,7 +43,6 @@ or written.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -508,7 +507,7 @@ def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
     block at the group's turn if none of its rows is retired by then, since
     a retired row leaves the block and can lower its rank. Such a group
     keeps its cell as its sk and runs no geqp3. Every other group runs its
-    ID in group order, and the factor is the same bit for bit.
+    ID in one pass in group order, and the factor is the same bit for bit.
     """
     if not cells:
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), True).out
@@ -545,11 +544,11 @@ def _skeleton_stacks(f: _Fronts, start: int, retired: np.ndarray, eps: float,
     _retire, with the blocks of the congruence (B_rr, B_sr) over their rd
     and sk, and appends each uncompressed shape's (idx, sk) to ``kept``.
 
-    The groups that pass the screen (one call per width) skip their ID.
-    The others are taken from a heap in group order; one that compresses
-    pushes the screened later groups with a row in its rd, found in an
-    index of the screened groups' rows by DOF, built at most once per
-    chunk."""
+    The groups that pass the screen (one call per width) are proven at
+    the level's start. One pass in group order runs the ID of every other
+    group, and of a screened group one of whose rows is retired at its
+    turn; before a group of the chunk compresses, none is, as the screen
+    takes no group with a row retired by an earlier chunk."""
     k = len(f.clen)
     group = np.repeat(np.arange(k), f.qlen)
     # screened: at most SCREEN_MAX_COLS columns, at least as many rows, and
@@ -568,29 +567,19 @@ def _skeleton_stacks(f: _Fronts, start: int, retired: np.ndarray, eps: float,
             blocks = np.zeros((b - a, q.max(), c))
             blocks[np.arange(q.max()) < q[:, None]] = qp[oqp[idx[0]]:][:q.sum() * c].reshape(-1, c)
             run[idx] = ~keeps_every_column(blocks, eps)
-    todo, ids, nrd = np.flatnonzero(run).tolist(), {}, np.zeros(k, np.int64)
-    rows = None
-    while todo:
-        i = heapq.heappop(todo)
-        nc, nq = int(f.clen[i]), int(f.qlen[i])
-        m_qp = qp[oqp[i]:oqp[i] + nq * nc].reshape(nq, nc)
-        live = ~retired[f.q[f.qstart[i]:f.qstart[i] + nq]]
-        idr = interpolative_decomposition(m_qp if live.all() else m_qp[live], eps)
-        if not len(idr.rd):
+    ids, nrd = {}, np.zeros(k, np.int64)
+    for i, unproven in enumerate(run.tolist()):
+        if not (unproven or ids):
             continue
-        ids[i], nrd[i] = (idr.sk, idr.rd, idr.t), len(idr.rd)
-        rd = f.members[f.cstart[i] + idr.rd]
-        retired[rd] = True
-        if rows is None:
-            # the rows of the screened groups by DOF, and their groups
-            watch = ~run[group]
-            by_dof = np.argsort(f.q[watch], kind="stable")
-            rows, owner = f.q[watch][by_dof], group[watch][by_dof]
-        lo, hi = np.searchsorted(rows, rd), np.searchsorted(rows, rd, side="right")
-        for j in {j for a, b in zip(lo.tolist(), hi.tolist())
-                  for j in owner[a:b].tolist() if j > i and not run[j]}:
-            run[j] = True
-            heapq.heappush(todo, j)
+        nc, nq = int(f.clen[i]), int(f.qlen[i])
+        live = ~retired[f.q[f.qstart[i]:f.qstart[i] + nq]]
+        if not unproven and live.all():
+            continue
+        m_qp = qp[oqp[i]:oqp[i] + nq * nc].reshape(nq, nc)
+        idr = interpolative_decomposition(m_qp if live.all() else m_qp[live], eps)
+        if len(idr.rd):
+            ids[i], nrd[i] = (idr.sk, idr.rd, idr.t), len(idr.rd)
+            retired[f.members[f.cstart[i] + idr.rd]] = True
 
     rd_len[start:start + k] = nrd
     order, runs = _shape_runs(nrd * (f.clen.max() + 1) + f.clen)

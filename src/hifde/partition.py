@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discretize import GridConfig
+from .sparse import spans
 
 __all__ = [
     "CellSet",
@@ -125,32 +126,27 @@ def interface_cells(grid: GridConfig, ell: int, active: np.ndarray,
 def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
     """Interior cells with minimal separators built from the sparsity.
 
-    Active DOFs are Voronoi-assigned to the level-ell cell centers; each
-    cell, taken in ascending center order, then sheds the members that
-    still couple to any other current cell. The resulting cells are
-    mutually non-interacting. ``a`` is the working matrix, in either
-    storage; its rows are read through ``entries``.
+    Active DOFs are Voronoi-assigned to the level-ell cell centers, and a
+    cell keeps exactly its members that couple to no member of a later
+    cell (ascending center order); empty cells are dropped. ``a`` is the
+    working matrix, in either storage, read in row blocks (``spans``).
 
-    In closed form: a cell keeps exactly the Voronoi members that couple
-    to no member of a later cell's Voronoi set. Of two adjacent cells, the
-    earlier one gives its boundary layer to the separator and the later one
-    keeps all of its DOFs that face the earlier one.
+    Taken in order, each cell sheds the members that still couple to any
+    other current cell: a kept member of an earlier one couples to no
+    member of a later one, the pattern being symmetric. The cells do not
+    interact; of two adjacent ones, the earlier gives its boundary layer to
+    the separator and the later keeps all of its DOFs that face it.
     """
     w, k = _width(grid, ell)
     act = np.flatnonzero(a.active)
     keys, cen2 = _voronoi_cells(grid, w, k, act)
-    vor = _cellset(ell, "interior", act, keys, cen2)
     cell_of = np.full(a.n, -1, dtype=np.int64)
     cell_of[act] = keys
-    kept = []
-    for members in vor.cells:
-        key = cell_of[members[0]]
-        owner, cols, _ = a.entries(members)
-        cnb = cell_of[cols]
-        cell_of[members[owner[(cnb != -1) & (cnb != key)]]] = -1
-        kept.append(members[cell_of[members] == key])
-    nonempty = np.array([len(c) > 0 for c in kept], dtype=bool)
-    return CellSet(vor.level, vor.kind, [c for c in kept if len(c)], vor.centers[nonempty])
+    shed = np.zeros(len(act), dtype=bool)
+    for r0, r1 in spans(a.row_lengths(act)):
+        owner, cols, _ = a.entries(act[r0:r1])
+        shed[r0 + owner[cell_of[cols] > keys[r0 + owner]]] = True
+    return _cellset(ell, "interior", act[~shed], keys[~shed], cen2[~shed])
 
 
 def cells_to_csv(cs: CellSet, path) -> None:

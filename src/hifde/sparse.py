@@ -32,8 +32,8 @@ The per-cell methods (``gather``, ``neighbors``, ``replace_rows``,
 ``drop_cols``, ``clear_rows``) are the storage of the per-cell elimination
 and skeletonization of ``factor_ops`` (``eliminate_cell``,
 ``skeletonize_cell``), the reference that the factorization is tested
-against. A method that changes the matrix computes each touched row on its
-own and splices the rows into new arrays in one pass (``_set_rows``).
+against. ``replace_rows`` builds its rows in one pass, ``drop_cols`` is it
+with nothing inserted, and ``_set_rows`` splices the rows into new arrays.
 
 Fill-in entries are stored even when exactly zero: dropping happens only
 through the explicit truncation step of skeletonization, never by value.
@@ -77,7 +77,7 @@ def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     """The stored entries of ``rows`` in a CSR structure: for each entry, the
     index into ``rows`` of its row and its position in the CSR arrays."""
     lo = indptr[rows]
-    lens = indptr[np.asarray(rows) + 1] - lo
+    lens = indptr[np.asarray(rows, dtype=np.int64) + 1] - lo
     owner = np.repeat(np.arange(len(lens)), lens)
     return owner, np.arange(len(owner)) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
 
@@ -210,10 +210,14 @@ class SparseSymMatrix(_SymMatrix):
 
     def _dense(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         owner, c, vals = self.entries(rows)
-        at = self._positions(cols)[c]
+        pos = self._positions(cols)
+        at = pos[c]
         keep = at >= 0
         out = np.zeros((len(rows), len(cols)))
         out[owner[keep], at[keep]] = vals[keep]
+        # a repeated column is read into its last copy; the others copy it
+        dup = pos[cols] != np.arange(len(cols))
+        out[:, dup] = out[:, pos[cols[dup]]]
         return out
 
     # -- the level steps' replacement ----------------------------------------
@@ -284,78 +288,50 @@ class SparseSymMatrix(_SymMatrix):
 
     def drop_cols(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Remove any stored (r, c) entries for r in rows, c in cols."""
-        drop = self._positions(np.asarray(cols, dtype=np.int64)) >= 0
-        rows = np.asarray(rows, dtype=np.int64)
-        touched, new_i, new_v = [], [], []
-        for r, lo, hi in zip(rows.tolist(), self.indptr[rows].tolist(),
-                             self.indptr[rows + 1].tolist()):
-            ix = self.indices[lo:hi]
-            keep = ~drop[ix]
-            if not keep.all():
-                touched.append(r)
-                new_i.append(ix[keep])
-                new_v.append(self.data[lo:hi][keep])
-        self._set_rows(touched, new_i, new_v)
+        self.replace_rows(rows, cols, _EMPTY_I, np.empty((len(rows), 0)))
 
     def replace_rows(self, rows: np.ndarray, drop: np.ndarray,
                      cols: np.ndarray, block: np.ndarray) -> None:
-        """For each row r: remove stored entries with column in ``drop``,
-        then insert the dense row (cols, block[i]). cols need not be
-        disjoint from drop (replacement); block columns follow ascending
-        cols order. The rows must be distinct."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        dropped = self._positions(np.asarray(drop, dtype=np.int64)) >= 0
-        order = np.argsort(cols, kind="stable")
-        c32 = cols[order].astype(np.int32)
-        blk = np.ascontiguousarray(block[:, order], dtype=float)
-        nnew = len(c32)
-        new_i, new_v = [], []
-        for i, (lo, hi) in enumerate(zip(self.indptr[rows].tolist(),
-                                         self.indptr[rows + 1].tolist())):
-            ix = self.indices[lo:hi]
-            if len(ix):
-                keep = ~dropped[ix]
-                ix = ix[keep]
-                vv = self.data[lo:hi][keep]
-            else:
-                vv = _EMPTY_F
-            nold = len(ix)
-            out_i = np.empty(nold + nnew, dtype=np.int32)
-            out_v = np.empty(nold + nnew, dtype=np.float64)
-            pos_new = np.searchsorted(ix, c32) + np.arange(nnew)
-            out_i[pos_new] = c32
-            out_v[pos_new] = blk[i]
-            if nold:
-                old_mask = np.ones(nold + nnew, dtype=bool)
-                old_mask[pos_new] = False
-                out_i[old_mask] = ix
-                out_v[old_mask] = vv
-            new_i.append(out_i)
-            new_v.append(out_v)
-        self._set_rows(rows, new_i, new_v)
+        """For each row r: remove stored entries with column in ``drop`` or
+        ``cols``, then insert the dense row (cols, block[i]), so an inserted
+        column replaces a stored one. The rows, and the cols, are distinct."""
+        order = np.argsort(cols)
+        cols = np.asarray(cols, dtype=np.int64)[order]
+        gone = self._positions(np.concatenate([np.asarray(drop, dtype=np.int64), cols])) >= 0
+        owner, at = row_entries(self.indptr, rows)
+        keep = ~gone[self.indices[at]]
+        owner, at = owner[keep], at[keep]
+        # a kept entry's place: the entries before it, kept and inserted
+        place = np.arange(len(at)) + len(cols) * owner + np.searchsorted(cols, self.indices[at])
+        lens = np.bincount(owner, minlength=len(rows)) + len(cols)
+        new = np.ones(lens.sum(), dtype=bool)
+        new[place] = False
+        idx, val = np.empty(len(new), dtype=np.int32), np.empty(len(new))
+        idx[place], val[place] = self.indices[at], self.data[at]
+        idx[new], val[new] = np.tile(cols, len(rows)), np.asarray(block, float)[:, order].ravel()
+        self._set_rows(rows, lens, idx, val)
 
     def clear_rows(self, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.int64)
-        self._set_rows(rows, [_EMPTY_I] * len(rows), [_EMPTY_F] * len(rows))
+        self._set_rows(rows, np.zeros(len(rows), np.int64), _EMPTY_I, _EMPTY_F)
 
-    def _set_rows(self, rows, idx: list, val: list) -> None:
-        """Make (idx[k], val[k]) the stored entries of row rows[k], the rows
-        distinct: new arrays, the kept runs of the old ones and the new rows
-        joined in one pass."""
+    def _set_rows(self, rows, lens: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
+        """Make the next lens[k] entries of (idx, val) the stored entries of
+        row rows[k], the rows distinct: new arrays, the kept runs of the old
+        ones and the new rows joined in one pass."""
         if not len(rows):
             return
         order = np.argsort(rows)
         rows = np.asarray(rows, dtype=np.int64)[order]
         lo, hi = self.indptr[rows], self.indptr[rows + 1]
         # each row after a touched one moves by the length changes before it
-        shift = np.cumsum(np.fromiter(map(len, idx), np.int64, len(idx))[order] - (hi - lo))
+        shift = np.cumsum(lens[order] - (hi - lo))
         indptr = self.indptr + np.repeat(np.append(0, shift),
                                          np.diff(rows + 1, prepend=0, append=self.n + 1))
+        start = (np.cumsum(lens) - lens)[order]
         parts_i, parts_v, at = [], [], 0
-        for k, a, b in zip(order.tolist(), lo.tolist(), hi.tolist()):
-            parts_i += [self.indices[at:a], idx[k]]
-            parts_v += [self.data[at:a], val[k]]
+        for s, k, a, b in zip(start.tolist(), lens[order].tolist(), lo.tolist(), hi.tolist()):
+            parts_i += [self.indices[at:a], idx[s:s + k]]
+            parts_v += [self.data[at:a], val[s:s + k]]
             at = b
         self.update(SparseSymMatrix(self.n, indptr, np.concatenate(parts_i + [self.indices[at:]]),
                                     np.concatenate(parts_v + [self.data[at:]]), self.active))

@@ -199,18 +199,15 @@ def test_no_id_where_nothing_compresses(monkeypatch):
     assert factor_digest(f) == factor_digest(reference_factor(make(), grid, "hifde", 1e-6))
 
 
-@pytest.mark.parametrize("budget", [None, 1], ids=["one_chunk", "chunk_per_group"])
-def test_screen_sees_rows_retired_earlier_in_the_level(monkeypatch, budget):
-    # level 0.5 of 2D n=16, m=4 holds the edges A = [45, 46, 47] and then
-    # B = [49, 50, 51]; the level-0 cells couple to nothing, and 52, 108,
-    # 112 are vertices on the level-1 separator. A's block, rows 50 and
-    # 108, compresses at eps=1e-6 and retires 46 and 47. B's level-start
-    # block, rows 46, 52 and 112, is a permuted identity and passes the
-    # screen; without row 46 its column 50 is zero, so B's ID must run, on
-    # the rows left, and retire 50.
+def screen_case(monkeypatch, budget, pairs: dict, watch: int):
+    """Factor 1e9 I plus the symmetric couplings ``pairs`` on 2D n=16, m=4 at
+    eps=1e-6, in chunks of ``budget`` entries (None: the default), and check
+    the digest against the per-cell reference. Level 0.5 holds the edges
+    A = [45, 46, 47] and then B = [49, 50, 51]; the level-0 cells couple to
+    nothing, and 52, 108, 112 are vertices on the level-1 separator.
+    Returns the factor, the level-start ID block of group ``watch`` (0 for A,
+    1 for B), and each ID the factor ran as (block, rd)."""
     grid = build_grid(2, 16, 4)
-    pairs = {(108, 45): 1e8, (108, 46): 0.5e8, (108, 47): 0.25e8,
-             (50, 46): 1.0, (52, 49): 1.0, (112, 51): 1.0}
     i, j = np.array(list(pairs)).T
     v = np.array(list(pairs.values()))
     k = sp.coo_matrix((np.r_[v, v], (np.r_[i, j], np.r_[j, i])), shape=(225, 225))
@@ -224,17 +221,47 @@ def test_screen_sees_rows_retired_earlier_in_the_level(monkeypatch, budget):
     def level(w, cells, eps, tag, spd):
         if tag == 0.5:
             assert cells[0].tolist() == [45, 46, 47] and cells[1].tolist() == [49, 50, 51]
-            starts.append(w.gather(w.neighbors(cells[1]), cells[1]))
+            starts.append(w.gather(w.neighbors(cells[watch]), cells[watch]))
         return real(w, cells, eps, tag, spd)
     monkeypatch.setattr("hifde.driver.skeletonize_level", level)
     f = factor_hifde(SparseSymMatrix.from_scipy(k), grid, 1e-6)
-    assert keeps_every_column(starts[0][None], 1e-6).tolist() == [True]
     runs = [(args[0].tolist(), out.rd.tolist()) for args, out in ids]
+    g = reference_factor(SparseSymMatrix.from_scipy(k), grid, "hifde", 1e-6)
+    assert factor_digest(f) == factor_digest(g)
+    assert keeps_every_column(starts[0][None], 1e-6).tolist() == [True]
+    return f, starts[0], runs
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one_chunk", "chunk_per_group"])
+def test_screen_sees_rows_retired_earlier_in_the_level(monkeypatch, budget):
+    # A's block, rows 50 and 108, compresses and retires 46 and 47. B's
+    # level-start block, rows 46, 52 and 112, is a permuted identity and
+    # passes the screen; without row 46 its column 50 is zero, so B's ID
+    # must run, on the rows left, and retire 50.
+    pairs = {(108, 45): 1e8, (108, 46): 0.5e8, (108, 47): 0.25e8,
+             (50, 46): 1.0, (52, 49): 1.0, (112, 51): 1.0}
+    f, _, runs = screen_case(monkeypatch, budget, pairs, 1)
     assert ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [1]) in runs
     lf = f.levels[1]
     assert lf.level == 0.5 and [50] in [r.rd.tolist() for r in lf.records]
-    g = reference_factor(SparseSymMatrix.from_scipy(k), grid, "hifde", 1e-6)
-    assert factor_digest(f) == factor_digest(g)
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one_chunk", "chunk_per_group"])
+def test_screen_skips_a_group_whose_row_a_later_group_retires(monkeypatch, budget):
+    # the mirror: A's level-start block, rows 50, 108 and 112, is a permuted
+    # identity that passes the screen. B, rows 46 and 52, compresses and
+    # retires 50 and 51 after A's turn, so A's ID stays skipped, although
+    # without row 50 its column 46 would be zero.
+    pairs = {(50, 46): 1.0, (108, 45): 1.0, (112, 47): 1.0,
+             (52, 49): 1e8, (52, 50): 0.5e8, (52, 51): 0.25e8}
+    f, start, runs = screen_case(monkeypatch, budget, pairs, 0)
+    assert start.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    assert ([[0.0, 1.0, 0.0], [1e8, 0.5e8, 0.25e8]], [1, 2]) in runs
+    # A's block, whole or without row 50, goes to no ID
+    assert not [m for m, _ in runs if m in (start.tolist(), start[1:].tolist())]
+    lf = f.levels[1]
+    rds = [r.rd.tolist() for r in lf.records]
+    assert lf.level == 0.5 and [50, 51] in rds and not np.isin([45, 46, 47], sum(rds, [])).any()
 
 
 def test_3d_elimination_one_cell_per_chunk(monkeypatch):

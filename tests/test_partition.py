@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from hifde import (DofState, GridConfig, SparseSymMatrix, adaptive_interior_cells, assemble,
                    build_grid, cells_to_csv, constant_field, eliminate_cell, factor_hifde,
                    factor_hifde3x, interface_cells, interior_cells)
-from hifde import driver
+from hifde import driver, partition, sparse
+from hifde.sparse import DenseSymMatrix
 
 from oracles import assert_noninteracting
 
@@ -277,9 +278,17 @@ class TestAdaptiveInteriorCells:
         assert len(cs1.cells) >= 1
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_sheds_in_closed_form(self, seed):
+    def test_sheds_in_closed_form(self, seed, monkeypatch):
         # a cell keeps exactly the Voronoi members that couple to no member
-        # of a later cell (ascending center order)
+        # of a later cell (ascending center order), on either storage, read
+        # in one row block or in blocks of a few entries
+        blocks = []
+
+        def spans(costs):
+            out = sparse.spans(costs, budget)
+            blocks.append(len(out))
+            return out
+        monkeypatch.setattr(partition, "spans", spans)
         rng = np.random.default_rng(seed)
         g = build_grid(*((2, 16) if seed % 2 else (3, 8)), 2)
         r = sp.random(g.ndof, g.ndof, density=rng.choice([1.0, 4.0]) / g.ndof,
@@ -300,7 +309,10 @@ class TestAdaptiveInteriorCells:
             later = (cell[s.row] >= 0) & (cell[s.col] > cell[s.row])
             keep = (cell >= 0) & ~np.isin(np.arange(g.ndof), s.row[later])
             ids = np.unique(cell[keep])
-            cs = adaptive_interior_cells(a, g, ell)
-            assert [c.tolist() for c in cs.cells] == \
-                [np.flatnonzero(keep & (cell == i)).tolist() for i in ids]
-            assert np.array_equal(cs.centers, centers[ids].reshape(-1, g.dim))
+            for m in (a, DenseSymMatrix.kept(a, np.zeros(g.ndof, dtype=bool))):
+                for budget in (sparse.CHUNK, 5):
+                    cs = adaptive_interior_cells(m, g, ell)
+                    assert [c.tolist() for c in cs.cells] == \
+                        [np.flatnonzero(keep & (cell == i)).tolist() for i in ids]
+                    assert np.array_equal(cs.centers, centers[ids].reshape(-1, g.dim))
+                    assert (blocks[-1] == 1) if budget == sparse.CHUNK else (blocks[-1] > 2)

@@ -318,6 +318,28 @@ class TestBlockUpdate:
                 dense[np.ix_(q, q)] += delta
             assert np.allclose(a.to_dense(), dense, rtol=0, atol=1e-14)
 
+    def test_inserted_column_replaces_a_stored_one(self):
+        # column 1 of row 1 is stored and not in drop
+        a = tridiag(3)
+        a.replace_rows([1], [], [1], [[5.0]])
+        assert a.row_idx[1].tolist() == [0, 1, 2]
+        assert a.gather([1], [1]).tolist() == [[5.0]] and a.to_dense()[1, 1] == 5.0
+
+    def test_drop_cols_vs_dense_mirror(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n = int(rng.integers(5, 30))
+            a, dense = random_sparse_sym(rng, n)
+            rows = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            cols = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            stored = [ix.copy() for ix in a.row_idx]
+            a.drop_cols(rows, cols)
+            dense[np.ix_(rows, cols)] = 0.0
+            assert np.array_equal(a.to_dense(), dense)
+            for i, ix in enumerate(a.row_idx):
+                want = np.setdiff1d(stored[i], cols) if i in rows else stored[i]
+                assert np.array_equal(ix, want)
+
 
 class TestDeactivate:
     def test_deactivate_all(self):
@@ -466,6 +488,19 @@ class TestDenseStorage:
             if len(unstored):
                 r, c = d.dofs[unstored[0]]
                 assert same(d.gather([r], [c]), [[0.0]]) and same(s.gather([r], [c]), [[0.0]])
+
+    def test_repeated_rows_and_cols_read_every_copy(self):
+        assert np.array_equal(tridiag(3).gather([1], [1, 1]), [[2.0, 2.0]])
+        rng = np.random.default_rng(12)
+        for seed in range(20):
+            n = int(rng.integers(5, 30))
+            for m in storages(seed, n)[:2]:
+                # twice as many as n, so some repeat; the mirror reads -0.0 as
+                # +0.0, the distinct gather keeps its sign
+                rows, cols = rng.integers(0, n, (2, 2 * n))
+                got, every = m.gather(rows, cols), np.arange(n)
+                assert np.array_equal(got, m.to_dense()[np.ix_(rows, cols)])
+                assert same(got, m.gather(every, every)[np.ix_(rows, cols)])
 
     @pytest.mark.parametrize("step", ["eliminate", "skeletonize"])
     def test_level_step_on_each_storage(self, monkeypatch, step):
