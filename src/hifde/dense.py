@@ -42,10 +42,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg as sla
 from scipy.linalg.blas import dtrsm as _dtrsm
 from scipy.linalg.lapack import dgeqp3 as _dgeqp3
 from scipy.linalg.lapack import dpotrf as _dpotrf
+from scipy.linalg.lapack import dsytrf as _dsytrf
+from scipy.linalg.lapack import dsytrf_lwork as _dsytrf_lwork
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 
@@ -265,9 +266,9 @@ def ldl_stack(blocks: np.ndarray, spd_mode: bool):
     Returns the stacked factors ``lower`` (k, n, n), ``perm`` (k, n) and
     ``diag``, ``sub`` (k, n) (sub zero-padded), and the failures: the
     (index, FactorizationError) pairs of the blocks refused, in block
-    order. Each block is one LAPACK call (potrf in SPD mode, sytrf through
-    ``sla.ldl`` otherwise); the rest of the work, the singular-pivot checks
-    included, is stacked.
+    order. Each block is one LAPACK call (potrf in SPD mode, sytrf
+    otherwise, unpacked as ``sla.ldl`` unpacks it: ``_unpack_sytrf``); the
+    rest of the work, the singular-pivot checks included, is stacked.
     """
     k, n = blocks.shape[:2]
     failures = []
@@ -285,12 +286,12 @@ def ldl_stack(blocks: np.ndarray, spd_mode: bool):
         lower = c * (1.0 / dc)[:, None, :]
         diag, sub, perm = dc * dc, np.zeros((k, n)), np.tile(np.arange(n), (k, 1))
     else:
-        lower, diag, sub = np.empty((k, n, n)), np.empty((k, n)), np.zeros((k, n))
-        perm = np.empty((k, n), dtype=np.int64)
+        ldu, ipiv = np.empty((k, n, n)), np.empty((k, n), dtype=np.int64)
+        # sla.ldl's workspace: sytrf's blocking, and so its rounding, depends on it
+        lwork = int(_dsytrf_lwork(n, lower=1)[0])
         for j in range(k):
-            lu, dd, p = sla.ldl(blocks[j], lower=True, check_finite=False)
-            lower[j], perm[j], diag[j] = lu[p], p, np.diagonal(dd)
-            sub[j, :-1] = np.diagonal(dd, -1)
+            ldu[j], ipiv[j], _ = _dsytrf(blocks[j], lwork=lwork, lower=1)
+        lower, perm, diag, sub = _unpack_sytrf(ldu, ipiv)
     scale = np.abs(np.diagonal(blocks, axis1=1, axis2=2)).max(axis=1)
     zero = scale == 0.0
     if zero.any():
@@ -312,6 +313,32 @@ def ldl_stack(blocks: np.ndarray, spd_mode: bool):
                  if j not in failed]
     failures.sort(key=lambda f: f[0])
     return lower, perm, diag, sub, failures
+
+
+def _unpack_sytrf(ldu: np.ndarray, ipiv: np.ndarray):
+    """L[p], p, D's diagonal and subdiagonal (zero-padded) of a stack of
+    sytrf (lower) outputs ``ldu`` (k, n, n), ``ipiv`` (k, n), as ``sla.ldl``
+    unpacks each: a 2x2 pivot has a negative ipiv in both rows, and the row
+    interchanges are undone in reverse row order, here over all blocks at
+    once at each row where one interchanges."""
+    k, n = ipiv.shape
+    rows = np.arange(n)
+    # the negative runs pair up from their starts: each 2x2 pivot's block and first row
+    neg = np.flatnonzero(np.c_[ipiv < 0, np.zeros(k, dtype=bool)])
+    run = np.maximum.accumulate(np.where(np.diff(neg, prepend=-2) != 1, neg, 0))
+    g, i = np.divmod(neg[(neg - run) % 2 == 0], n + 1)
+    lu, sub, swap = np.tril(ldu, -1), np.zeros((k, n)), np.where(ipiv > 0, ipiv - 1, rows)
+    lu[:, rows, rows] = 1.0
+    sub[g, i], lu[g, i + 1, i], swap[g, i + 1] = ldu[g, i + 1, i], 0.0, -ipiv[g, i] - 1
+    col, order = np.tile(rows, (k, 1)), np.tile(rows, (k, 1))
+    col[g, i + 1] -= 1      # a 2x2 pivot's rows swap from its first column on
+    for r in np.flatnonzero((swap != rows).any(axis=0))[::-1].tolist():
+        b = np.flatnonzero(swap[:, r] != r)
+        s, left, x = swap[b, r], rows < col[b, r, None], lu[b, r]
+        lu[b, r], lu[b, s] = np.where(left, x, lu[b, s]), np.where(left, lu[b, s], x)
+        order[b, r], order[b, s] = order[b, s], order[b, r]
+    p = np.argsort(order, axis=1)
+    return np.take_along_axis(lu, p[:, :, None], 1), p, ldu[:, rows, rows], sub
 
 
 @dataclass

@@ -329,9 +329,9 @@ def _run_levels(a: SparseSymMatrix, grid: GridConfig, spd: bool, eps: float,
         for tag, cs, is_skel in schedule(w):
             t_level = time.perf_counter()
             if is_skel:
-                flats = skeletonize_level(w, cs.cells, eps, tag, spd)
+                flats = skeletonize_level(w, cs, eps, tag, spd)
             else:
-                flats = eliminate_level(w, cs.cells, tag, spd)
+                flats = eliminate_level(w, cs, tag, spd)
             levels.append(_level(tag, spd, flats))
             trace.append((tag, int(w.active.sum())))
             if dense_from is None and isinstance(w, DenseSymMatrix):

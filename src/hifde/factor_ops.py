@@ -37,6 +37,12 @@ they come: the ID's ``sk`` and ``rd`` ascending, D's ``sub`` zero-padded.
 A record holds data only: the driver applies a level's records together,
 stacked by shape (``driver.Group``).
 
+A step reads its groups' rows in row blocks, each once and with one sort
+(``_scan``). An elimination step, which needs every cell's neighbors
+before its first chunk, reads them twice: its neighbor pass keeps each
+entry's place for the chunks. The switch to dense is decided from the
+counts these reads give (``_goes_dense``).
+
 Interactions outside the touched cell and its neighbor set are never read
 or written.
 """
@@ -49,7 +55,8 @@ import numpy as np
 
 from .dense import (EMPTY_FACTOR, SCREEN_MAX_COLS, LdlFactor, interpolative_decomposition,
                     keeps_every_column, ldl, ldl_stack, schur_stack)
-from .sparse import DenseSymMatrix, DofState, SparseSymMatrix, sorted_unique, spans
+from .partition import CellSet
+from .sparse import DenseSymMatrix, DofState, SparseSymMatrix, spans
 
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
            "skeletonize_level"]
@@ -169,29 +176,14 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
 # group order, of about sparse.CHUNK entries (row entries and dense blocks),
 # and the blocks of one shape within a chunk are factored as one stack.
 
-def _expand(w: SparseSymMatrix, cells: list, mark: np.ndarray):
-    """The stored entries of the rows of groups ``cells``: the members, and
-    per entry the index of its row in the members, its group, column and
-    value, and whether the column is in the same group (``inside``) or an
-    active neighbor (``nb``). ``mark`` is an n-array of -1, used as scratch
-    and left so."""
-    members = np.concatenate(cells)
-    owner = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
-    row, cols, vals = w.entries(members)
-    g = owner[row]
-    mark[members] = owner
-    inside = mark[cols] == g
-    mark[members] = -1
-    return members, row, g, cols, vals, inside, ~inside & w.active[cols]
-
-
-def _groups(w: SparseSymMatrix, cells: list, mark: np.ndarray, level: float):
-    """The members of a level's groups ``cells`` in group order, each group's
-    size and its rows' stored entries. ValueError names a group that is empty
-    or holds a DOF out of range, inactive or held twice; ``mark`` as in _expand."""
-    clen = np.fromiter(map(len, cells), np.int64, len(cells))
-    members, ends = np.concatenate(cells), np.cumsum(clen)
-    group = lambda i: np.searchsorted(ends, i, side="right")  # noqa: E731
+def _groups(w: SparseSymMatrix, cs: CellSet, level: float):
+    """``mark``, each group's size and its rows' stored entries, for the
+    groups ``cs`` of a level. ``mark`` is an n-array holding (i << s) | j at
+    the j-th member of group i, s = (n - 1).bit_length(), -2 at every other
+    active DOF and -1 elsewhere. ValueError names a group that is empty or
+    holds a DOF out of range, inactive or held twice."""
+    members, clen = cs.members, np.diff(cs.offsets)
+    group = lambda i: np.searchsorted(cs.offsets[1:], i, side="right")  # noqa: E731
     at = f"of level {level:.4g}"
     if not clen.all():
         raise ValueError(f"group {np.argmin(clen)} {at} is empty")
@@ -201,78 +193,97 @@ def _groups(w: SparseSymMatrix, cells: list, mark: np.ndarray, level: float):
         i = np.argmin(ok)
         raise ValueError(f"group {group(i)} {at} holds DOF {members[i]}, " + (
             "which is not active" if 0 <= members[i] < w.n else f"out of range for order {w.n}"))
-    mark[members] = np.arange(len(members))
-    seen, mark[members] = mark[members], -1
-    i = np.argmax(seen != np.arange(len(members)))
+    mark = np.where(w.active, -2, -1)
+    index = np.arange(len(members))
+    mark[members] = index
+    seen = mark[members]
+    i = np.argmax(seen != index)
     if seen[i] != i:
         g, h = group([i, seen[i]])
         raise ValueError(f"group {g} {at} holds DOF {members[i]} twice" if g == h else
                          f"group {g} {at} shares DOF {members[i]} with group {h}")
-    return members, clen, np.add.reduceat(w.row_lengths(members), ends - clen)
+    owner = np.repeat(np.arange(len(clen)), clen)
+    mark[members] = (owner << (w.n - 1).bit_length()) | (index - cs.offsets[owner])
+    return mark, clen, np.add.reduceat(w.row_lengths(members), cs.offsets[:-1])
 
 
-def _neighbors(w: SparseSymMatrix, cells: list, mark: np.ndarray, label: np.ndarray,
-               start: int, level: float):
-    """Each group's active neighbors, flat and ascending per group, and
-    their counts, for the groups ``cells`` of a level numbered from
-    ``start``. ``label`` is each DOF's group in the level, -1 outside:
-    a group that is another's neighbor raises ValueError."""
-    _, _, g, cols, _, _, nb = _expand(w, cells, mark)
-    other = label[cols[nb]]
-    hit = np.flatnonzero(other >= 0)
-    if len(hit):
-        i = hit[0]
-        raise ValueError(f"cells {start + g[nb][i]} and {other[i]} of level {level:.4g} "
-                         "interact")
-    keys = sorted_unique(g[nb] * w.n + cols[nb])
-    return keys % w.n, np.bincount(keys // w.n, minlength=len(cells))
+def _scan(w: SparseSymMatrix, cs: CellSet, mark: np.ndarray, start: int):
+    """One read and one sort of the rows of the groups ``cs``, numbered from
+    ``start`` (``mark`` as _groups gives it): the stored entries (row, an
+    index into ``cs.members``, column, value), each one's place ``at``, and
+    each group's active neighbors q, flat, ascending per group, and counts.
+    ``at`` is -2 - (i |c| + j) for an entry inside its group (A[c, c]),
+    k |c| + i for one in its group's k-th neighbor's column (A[q, c]), and
+    -1 for any other. One stable argsort of the packed keys (group << s) |
+    column orders the neighbors; its inverse numbers them per entry."""
+    s = (w.n - 1).bit_length()
+    lo = (1 << s) - 1
+    clen = np.diff(cs.offsets)
+    row, cols, vals = w.entries(cs.members)
+    tag = mark[cs.members]
+    own, m = tag[row], mark[cols]
+    # inside: the column's mark holds the row's group in its high bits
+    inside = (m ^ own).view(np.uint64) <= lo
+    nb = (m != -1) ^ inside
+    keys = (own[nb] & ~lo) | cols[nb]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    rank = np.empty(len(keys), np.int64)
+    rank[order] = np.cumsum(head) - 1
+    keys = keys[head]
+    qlen = np.bincount((keys >> s) - start, minlength=len(clen))
+    at = np.full(len(row), -1, np.min_scalar_type(-2 - int((clen * np.maximum(clen, qlen)).max())))
+    size, pos = np.repeat(clen, clen), tag & lo
+    at[inside] = -2 - (pos * size)[row[inside]] - (m[inside] & lo)
+    first, rn = np.repeat(np.cumsum(qlen) - qlen, clen), row[nb]
+    at[nb] = rank * size[rn] + (pos - first * size)[rn]
+    return row, cols, vals, at, keys & lo, qlen
 
 
 class _Fronts:
-    """The fronts of consecutive groups ``cells`` of a level, read from the
-    working matrix ``w``: each group's active neighbors (``q``, flat,
-    ascending per group, ``qlen`` each) and its blocks A[c, c] and A[q, c]
-    (the mirror of A[c, q]); ``mark`` as in _expand.
+    """The fronts of consecutive groups ``cs`` of a level, numbered from
+    ``start`` (``mark`` as _groups gives it), read from the working matrix
+    ``w``: each group's active neighbors (``q``, flat, ascending per group,
+    ``qlen`` each) and its blocks A[c, c] and A[q, c] (the mirror of
+    A[c, q]).
 
-    On CSR the entries of the groups' rows are read in vectorized passes
-    and split into the two blocks. On the dense storage a group's neighbors
+    On CSR the groups' rows are read in one vectorized pass (_scan, or,
+    given a level pass's q, qlen and ``at`` in ``nbrs``, ``entries``) and
+    each entry goes to its place. On the dense storage a group's neighbors
     are the stored columns of its rows outside it, and ``gather`` reads its
     blocks by np.ix_ gathers: the same values, as a slot that is not stored
     holds +0.0.
     """
 
-    def __init__(self, w: SparseSymMatrix | DenseSymMatrix, cells: list, mark: np.ndarray):
-        self.clen = np.fromiter(map(len, cells), np.int64, len(cells))
-        self.cstart = np.cumsum(self.clen) - self.clen
+    def __init__(self, w: SparseSymMatrix | DenseSymMatrix, cs: CellSet, mark: np.ndarray,
+                 start: int, nbrs: tuple | None = None):
+        self.members, self.cstart = cs.members, cs.offsets[:-1]
+        self.clen = np.diff(cs.offsets)
         self._dense = w if isinstance(w, DenseSymMatrix) else None
         if self._dense is not None:
-            self.members = np.concatenate(cells)
             live = w.active[w.dofs]
             # each group's slots and its neighbors' slots
             self._slots = []
-            for c in cells:
+            for c in cs.cells:
                 p = w.slot[c]
                 nb = w.stored[p].any(axis=0) & live
                 nb[p] = False
                 self._slots.append((p, np.flatnonzero(nb)))
             self.qlen = np.array([len(s) for _, s in self._slots], dtype=np.int64)
-            self.qstart = np.cumsum(self.qlen) - self.qlen
             self.q = w.dofs[np.concatenate([s for _, s in self._slots])]
-            return
-        n = w.n
-        self.members, row, g, cols, vals, inside, nb = _expand(w, cells, mark)
-        pos = np.arange(len(self.members)) - np.repeat(self.cstart, self.clen)
-        mark[self.members] = pos
-        col_pos = mark[cols[inside]]
-        mark[self.members] = -1
-        flat = g[nb] * n + cols[nb]
-        keys = sorted_unique(flat)
-        inv = np.searchsorted(keys, flat)
-        self.qlen = np.bincount(keys // n, minlength=len(cells))
+        else:
+            if nbrs is None:
+                row, cols, vals, at, self.q, self.qlen = _scan(w, cs, mark, start)
+                self._rows = row, cols
+            else:
+                (self.q, self.qlen, at), (row, _, vals) = nbrs, w.entries(cs.members)
+            g = np.repeat(np.arange(len(self.clen)), self.clen)[row]
+            inside, nb = at < -1, at >= 0
+            self._pp = (g[inside], -2 - at[inside], vals[inside])
+            self._qp = (g[nb], at[nb], vals[nb])
         self.qstart = np.cumsum(self.qlen) - self.qlen
-        self.q = keys % n
-        self._pp = (g[inside], pos[row[inside]], col_pos, vals[inside])
-        self._qp = (g[nb], inv - self.qstart[g[nb]], pos[row[nb]], vals[nb])
 
     def cells(self, idx: np.ndarray) -> np.ndarray:
         """The members of the groups ``idx``, all of one size, stacked."""
@@ -298,11 +309,25 @@ class _Fronts:
                 qp[oqp[i]:oqp[i] + s.size * p.size].reshape(s.size, p.size)[...] = \
                     a[np.ix_(p, s)].T
             return pp, opp, qp, oqp
-        g, r, c, v = self._pp
-        pp[opp[g] + r * self.clen[g] + c] = v
-        g, r, c, v = self._qp
-        qp[oqp[g] + r * self.clen[g] + c] = v
+        g, i, v = self._pp
+        pp[opp[g] + i] = v
+        g, i, v = self._qp
+        qp[oqp[g] + i] = v
         return pp, opp, qp, oqp
+
+    def retired_entries(self, retired: np.ndarray) -> np.ndarray:
+        """On CSR, after the groups' IDs marked their rd in ``retired``: the
+        entries read (_scan) in marked rows, and of those the ones in marked
+        columns, twice where the column was marked by an earlier chunk (the
+        mirror, which that chunk found unmarked)."""
+        row, cols = self._rows
+        rd = retired[self.members]
+        c = cols[rd[row]]
+        both = np.count_nonzero(retired[c])
+        retired[self.members[rd]] = False
+        both += np.count_nonzero(retired[c])
+        retired[self.members[rd]] = True
+        return np.array([len(c), both])
 
 
 class _Flats:
@@ -357,26 +382,27 @@ def _shape_runs(keys: np.ndarray):
 DENSE_SHARE = 1 / 8
 
 
-def _goes_dense(w: SparseSymMatrix, retired: np.ndarray, sizes: np.ndarray) -> bool:
-    """Whether the output of the step that retires the DOFs of the boolean
-    mask ``retired`` from ``w`` and writes cliques of ``sizes`` goes dense
-    (DENSE_SHARE)."""
-    rows = np.flatnonzero(retired)
-    cols = w.entries(rows)[1]
+def _goes_dense(w: SparseSymMatrix, gone, sizes: np.ndarray) -> bool:
+    """Whether the output of the step that retires DOFs from ``w`` and
+    writes cliques of ``sizes`` goes dense (DENSE_SHARE). ``gone`` counts,
+    from the level's reads, the DOFs retired, the entries in their rows and,
+    of those, the ones in their columns."""
+    dofs, rows, both = (int(x) for x in gone)
     # as many entries lie in the retired columns as in the retired rows
-    kept = int(w.indptr[-1]) - 2 * len(cols) + np.count_nonzero(retired[cols])
-    m = np.count_nonzero(w.active) - len(rows)
+    kept = int(w.indptr[-1]) - 2 * rows + both
+    m = np.count_nonzero(w.active) - dofs
     return kept + int((sizes * sizes).sum()) >= DENSE_SHARE * m * m
 
 
 def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: np.ndarray,
-            sizes: np.ndarray, chunks, flats: _Flats, cells: list, level: float,
+            sizes: np.ndarray, gone, chunks, flats: _Flats, cells: CellSet, level: float,
             spd: bool) -> None:
     """The elimination step of both level steps: eliminate the DOFs
     ``retired`` against their fronts, chunk by chunk, and drop every entry
     that couples them from ``w``, whose other entries and each group's
     sk x sk pairs (``cliques`` flat, one per group in group order,
     ``sizes`` each, empty if it retires nothing) are stored after it.
+    ``gone`` counts what the step drops, for _goes_dense.
 
     ``chunks`` yields, in group order, a chunk's groups as stacks of one
     shape (idx, rd, sk, A_pp, A_qp, interp): the groups' indices in the
@@ -396,12 +422,13 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
     """
     if isinstance(w, DenseSymMatrix):
         new = w
-    elif _goes_dense(w, retired, sizes):
+    elif _goes_dense(w, gone, sizes):
         new = DenseSymMatrix.kept(w, retired)
     else:
         new, offset, rnd = w.rebuilt(retired, cliques, sizes)
         first = np.cumsum(sizes * sizes) - sizes * sizes
     dense = isinstance(new, DenseSymMatrix)
+    pairs = {}   # per front width: the pairs r <= c and their offsets r nq + c, c nq + r
     for chunk in chunks:
         blocks, failures = [], []
         for idx, rd, sk, m_pp, m_qp, interp in chunk:
@@ -412,7 +439,8 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
             i, exc = min(failures, key=lambda f: f[0])
             exc.locate(level, i, len(cells[i]))
             raise exc
-
+        # what a chunk no longer needs goes before the next one is read
+        del chunk, m_pp, m_qp
         updates = []
         for idx, rd, sk, m_qp, interp, (lower, perm, diag, sub) in blocks:
             x, u = schur_stack(m_qp, lower, perm, diag, sub)
@@ -423,14 +451,18 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
                 continue
             # the pairs (sk_r, sk_c), r <= c, of each group, row-major
             nq = sk.shape[1]
-            r, c = np.triu_indices(nq)
-            ij, ji = first[idx][:, None] + (r * nq + c), first[idx][:, None] + (c * nq + r)
+            if nq not in pairs:
+                r, c = np.triu_indices(nq)
+                pairs[nq] = r, c, r * nq + c, c * nq + r
+            r, c, rc, cr = pairs[nq]
+            ij, ji = first[idx][:, None] + rc, first[idx][:, None] + cr
             updates.append((new.indptr[sk[:, r]] + offset[ij], new.indptr[sk[:, c]] + offset[ji],
                             rnd[ij], u[:, r, c], u[:, c, r]))
             del x, u, ij, ji
         if dense:
             for _, dofs, u in sorted(updates, key=lambda g: g[0]):
                 new.schur_write(dofs, u)
+            del updates, u, blocks
             continue
         pij, pji, depth, uij, uji = (np.concatenate([x.ravel() for x in xs])
                                      for xs in zip(*updates))
@@ -448,28 +480,36 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
     w.active[retired] = False
 
 
-def eliminate_level(w: SparseSymMatrix, cells: list, level: float, spd: bool) -> dict:
+def eliminate_level(w: SparseSymMatrix, cells: CellSet, level: float, spd: bool) -> dict:
     """Eliminate the mutually non-interacting cells ``cells`` as
     eliminate_cell would one by one, in order. Returns the level's records
     as flat arrays (FLAT_DTYPES) and retires the cells in ``w``. Cells that
     interact raise ValueError before ``w`` is changed.
 
     No cell reads another's update: a cell's rows, its neighbors q and
-    A[q, c] stay those of the level's start, so they are read from ``w``
-    chunk by chunk as the elimination step (_retire) reaches them.
+    A[q, c] stay those of the level's start. One pass over the level
+    (_scan) finds every cell's q, which the step needs before its first
+    chunk, and each entry's place; the chunks read the rows again, for
+    their values, as the elimination step (_retire) reaches them.
     """
-    if not cells:
+    if not len(cells):
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), False).out
-    mark = np.full(w.n, -1, dtype=np.int64)
-    members, clen, row_nnz = _groups(w, cells, mark, level)
-    label = np.full(w.n, -1, dtype=np.int64)
-    label[members] = np.repeat(np.arange(len(cells)), clen)
-    q, qlen = (np.concatenate(x) for x in zip(*[
-        _neighbors(w, cells[a:b], mark, label, a, level) for a, b in spans(row_nnz)]))
+    mark, clen, row_nnz = _groups(w, cells, level)
+    at, q, qlen = (np.concatenate(x) for x in zip(*[
+        _scan(w, cells[a:b], mark, a)[3:] for a, b in spans(row_nnz)]))
+    hit = np.flatnonzero(mark[q] >= 0)
+    if len(hit):
+        i = hit[0]
+        raise ValueError(f"cells {np.searchsorted(np.cumsum(qlen), i, side='right')} and "
+                         f"{mark[q[i]] >> (w.n - 1).bit_length()} of level {level:.4g} interact")
+    qend, rend = np.cumsum(qlen), np.cumsum(row_nnz)
+    nbrs = lambda a, b: (q[qend[a] - qlen[a]:qend[b - 1]], qlen[a:b],  # noqa: E731
+                         at[rend[a] - row_nnz[a]:rend[b - 1]])
     flats = _Flats(clen, qlen, False)
-    chunks = (_cell_stacks(_Fronts(w, cells[a:b], mark), a)
+    chunks = (_cell_stacks(_Fronts(w, cells[a:b], mark, a, nbrs(a, b)), a)
               for a, b in spans(row_nnz + (clen + qlen) ** 2))
-    _retire(w, label >= 0, q, qlen, chunks, flats, cells, level, spd)
+    gone = (len(cells.members), rend[-1], np.count_nonzero(at < -1))
+    _retire(w, mark >= 0, q, qlen, gone, chunks, flats, cells, level, spd)
     return flats.out
 
 
@@ -488,7 +528,7 @@ def _cell_stacks(f: _Fronts, start: int) -> list:
     return stacks
 
 
-def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
+def skeletonize_level(w: SparseSymMatrix, cells: CellSet, eps: float, level: float,
                       spd: bool) -> dict:
     """Skeletonize the groups ``cells`` as skeletonize_cell would one by
     one, in order. Returns the level's records as flat arrays
@@ -509,18 +549,21 @@ def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
     keeps its cell as its sk and runs no geqp3. Every other group runs its
     ID in one pass in group order, and the factor is the same bit for bit.
     """
-    if not cells:
+    if not len(cells):
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), True).out
-    mark = np.full(w.n, -1, dtype=np.int64)
     retired = np.zeros(w.n, dtype=bool)
-    _, clen, row_nnz = _groups(w, cells, mark, level)
+    mark, clen, row_nnz = _groups(w, cells, level)
     rd_len = np.zeros(len(cells), np.int64)
-    chunks, kept = [], []
+    chunks, kept, gone = [], [], np.zeros(2, np.int64)
     # a group has at most as many neighbors as its rows have entries
     for a, b in spans(row_nnz + (clen + row_nnz) * clen):
-        stacks = _skeleton_stacks(_Fronts(w, cells[a:b], mark), a, retired, eps, rd_len, kept)
+        f = _Fronts(w, cells[a:b], mark, a)
+        stacks = _skeleton_stacks(f, a, retired, eps, rd_len, kept)
         if stacks:
             chunks.append(stacks)
+            if isinstance(w, SparseSymMatrix):   # only a CSR step can go dense
+                gone += f.retired_entries(retired)
+        del f
     flats = _Flats(rd_len, clen - rd_len, True)
     for idx, sk in kept:
         flats.put(idx, sk=sk)
@@ -531,8 +574,8 @@ def skeletonize_level(w: SparseSymMatrix, cells: list, eps: float, level: float,
         for idx, _, sk, *_ in (s for stacks in chunks for s in stacks):
             cliques[start[idx][:, None] + np.arange(sk.shape[1])] = sk
         # each chunk's stacks are dropped once it is eliminated
-        _retire(w, retired, cliques, sizes, (chunks.pop(0) for _ in range(len(chunks))),
-                flats, cells, level, spd)
+        _retire(w, retired, cliques, sizes, (rd_len.sum(), *gone),
+                (chunks.pop(0) for _ in range(len(chunks))), flats, cells, level, spd)
     return flats.out
 
 

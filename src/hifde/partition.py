@@ -11,7 +11,9 @@ with the lowest linear index. All coordinate arithmetic is exact (integer,
 in doubled grid units) so tie detection is deterministic.
 
 Each grouping keys every DOF to its center once, in vectorized integer
-arithmetic, and one split (``_cellset``) turns the keys into groups.
+arithmetic, and one sort (``_cellset``) turns the keys into groups, held
+flat: the members back to back and each group's offset, which the level
+steps slice; ``cells`` gives the groups as views, for the per-cell loop.
 """
 
 from __future__ import annotations
@@ -35,12 +37,33 @@ __all__ = [
 
 @dataclass
 class CellSet:
-    """Disjoint index groups at one (possibly fractional) level."""
+    """Disjoint index groups at one (possibly fractional) level, held flat:
+    group i is ``members[offsets[i]:offsets[i + 1]]``. ``cs[i]`` is group i
+    and ``cs[a:b]`` the CellSet of groups a to b - 1, both views."""
 
     level: float
     kind: str                      # "interior" | "edge" | "face"
-    cells: list[np.ndarray]        # ascending DOF indices per group
-    centers: np.ndarray            # (len(cells), dim), grid units
+    members: np.ndarray            # ascending DOF indices per group, back to back
+    offsets: np.ndarray            # (len + 1,): each group's start, then the end
+    centers: np.ndarray            # (len, dim), grid units
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        r, o = range(len(self))[i], self.offsets
+        if isinstance(r, int):
+            return self.members[o[r]:o[r + 1]]
+        if r.step != 1:
+            raise ValueError("a CellSet is sliced in steps of 1")
+        a, b = r.start, max(r.start, r.stop)
+        return CellSet(self.level, self.kind, self.members[o[a]:o[b]], o[a:b + 1] - o[a],
+                       self.centers[a:b])
+
+    @property
+    def cells(self) -> list[np.ndarray]:
+        """Each group's members, as views of ``members``."""
+        return [self[i] for i in range(len(self))]
 
 
 @lru_cache(maxsize=8)
@@ -70,7 +93,7 @@ def _cellset(level, kind: str, sel: np.ndarray, keys: np.ndarray, cen2: np.ndarr
     is its first member's center ``cen2`` (doubled grid units)."""
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    return CellSet(float(level), kind, np.split(sel[order], starts)[1:],
+    return CellSet(float(level), kind, sel[order], np.append(starts, len(sel)),
                    cen2[order[starts]] / 2.0)
 
 

@@ -20,7 +20,9 @@ The factorization reads a whole level's fronts from the matrix
 (``entries``) and replaces its entries once, at the level's end. On CSR,
 ``rebuilt`` lays out new arrays and places each front's pairs in them,
 the level step writes its Schur updates there and the matrix takes them
-over (``update``). The step whose output is at least 1/8 stored builds a
+over (``update``). ``rebuilt`` sorts each block of rows once, by the
+packed keys (row << s) | col, s = (n - 1).bit_length(), which order as
+(row, col) does. The step whose output is at least 1/8 stored builds a
 dense matrix instead (``DenseSymMatrix.kept``), writes its updates into
 it, and the working matrix becomes it (``update``); from then on each
 step writes its updates in place (``schur_write``) and clears the DOFs it
@@ -65,12 +67,6 @@ def spans(costs: np.ndarray, budget: int = CHUNK) -> list[tuple[int, int]]:
         out.append((a, b))
         a = b
     return out
-
-
-def sorted_unique(x: np.ndarray) -> np.ndarray:
-    """np.unique by sorting (np.unique hashes, which is slower here)."""
-    x = np.sort(x)
-    return x[np.r_[True, x[1:] != x[:-1]]] if len(x) else x
 
 
 def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +124,9 @@ class _SymMatrix:
     def neighbors(self, c: np.ndarray) -> np.ndarray:
         """Active DOFs outside c with a stored coupling to c, ascending."""
         c = np.asarray(c, dtype=np.int64)
-        u = sorted_unique(self.entries(c)[1]).astype(np.int64)
-        return u[(self._positions(c)[u] < 0) & self.active[u]]
+        u = np.sort(self.entries(c)[1]).astype(np.int64)
+        u = u[(self._positions(c)[u] < 0) & self.active[u]]
+        return u[np.r_[True, u[1:] != u[:-1]]] if len(u) else u
 
 
 class SparseSymMatrix(_SymMatrix):
@@ -206,7 +203,8 @@ class SparseSymMatrix(_SymMatrix):
 
     def row_lengths(self, rows: np.ndarray) -> np.ndarray:
         """The number of stored entries of each of ``rows``."""
-        return self.indptr[np.asarray(rows) + 1] - self.indptr[rows]
+        rows = np.asarray(rows, dtype=np.int64)
+        return self.indptr[rows + 1] - self.indptr[rows]
 
     def _dense(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         owner, c, vals = self.entries(rows)
@@ -229,9 +227,10 @@ class SparseSymMatrix(_SymMatrix):
         each clique (``cliques`` flat, ``sizes`` each), zero where nothing
         was stored; and per clique pair (i, j), clique-major and row-major,
         its offset in row i and its round, the number of earlier cliques
-        holding it. Each block of rows is sorted once, stably, by the keys
-        (row - first row) * n + col: kept entries first, then the pairs."""
-        n = self.n
+        holding it. Each block of rows is sorted once, stably, by the packed
+        keys ((row - first row) << s) | col, s = (n - 1).bit_length(): kept
+        entries first, then the pairs."""
+        n, s = self.n, (self.n - 1).bit_length()
         by_row = np.argsort(cliques, kind="stable")
         inc_row, o = cliques[by_row], np.repeat(np.arange(len(sizes)), sizes)[by_row]
         start = np.cumsum(sizes) - sizes
@@ -249,20 +248,21 @@ class SparseSymMatrix(_SymMatrix):
         for r0, r1 in spans(cost):
             lo, hi = self.indptr[r0], self.indptr[r1]
             k = keep[lo:hi]
-            kept = np.repeat(np.arange(r1 - r0), old_len[r0:r1])[k] * n + self.indices[lo:hi][k]
+            kept = (np.repeat(np.arange(r1 - r0), old_len[r0:r1])[k] << s) | self.indices[lo:hi][k]
             a, b = np.searchsorted(inc_row, [r0, r1])
             c = sizes[o[a:b]]
             local = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
-            keys = np.concatenate([kept, np.repeat(inc_row[a:b] - r0, c) * n
-                                   + cliques[np.repeat(start[o[a:b]], c) + local]])
+            keys = np.concatenate([kept, (np.repeat(inc_row[a:b] - r0, c) << s)
+                                   | cliques[np.repeat(start[o[a:b]], c) + local]])
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            head = np.diff(keys, prepend=-1) != 0
+            head = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=head[1:])
             entry = np.cumsum(head) - 1   # of each sorted key, among the block's entries
             keys = keys[head]
-            rows = keys // n
+            rows = keys >> s
             indptr[r0 + 1:r1 + 1] = at + np.cumsum(np.bincount(rows, minlength=r1 - r0))
-            indices[at:at + len(keys)] = keys - rows * n
+            indices[at:at + len(keys)] = keys & ((1 << s) - 1)
             is_kept = order < len(kept)
             data[at:at + len(keys)] = 0.0
             data[at + entry[is_kept]] = self.data[lo:hi][k]
@@ -389,7 +389,7 @@ class DenseSymMatrix(_SymMatrix):
 
     def row_lengths(self, rows: np.ndarray) -> np.ndarray:
         """The number of stored entries of each of ``rows``."""
-        p = self.slot[rows]
+        p = self.slot[np.asarray(rows, dtype=np.int64)]
         out = np.zeros(len(p), dtype=np.int64)
         out[p >= 0] = np.count_nonzero(self.stored[p[p >= 0]], axis=1)
         return out

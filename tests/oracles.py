@@ -14,7 +14,7 @@ import scipy.linalg as sla
 
 from hifde import (SparseSymMatrix, DofState, eliminate_cell, skeletonize_cell,
                    interpolative_decomposition)
-from hifde import (BlockDiag, IdResult, IndefiniteBlockError, LdlFactor, Record,
+from hifde import (BlockDiag, CellSet, IdResult, IndefiniteBlockError, LdlFactor, Record,
                    SingularBlockError)
 from hifde.dense import EMPTY_FACTOR, SINGULAR_PIVOT_RTOL, solve_unit_lower
 from hifde.sparse import row_entries
@@ -184,6 +184,21 @@ def schur_complement(a_qq: np.ndarray, a_qp: np.ndarray,
     x = d_solve(ldl_pp.d, y)
     b = np.asarray(a_qq, float) - y.T @ x
     return x, 0.5 * (b + b.T)
+
+
+def cellset(groups, level: float = 0.0) -> CellSet:
+    """The CellSet of the DOF lists ``groups``, in order, with no centers."""
+    groups = [np.asarray(g, dtype=np.int64) for g in groups]
+    return CellSet(float(level), "interior", np.concatenate([np.zeros(0, np.int64), *groups]),
+                   np.cumsum([0] + [len(g) for g in groups]), np.zeros((len(groups), 0)))
+
+
+def split_cells(sel: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
+    """The DOFs ``sel`` grouped by ascending key (keys >= 0), in their order
+    in ``sel`` within a group, as one array per group: np.split at the key
+    changes, as the partition made its groups before it held them flat."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(sel[order], np.flatnonzero(np.diff(keys[order], prepend=-1)))[1:]
 
 
 def assert_noninteracting(a, cs) -> None:

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hifde import (BlockDiag, GeneralizedLDL, IndefiniteBlockError, SingularBlockError,
                    interpolative_decomposition, ldl)
@@ -343,6 +344,28 @@ class TestStackedKernels:
             n = int(rng.integers(1, 25))
             a = random_spd(rng, n, cond=1e6) if spd else random_symmetric(rng, n)
             assert same_factor(ldl(a, spd), reference_ldl(a, spd))
+
+    @pytest.mark.parametrize("diagonal", ["random", "zero", "small"])
+    def test_bunch_kaufman_is_sla_ldl_bit_for_bit(self, diagonal):
+        # sytrf with sla.ldl's workspace, unpacked as sla.ldl unpacks it:
+        # sizes 1-64 and 400; a zero or small diagonal forces 2x2 pivots
+        rng = np.random.default_rng({"random": 35, "zero": 36, "small": 37}[diagonal])
+        sizes = [*range(1, 65), 400]
+        stacks = 0
+        for n in sizes:
+            blocks = np.stack([random_symmetric(rng, n) for _ in range(3 if n < 400 else 1)])
+            if diagonal == "zero":
+                blocks[:, np.arange(n), np.arange(n)] = 0.0
+            elif diagonal == "small":
+                blocks[:, np.arange(n), np.arange(n)] *= 1e-3
+            lower, perm, diag, sub, failures = ldl_stack(blocks, False)
+            for j, a in enumerate(blocks):
+                lu, dd, p = sla.ldl(a, lower=True, check_finite=False)
+                assert np.array_equal(lower[j], lu[p]) and np.array_equal(perm[j], p)
+                assert perm.dtype == np.int64 and np.array_equal(diag[j], np.diagonal(dd))
+                assert np.array_equal(sub[j], np.append(np.diagonal(dd, -1), 0.0))
+            stacks += np.count_nonzero(sub) > 0
+        assert stacks >= (len(sizes) - 1 if diagonal == "zero" else 1)
 
     @pytest.mark.parametrize("spd, blocks", [
         (True, [INDEFINITE, SINGULAR_1X1, np.eye(5), embed(5, [[1e-20]]), INDEFINITE]),

@@ -16,7 +16,7 @@ from hifde.bench import EXAMPLE_SPD
 from hifde.dense import keeps_every_column
 from hifde.sparse import DenseSymMatrix, spans
 
-from oracles import factor_digest, reference_factor
+from oracles import cellset, factor_digest, reference_factor
 from test_plan import CASES
 
 FACTORS = {"mf": factor_mf, "hifde": factor_hifde, "hifde3x": factor_hifde3x}
@@ -134,9 +134,8 @@ def test_skeleton_level_in_chunks_of_mixed_groups(monkeypatch):
 
     def level(w, cells, eps, tag, spd):
         # the step's chunk costs, as it computes them
-        clen = np.array([len(c) for c in cells])
-        row_nnz = np.add.reduceat(w.row_lengths(np.concatenate(cells)),
-                                  np.cumsum(clen) - clen)
+        clen = np.diff(cells.offsets)
+        row_nnz = np.add.reduceat(w.row_lengths(cells.members), cells.offsets[:-1])
         start = len(chunks)
         out = real(w, cells, eps, tag, spd)
         levels.append((tag, len(spans(row_nnz + (clen + row_nnz) * clen, budget)),
@@ -292,6 +291,51 @@ def test_entries_updated_by_many_cells(dim, n, m, depth, spd):
     assert factor_digest(f) == factor_digest(g)
 
 
+@pytest.mark.parametrize("budget", [None, 3000], ids=["default_chunks", "small_chunks"])
+def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
+    # Ex. 3 n=64 at eps=1e-3 runs elimination and skeleton steps on CSR
+    # (level 1.5 compresses; level 2 switches to dense) and on the dense
+    # tail. A step reads its groups' rows (``entries`` of either storage) at
+    # most twice if it eliminates (the neighbor pass, then the chunks), once
+    # if it skeletonizes; _goes_dense reads none
+    if budget is not None:
+        monkeypatch.setattr(factor_ops, "spans", lambda costs: spans(costs, budget))
+    reads, steps, decisions = [], [], []
+    for cls in (SparseSymMatrix, DenseSymMatrix):
+        def entries(self, rows, real=cls.entries):
+            reads.append(np.array(rows, dtype=np.int64))
+            return real(self, rows)
+        monkeypatch.setattr(cls, "entries", entries)
+
+    def goes_dense(*args, real=factor_ops._goes_dense):
+        before = len(reads)
+        out = real(*args)
+        decisions.append(len(reads) - before)
+        return out
+    monkeypatch.setattr(factor_ops, "_goes_dense", goes_dense)
+    for name in ("eliminate_level", "skeletonize_level"):
+        def step(w, cells, *args, real=getattr(factor_ops, name), name=name):
+            storage = type(w)
+            reads.clear()
+            out = real(w, cells, *args)
+            members = np.concatenate(list(cells))
+            count = np.bincount(np.concatenate([members[:0], *reads]), minlength=w.n)[members]
+            steps.append((name, storage, np.count_nonzero(out["rd_len"]), int(count.max())))
+            return out
+        monkeypatch.setattr(f"hifde.driver.{name}", step)
+    make, grid = problem(3, 64)
+    f, g = both(make, grid, "hifde", 1e-3, spd=False)
+    assert factor_digest(f) == factor_digest(g) and f.metrics["dense_from"] == 2.0
+    assert {(name, storage) for name, storage, _, _ in steps} == {
+        (name, storage) for name in ("eliminate_level", "skeletonize_level")
+        for storage in (SparseSymMatrix, DenseSymMatrix)}
+    assert any(rd and storage is SparseSymMatrix for name, storage, rd, _ in steps
+               if name == "skeletonize_level")
+    for name, storage, _, most in steps:
+        assert most <= (2 if name == "eliminate_level" else 1), (name, storage)
+    assert len(decisions) == 4 and not any(decisions)
+
+
 def raised(fn):
     with pytest.raises(Exception) as info:
         fn()
@@ -344,8 +388,8 @@ def test_bad_groups_are_named(step, groups, inactive, what):
     if inactive is not None:
         w.active[inactive] = False
     before = arrays(w)
-    cells = [np.array(g, dtype=np.int64) for g in groups]
     level = 0.0 if step == "eliminate" else 0.5
+    cells = cellset(groups, level)
     with pytest.raises(ValueError, match="^" + re.escape(what.format(f"{level:g}")) + "$"):
         if step == "eliminate":
             factor_ops.eliminate_level(w, cells, level, True)

@@ -8,10 +8,10 @@ import scipy.sparse as sp
 from hifde import (DofState, GridConfig, SparseSymMatrix, adaptive_interior_cells, assemble,
                    build_grid, cells_to_csv, constant_field, eliminate_cell, factor_hifde,
                    factor_hifde3x, interface_cells, interior_cells)
-from hifde import driver, partition, sparse
+from hifde import driver, factor_ops, partition, sparse
 from hifde.sparse import DenseSymMatrix
 
-from oracles import assert_noninteracting
+from oracles import assert_noninteracting, split_cells
 
 
 def laplace(dim, n, m):
@@ -172,6 +172,73 @@ class TestInterfaceCells:
         cells_to_csv(cs, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(np.concatenate(cs.cells)) + 1
+
+
+class TestFlatCellSet:
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_groups_are_the_split_of_their_keys(self, monkeypatch, dim, n):
+        # every grouping at every level, on a random pattern and active set:
+        # the groups, read as views of ``members``, are those the keys split
+        # into (np.split), with the same dtype
+        built, real = [], partition._cellset
+
+        def cellset(level, kind, sel, keys, cen2):
+            built.append((real(level, kind, sel, keys, cen2), split_cells(sel, keys)))
+            return built[-1][0]
+        monkeypatch.setattr(partition, "_cellset", cellset)
+        rng = np.random.default_rng(dim)
+        g = build_grid(dim, n, 2)
+        r = sp.random(g.ndof, g.ndof, density=2.0 / g.ndof, random_state=rng)
+        a = SparseSymMatrix.from_scipy(r + r.T + sp.identity(g.ndof))
+        a.active[:] = rng.random(g.ndof) < 0.8
+        kinds = ["edge"] if dim == 2 else ["face", "edge"]
+        for ell in range(g.nlevels):
+            interior_cells(g, ell, a.active)
+            adaptive_interior_cells(a, g, ell)
+            for kind in kinds:
+                interface_cells(g, ell, a.active, kind)
+        assert len(built) == g.nlevels * (2 + len(kinds))
+        for cs, want in built:
+            assert len(cs) == len(want) == len(cs.centers) > 0
+            assert cs.offsets.dtype == np.int64 and cs.offsets[0] == 0
+            assert cs.offsets[-1] == len(cs.members)
+            got = cs.cells
+            assert len(got) == len(want) and all(
+                x.dtype == y.dtype and np.array_equal(x, y) and np.shares_memory(x, cs.members)
+                for x, y in zip(got, want))
+            assert all(np.array_equal(cs[i], want[i]) for i in (0, -1, len(cs) // 2))
+
+    def test_slices_and_len(self):
+        g, a = laplace(2, 16, 2)
+        cs = interior_cells(g, 0, a.active)
+        groups = cs.cells
+        assert len(cs) == len(groups) == 64
+        for a_, b in [(0, 64), (3, 7), (5, 5), (7, 3), (-4, None), (None, 2), (60, 99)]:
+            part = cs[a_:b]
+            assert (part.level, part.kind) == (cs.level, cs.kind)
+            assert len(part) == len(groups[a_:b]) == len(part.cells)
+            assert all(np.array_equal(x, y) for x, y in zip(part.cells, groups[a_:b]))
+            assert np.array_equal(part.centers, cs.centers[a_:b])
+            assert part.offsets[0] == 0 and part.offsets[-1] == len(part.members)
+            assert np.shares_memory(part.members, cs.members) or not len(part)
+        assert np.array_equal(cs[3:7][1], groups[4]) and np.array_equal(cs[-1], groups[-1])
+        with pytest.raises(IndexError):
+            cs[64]
+        with pytest.raises(ValueError, match="steps of 1"):
+            cs[::2]
+
+    def test_empty_set(self):
+        g, a = laplace(2, 16, 2)
+        empty = interior_cells(g, 0, np.zeros(g.ndof, dtype=bool))
+        assert len(empty) == 0 and not empty and empty.cells == []
+        assert empty.offsets.tolist() == [0] and empty.members.size == 0
+        assert empty.centers.shape == (0, 2) and len(empty[0:3]) == 0
+        w = a.to_scipy()
+        for step in (lambda: factor_ops.eliminate_level(a, empty, 0.0, True),
+                     lambda: factor_ops.skeletonize_level(a, empty, 1e-6, 0.5, True)):
+            flats = step()
+            assert all(len(x) == 0 for x in flats.values())
+        assert (a.to_scipy() != w).nnz == 0 and a.active.all()
 
 
 def interface_lattice(g, ell, kind):

@@ -8,7 +8,7 @@ from hifde import DofState, SparseSymMatrix, build_grid, eliminate_cell, factor_
 from hifde import factor_ops, sparse
 from hifde.sparse import DenseSymMatrix
 
-from oracles import random_sparse_sym, reference_csr
+from oracles import cellset, random_sparse_sym, reference_csr
 
 
 def tridiag(n):
@@ -489,6 +489,14 @@ class TestDenseStorage:
                 r, c = d.dofs[unstored[0]]
                 assert same(d.gather([r], [c]), [[0.0]]) and same(s.gather([r], [c]), [[0.0]])
 
+    def test_row_lengths_of_no_rows(self):
+        # an empty list is no rows on either storage, not a float index
+        for m in storages(3, 12)[:2]:
+            for rows in ([], (), np.zeros(0, np.int64)):
+                got = m.row_lengths(rows)
+                assert got.dtype == np.int64 and got.shape == (0,)
+            assert np.array_equal(m.row_lengths([0, 5]), m.row_lengths(np.array([0, 5])))
+
     def test_repeated_rows_and_cols_read_every_copy(self):
         assert np.array_equal(tridiag(3).gather([1], [1, 1]), [[2.0, 2.0]])
         rng = np.random.default_rng(12)
@@ -516,11 +524,11 @@ class TestDenseStorage:
                 rng = np.random.default_rng(seed)
                 if step == "eliminate":
                     cells = cells_apart(w, rng)
-                    flats = factor_ops.eliminate_level(w, cells, 0.0, True)
+                    flats = factor_ops.eliminate_level(w, cellset(cells), 0.0, True)
                 else:
                     dofs = rng.permutation(np.flatnonzero(w.active))[:2 * n // 3]
                     cells = [np.sort(c) for c in np.split(dofs, np.arange(4, len(dofs), 4))]
-                    flats = factor_ops.skeletonize_level(w, cells, 0.3, 0.5, False)
+                    flats = factor_ops.skeletonize_level(w, cellset(cells, 0.5), 0.3, 0.5, False)
                 every = np.arange(n)
                 runs.append((type(w), flats, w.entries(every) + (w.gather(every, every),),
                              w.active.copy()))
