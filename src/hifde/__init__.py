@@ -21,7 +21,7 @@ from .krylov import (EstimateResult, SolveReport, estimate_apply_error,
                      estimate_solve_error, gmres, pcg)
 from .partition import (CellSet, adaptive_interior_cells, cells_to_csv, interface_cells,
                         interior_cells)
-from .sparse import DofState, SparseSymMatrix
+from .sparse import SparseSymMatrix
 from .bench import BenchRow, make_problem, rows_to_csv, run_example, run_sweep
 
 __version__ = "0.1.0"

@@ -153,8 +153,12 @@ def run_example(example_id: int, algorithm: str, n: int,
     row.t_s_first = _seconds(f.apply_inverse, x)
     row.t_s = _seconds(f.apply_inverse, x)
 
-    row.e_a = estimate_apply_error(a_csr, f, seed=seed).value
-    row.e_s = estimate_solve_error(a_csr, f, seed=seed).value
+    ests = (estimate_apply_error(a_csr, f, seed=seed), estimate_solve_error(a_csr, f, seed=seed))
+    row.e_a, row.e_s = (e.value for e in ests)
+    late = [f"{name} did not converge in {e.iterations} iterations" for name, e in
+            zip(("estimate_apply_error", "estimate_solve_error"), ests) if not e.converged]
+    if late:
+        row.status = "; ".join(late)
 
     rhs = np.random.default_rng((seed, 1)).random(grid.ndof)
     if spd:

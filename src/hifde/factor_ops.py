@@ -25,23 +25,23 @@ place: the dense tail, which the merged fronts of the last levels fill.
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
 through the matrix's per-cell methods, changing it in place and returning
-a ``Record``. They are the reference: the steps reproduce their arithmetic
-and their order of operations, so the factor is the same bit for bit.
-Both end in the same elimination step (``_eliminate``): factor the pivot
-block, replace the neighbor block by its Schur complement, retire the
-pivot DOFs, with the steps' stacked kernels on stacks of one block
-(``dense.ldl``, ``dense.schur_stack``). A record is therefore one
-elimination S of ``rd`` against ``sk``, preceded on a skeletonized group
-by the interpolation Q. Records take the kernels' results in the form
-they come: the ID's ``sk`` and ``rd`` ascending, D's ``sub`` zero-padded.
-A record holds data only: the driver applies a level's records together,
-stacked by shape (``driver.Group``).
+a ``Record``; a group that holds a retired DOF raises ValueError naming it
+before the matrix changes. They are the reference: the steps reproduce
+their arithmetic and their order of operations, so the factor is the same
+bit for bit. Both end in the same elimination step (``_eliminate``):
+factor the pivot block, replace the neighbor block by its Schur
+complement, retire the pivot DOFs, with the steps' stacked kernels on
+stacks of one block (``dense.ldl``, ``dense.schur_stack``). A record is
+therefore one elimination S of ``rd`` against ``sk``, preceded on a
+skeletonized group by the interpolation Q. Records take the kernels'
+results in the form they come: the ID's ``sk`` and ``rd`` ascending, D's
+``sub`` zero-padded. A record holds data only: the driver applies a
+level's records together, stacked by shape (``driver.Group``).
 
 A step reads its groups' rows in row blocks, each once and with one sort
 (``_scan``). An elimination step, which needs every cell's neighbors
 before its first chunk, reads them twice: its neighbor pass keeps each
-entry's place for the chunks. The switch to dense is decided from the
-counts these reads give (``_goes_dense``).
+entry's place for the chunks.
 
 Interactions outside the touched cell and its neighbor set are never read
 or written.
@@ -56,7 +56,7 @@ import numpy as np
 from .dense import (EMPTY_FACTOR, SCREEN_MAX_COLS, LdlFactor, interpolative_decomposition,
                     keeps_every_column, ldl, ldl_stack, schur_stack)
 from .partition import CellSet
-from .sparse import DenseSymMatrix, DofState, SparseSymMatrix, spans
+from .sparse import DenseSymMatrix, SparseSymMatrix, spans
 
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
            "skeletonize_level"]
@@ -108,9 +108,8 @@ class Record:
         return self.rd
 
 
-def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
-               q: np.ndarray, m_pp: np.ndarray, m_qp: np.ndarray,
-               m_qq: np.ndarray, level: float, spd: bool,
+def _eliminate(a: SparseSymMatrix, p: np.ndarray, q: np.ndarray, m_pp: np.ndarray,
+               m_qp: np.ndarray, m_qq: np.ndarray, spd: bool,
                interp: np.ndarray | None = None) -> Record:
     """Eliminate the DOFs p against their neighbors q, given the blocks of
     the working matrix over (p, q): factor A_pp, replace A_qq by its Schur
@@ -126,28 +125,33 @@ def _eliminate(a: SparseSymMatrix, state: DofState, p: np.ndarray,
         a.replace_rows(q, np.concatenate([p, q]), q, b)
     a.clear_rows(p)
     a.active[p] = False
-    state.mark_eliminated(p, level)
     return Record(p, q, fac, x[0], interp)
 
 
-def eliminate_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
-                   level: float, spd: bool) -> Record:
-    """Eliminate the buffered cell c: Schur-update its neighbors, retire c."""
+def _active(a: SparseSymMatrix, c) -> np.ndarray:
+    """The group c as int64; ValueError names a DOF of it that is not active."""
     c = np.asarray(c, dtype=np.int64)
+    gone = ~a.active[c]
+    if gone.any():
+        raise ValueError(f"DOF {c[np.argmax(gone)]} is not active")
+    return c
+
+
+def eliminate_cell(a: SparseSymMatrix, c: np.ndarray, spd: bool) -> Record:
+    """Eliminate the buffered cell c: Schur-update its neighbors, retire c."""
+    c = _active(a, c)
     q = a.neighbors(c)
     nc = len(c)
     pq = np.concatenate([c, q])
     m = a.gather(pq, pq)
-    return _eliminate(a, state, c, q, m[:nc, :nc], m[nc:, :nc], m[nc:, nc:],
-                      level, spd)
+    return _eliminate(a, c, q, m[:nc, :nc], m[nc:, :nc], m[nc:, nc:], spd)
 
 
-def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
-                     eps: float, level: float, spd: bool) -> Record:
+def skeletonize_cell(a: SparseSymMatrix, c: np.ndarray, eps: float, spd: bool) -> Record:
     """Skeletonize the group c at ID tolerance eps and eliminate the
     redundant DOFs. The coupling of rd to anything outside c is deleted
     (truncated), so afterwards rd interacts with nothing outside c."""
-    c = np.asarray(c, dtype=np.int64)
+    c = _active(a, c)
     q = a.neighbors(c)
     nc = len(c)
     m = a.gather(np.concatenate([c, q]), c)
@@ -166,7 +170,7 @@ def skeletonize_cell(a: SparseSymMatrix, state: DofState, c: np.ndarray,
     b_rr = 0.5 * (b_rr + b_rr.T)
     b_sr = a_sr - a_ss @ t
     a.drop_cols(q, rdl)
-    return _eliminate(a, state, rdl, skl, b_rr, b_sr, a_ss, level, spd, t)
+    return _eliminate(a, rdl, skl, b_rr, b_sr, a_ss, spd, t)
 
 
 # -- level-synchronous steps -------------------------------------------------
@@ -210,7 +214,7 @@ def _groups(w: SparseSymMatrix, cs: CellSet, level: float):
 def _scan(w: SparseSymMatrix, cs: CellSet, mark: np.ndarray, start: int):
     """One read and one sort of the rows of the groups ``cs``, numbered from
     ``start`` (``mark`` as _groups gives it): the stored entries (row, an
-    index into ``cs.members``, column, value), each one's place ``at``, and
+    index into ``cs.members``, and value), each one's place ``at``, and
     each group's active neighbors q, flat, ascending per group, and counts.
     ``at`` is -2 - (i |c| + j) for an entry inside its group (A[c, c]),
     k |c| + i for one in its group's k-th neighbor's column (A[q, c]), and
@@ -239,7 +243,7 @@ def _scan(w: SparseSymMatrix, cs: CellSet, mark: np.ndarray, start: int):
     at[inside] = -2 - (pos * size)[row[inside]] - (m[inside] & lo)
     first, rn = np.repeat(np.cumsum(qlen) - qlen, clen), row[nb]
     at[nb] = rank * size[rn] + (pos - first * size)[rn]
-    return row, cols, vals, at, keys & lo, qlen
+    return row, vals, at, keys & lo, qlen
 
 
 class _Fronts:
@@ -275,8 +279,7 @@ class _Fronts:
             self.q = w.dofs[np.concatenate([s for _, s in self._slots])]
         else:
             if nbrs is None:
-                row, cols, vals, at, self.q, self.qlen = _scan(w, cs, mark, start)
-                self._rows = row, cols
+                row, vals, at, self.q, self.qlen = _scan(w, cs, mark, start)
             else:
                 (self.q, self.qlen, at), (row, _, vals) = nbrs, w.entries(cs.members)
             g = np.repeat(np.arange(len(self.clen)), self.clen)[row]
@@ -314,20 +317,6 @@ class _Fronts:
         g, i, v = self._qp
         qp[oqp[g] + i] = v
         return pp, opp, qp, oqp
-
-    def retired_entries(self, retired: np.ndarray) -> np.ndarray:
-        """On CSR, after the groups' IDs marked their rd in ``retired``: the
-        entries read (_scan) in marked rows, and of those the ones in marked
-        columns, twice where the column was marked by an earlier chunk (the
-        mirror, which that chunk found unmarked)."""
-        row, cols = self._rows
-        rd = retired[self.members]
-        c = cols[rd[row]]
-        both = np.count_nonzero(retired[c])
-        retired[self.members[rd]] = False
-        both += np.count_nonzero(retired[c])
-        retired[self.members[rd]] = True
-        return np.array([len(c), both])
 
 
 class _Flats:
@@ -382,27 +371,25 @@ def _shape_runs(keys: np.ndarray):
 DENSE_SHARE = 1 / 8
 
 
-def _goes_dense(w: SparseSymMatrix, gone, sizes: np.ndarray) -> bool:
-    """Whether the output of the step that retires DOFs from ``w`` and
-    writes cliques of ``sizes`` goes dense (DENSE_SHARE). ``gone`` counts,
-    from the level's reads, the DOFs retired, the entries in their rows and,
-    of those, the ones in their columns."""
-    dofs, rows, both = (int(x) for x in gone)
-    # as many entries lie in the retired columns as in the retired rows
-    kept = int(w.indptr[-1]) - 2 * rows + both
-    m = np.count_nonzero(w.active) - dofs
-    return kept + int((sizes * sizes).sum()) >= DENSE_SHARE * m * m
+def _goes_dense(w: SparseSymMatrix, retired: np.ndarray, sizes: np.ndarray):
+    """The mask of the stored entries of ``w`` that couple no DOF of the
+    boolean mask ``retired``, and whether the output of the step that
+    retires them and writes cliques of ``sizes`` goes dense (DENSE_SHARE):
+    the mask's entries and the cliques' pairs against m^2."""
+    keep = np.repeat(~retired, np.diff(w.indptr))
+    keep &= ~retired[w.indices]
+    m = np.count_nonzero(w.active) - np.count_nonzero(retired)
+    return keep, np.count_nonzero(keep) + int((sizes * sizes).sum()) >= DENSE_SHARE * m * m
 
 
 def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: np.ndarray,
-            sizes: np.ndarray, gone, chunks, flats: _Flats, cells: CellSet, level: float,
+            sizes: np.ndarray, chunks, flats: _Flats, cells: CellSet, level: float,
             spd: bool) -> None:
     """The elimination step of both level steps: eliminate the DOFs
     ``retired`` against their fronts, chunk by chunk, and drop every entry
     that couples them from ``w``, whose other entries and each group's
     sk x sk pairs (``cliques`` flat, one per group in group order,
     ``sizes`` each, empty if it retires nothing) are stored after it.
-    ``gone`` counts what the step drops, for _goes_dense.
 
     ``chunks`` yields, in group order, a chunk's groups as stacks of one
     shape (idx, rd, sk, A_pp, A_qp, interp): the groups' indices in the
@@ -422,11 +409,14 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
     """
     if isinstance(w, DenseSymMatrix):
         new = w
-    elif _goes_dense(w, gone, sizes):
-        new = DenseSymMatrix.kept(w, retired)
     else:
-        new, offset, rnd = w.rebuilt(retired, cliques, sizes)
-        first = np.cumsum(sizes * sizes) - sizes * sizes
+        keep, dense = _goes_dense(w, retired, sizes)
+        if dense:
+            new = DenseSymMatrix.kept(w, retired)
+        else:
+            new, offset, rnd = w.rebuilt(keep, cliques, sizes)
+            first = np.cumsum(sizes * sizes) - sizes * sizes
+        del keep
     dense = isinstance(new, DenseSymMatrix)
     pairs = {}   # per front width: the pairs r <= c and their offsets r nq + c, c nq + r
     for chunk in chunks:
@@ -496,7 +486,7 @@ def eliminate_level(w: SparseSymMatrix, cells: CellSet, level: float, spd: bool)
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), False).out
     mark, clen, row_nnz = _groups(w, cells, level)
     at, q, qlen = (np.concatenate(x) for x in zip(*[
-        _scan(w, cells[a:b], mark, a)[3:] for a, b in spans(row_nnz)]))
+        _scan(w, cells[a:b], mark, a)[2:] for a, b in spans(row_nnz)]))
     hit = np.flatnonzero(mark[q] >= 0)
     if len(hit):
         i = hit[0]
@@ -508,8 +498,7 @@ def eliminate_level(w: SparseSymMatrix, cells: CellSet, level: float, spd: bool)
     flats = _Flats(clen, qlen, False)
     chunks = (_cell_stacks(_Fronts(w, cells[a:b], mark, a, nbrs(a, b)), a)
               for a, b in spans(row_nnz + (clen + qlen) ** 2))
-    gone = (len(cells.members), rend[-1], np.count_nonzero(at < -1))
-    _retire(w, mark >= 0, q, qlen, gone, chunks, flats, cells, level, spd)
+    _retire(w, mark >= 0, q, qlen, chunks, flats, cells, level, spd)
     return flats.out
 
 
@@ -554,16 +543,13 @@ def skeletonize_level(w: SparseSymMatrix, cells: CellSet, eps: float, level: flo
     retired = np.zeros(w.n, dtype=bool)
     mark, clen, row_nnz = _groups(w, cells, level)
     rd_len = np.zeros(len(cells), np.int64)
-    chunks, kept, gone = [], [], np.zeros(2, np.int64)
+    chunks, kept = [], []
     # a group has at most as many neighbors as its rows have entries
     for a, b in spans(row_nnz + (clen + row_nnz) * clen):
-        f = _Fronts(w, cells[a:b], mark, a)
-        stacks = _skeleton_stacks(f, a, retired, eps, rd_len, kept)
+        stacks = _skeleton_stacks(_Fronts(w, cells[a:b], mark, a), a, retired, eps, rd_len,
+                                  kept)
         if stacks:
             chunks.append(stacks)
-            if isinstance(w, SparseSymMatrix):   # only a CSR step can go dense
-                gone += f.retired_entries(retired)
-        del f
     flats = _Flats(rd_len, clen - rd_len, True)
     for idx, sk in kept:
         flats.put(idx, sk=sk)
@@ -574,8 +560,8 @@ def skeletonize_level(w: SparseSymMatrix, cells: CellSet, eps: float, level: flo
         for idx, _, sk, *_ in (s for stacks in chunks for s in stacks):
             cliques[start[idx][:, None] + np.arange(sk.shape[1])] = sk
         # each chunk's stacks are dropped once it is eliminated
-        _retire(w, retired, cliques, sizes, (rd_len.sum(), *gone),
-                (chunks.pop(0) for _ in range(len(chunks))), flats, cells, level, spd)
+        _retire(w, retired, cliques, sizes, (chunks.pop(0) for _ in range(len(chunks))),
+                flats, cells, level, spd)
     return flats.out
 
 

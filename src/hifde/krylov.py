@@ -4,7 +4,9 @@ Operators are passed as anything matvec-like: a callable, a NumPy array,
 a SciPy sparse matrix, or an object with a ``dot`` method. The error
 estimators measure operator norms of A - F and I - A F^{-1} by power
 iteration on G^T G with a standard-uniform random start vector and a 1e-2
-relative convergence criterion on the norm estimate.
+relative convergence criterion on the norm estimate. The estimate of
+||A - F|| also stops once it is at most POWER_ITER_FLOOR ||A||: below that
+it measures rounding, on which an exact factor would iterate to the cap.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
 
 POWER_ITER_RTOL = 1e-2
 POWER_ITER_CAP = 512
+POWER_ITER_FLOOR = 1e3 * np.finfo(float).eps
 
 
 def _as_matvec(op) -> Callable[[np.ndarray], np.ndarray]:
@@ -164,8 +167,9 @@ class EstimateResult(NamedTuple):
 
 
 def _power_norm(gmat, gtmat, n: int, seed, rtol: float = POWER_ITER_RTOL,
-                max_iter: int = POWER_ITER_CAP) -> EstimateResult:
-    """sqrt of the dominant eigenvalue of G^T G by power iteration."""
+                max_iter: int = POWER_ITER_CAP, floor: float = 0.0) -> EstimateResult:
+    """sqrt of the dominant eigenvalue of G^T G by power iteration, which
+    stops, converged, at an estimate of at most ``floor``."""
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     x /= np.linalg.norm(x)
@@ -177,7 +181,7 @@ def _power_norm(gmat, gtmat, n: int, seed, rtol: float = POWER_ITER_RTOL,
         if lam == 0.0 or not np.isfinite(lam):
             return EstimateResult(new_est if np.isfinite(lam) else np.inf, True, it)
         x = y / lam
-        if it > 1 and abs(new_est - est) <= rtol * new_est:
+        if new_est <= floor or (it > 1 and abs(new_est - est) <= rtol * new_est):
             return EstimateResult(new_est, True, it)
         est = new_est
     return EstimateResult(est, False, max_iter)
@@ -192,8 +196,8 @@ def estimate_apply_error(a, f, seed: int = 0) -> EstimateResult:
     def g(x):
         return amat(x) - fmat(x)
 
-    num = _power_norm(g, g, n, (seed, 0xA))
     den = _power_norm(amat, amat, n, (seed, 0xB))
+    num = _power_norm(g, g, n, (seed, 0xA), floor=POWER_ITER_FLOOR * den.value)
     value = num.value / den.value if den.value else np.inf
     return EstimateResult(value, num.converged and den.converged,
                           num.iterations + den.iterations)

@@ -18,23 +18,24 @@ bit for bit, the sign of a zero included, since the input is made so
 
 The factorization reads a whole level's fronts from the matrix
 (``entries``) and replaces its entries once, at the level's end. On CSR,
-``rebuilt`` lays out new arrays and places each front's pairs in them,
-the level step writes its Schur updates there and the matrix takes them
-over (``update``). ``rebuilt`` sorts each block of rows once, by the
-packed keys (row << s) | col, s = (n - 1).bit_length(), which order as
-(row, col) does. The step whose output is at least 1/8 stored builds a
-dense matrix instead (``DenseSymMatrix.kept``), writes its updates into
-it, and the working matrix becomes it (``update``); from then on each
-step writes its updates in place (``schur_write``) and clears the DOFs it
-retires (``clear``). No method writes into arrays it did not make, so the
-factorization starts from its input's arrays without a copy and leaves
-the input unchanged.
+``rebuilt`` lays out new arrays from a mask of the entries the step keeps
+and places each front's pairs in them, the level step writes its Schur
+updates there and the matrix takes them over (``update``). ``rebuilt``
+sorts each block of rows once, by the packed keys (row << s) | col, s =
+(n - 1).bit_length(), which order as (row, col) does. The step whose
+output is at least 1/8 stored builds a dense matrix instead
+(``DenseSymMatrix.kept``), writes its updates into it, and the working
+matrix becomes it (``update``); from then on each step writes its updates
+in place (``schur_write``) and clears the DOFs it retires (``clear``). No
+method writes into arrays it did not make, so the factorization starts
+from its input's arrays without a copy and leaves the input unchanged.
 
 The per-cell methods (``gather``, ``neighbors``, ``replace_rows``,
 ``drop_cols``, ``clear_rows``) are the storage of the per-cell elimination
 and skeletonization of ``factor_ops`` (``eliminate_cell``,
 ``skeletonize_cell``), the reference that the factorization is tested
-against. ``replace_rows`` builds its rows in one pass, ``drop_cols`` is it
+against. Like the level steps, it records a retired DOF in ``active``
+alone. ``replace_rows`` builds its rows in one pass, ``drop_cols`` is it
 with nothing inserted, and ``_set_rows`` splices the rows into new arrays.
 
 Fill-in entries are stored even when exactly zero: dropping happens only
@@ -46,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["DofState", "SparseSymMatrix", "DenseSymMatrix"]
+__all__ = ["SparseSymMatrix", "DenseSymMatrix"]
 
 _EMPTY_I = np.empty(0, dtype=np.int32)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -72,23 +73,11 @@ def spans(costs: np.ndarray, budget: int = CHUNK) -> list[tuple[int, int]]:
 def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stored entries of ``rows`` in a CSR structure: for each entry, the
     index into ``rows`` of its row and its position in the CSR arrays."""
+    rows = np.asarray(rows, dtype=np.int64)
     lo = indptr[rows]
-    lens = indptr[np.asarray(rows, dtype=np.int64) + 1] - lo
+    lens = indptr[rows + 1] - lo
     owner = np.repeat(np.arange(len(lens)), lens)
     return owner, np.arange(len(owner)) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-
-
-class DofState:
-    """Bookkeeping of the level at which each DOF left the active set."""
-
-    def __init__(self, n: int):
-        self.elim_level = np.full(n, np.nan)
-
-    def mark_eliminated(self, c: np.ndarray, level: float) -> None:
-        c = np.asarray(c, dtype=np.int64)
-        if np.any(np.isfinite(self.elim_level[c])):
-            raise ValueError("DOF eliminated twice")
-        self.elim_level[c] = level
 
 
 class _SymMatrix:
@@ -220,15 +209,15 @@ class SparseSymMatrix(_SymMatrix):
 
     # -- the level steps' replacement ----------------------------------------
 
-    def rebuilt(self, retired: np.ndarray, cliques: np.ndarray,
+    def rebuilt(self, keep: np.ndarray, cliques: np.ndarray,
                 sizes: np.ndarray) -> tuple["SparseSymMatrix", np.ndarray, np.ndarray]:
-        """A new matrix, sharing ``active``: the stored entries that couple
-        no DOF of the boolean mask ``retired``, and every pair (i, j) of
-        each clique (``cliques`` flat, ``sizes`` each), zero where nothing
-        was stored; and per clique pair (i, j), clique-major and row-major,
-        its offset in row i and its round, the number of earlier cliques
-        holding it. Each block of rows is sorted once, stably, by the packed
-        keys ((row - first row) << s) | col, s = (n - 1).bit_length(): kept
+        """A new matrix, sharing ``active``: the stored entries of the mask
+        ``keep`` over the CSR arrays, and every pair (i, j) of each clique
+        (``cliques`` flat, ``sizes`` each), zero where nothing was stored;
+        and per clique pair (i, j), clique-major and row-major, its offset
+        in row i and its round, the number of earlier cliques holding it.
+        Each block of rows is sorted once, stably, by the packed keys
+        ((row - first row) << s) | col, s = (n - 1).bit_length(): kept
         entries first, then the pairs."""
         n, s = self.n, (self.n - 1).bit_length()
         by_row = np.argsort(cliques, kind="stable")
@@ -237,8 +226,6 @@ class SparseSymMatrix(_SymMatrix):
         # each incidence's first pair in the clique-major, row-major order
         inc_pair = (np.cumsum(sizes * sizes) - sizes * sizes)[o] + (by_row - start[o]) * sizes[o]
         old_len = np.diff(self.indptr)
-        keep = np.repeat(~retired, old_len)
-        keep &= ~retired[self.indices]
         cost = old_len + np.bincount(inc_row, weights=sizes[o], minlength=n)
         # a row has at most cost entries; a pair, as many rounds as its row has cliques
         offset = np.empty((sizes * sizes).sum(), np.min_scalar_type(int(cost.max(initial=0))))
@@ -382,7 +369,7 @@ class DenseSymMatrix(_SymMatrix):
 
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored entries of ``rows``, as ``SparseSymMatrix.entries``."""
-        p = self.slot[rows]
+        p = self.slot[np.asarray(rows, dtype=np.int64)]
         inside = np.flatnonzero(p >= 0)
         owner, j = np.nonzero(self.stored[p[inside]])
         return inside[owner], self.dofs[j], self.values[p[inside][owner], j]

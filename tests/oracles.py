@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from hifde import (SparseSymMatrix, DofState, eliminate_cell, skeletonize_cell,
+from hifde import (SparseSymMatrix, eliminate_cell, skeletonize_cell,
                    interpolative_decomposition)
 from hifde import (BlockDiag, CellSet, IdResult, IndefiniteBlockError, LdlFactor, Record,
                    SingularBlockError)
@@ -429,14 +429,13 @@ def check_elimination_properties(ncases: int, seed: int = 5678) -> None:
         a, dense_before = random_sparse_sym(rng, n, fill=0.2, spd=spd)
         csize = int(rng.integers(1, max(2, n // 3)))
         c = np.sort(rng.choice(n, size=csize, replace=False)).astype(np.int64)
-        state = DofState(n)
         far_before = None
         q = a.neighbors(c)
         far = np.setdiff1d(np.arange(n), np.concatenate([c, q]))
         if len(far):
             far_before = a.gather(far, far).copy()
         try:
-            rec = eliminate_cell(a, state, c, 0.0, spd)
+            rec = eliminate_cell(a, c, spd)
         except Exception:
             continue  # randomly singular pivot in indefinite mode
         s = dense_s(rec, n)
@@ -464,12 +463,11 @@ def check_skeletonization_properties(ncases: int, seed: int = 9012) -> None:
         csize = int(rng.integers(2, max(3, n // 3)))
         c = np.sort(rng.choice(n, size=csize, replace=False)).astype(np.int64)
         eps = float(10.0 ** -rng.integers(2, 12))
-        state = DofState(n)
         q = a.neighbors(c)
         far = np.setdiff1d(np.arange(n), np.concatenate([c, q]))
         far_before = a.gather(far, far).copy() if len(far) else None
         try:
-            rec = skeletonize_cell(a, state, c, eps, 0.0, spd)
+            rec = skeletonize_cell(a, c, eps, spd)
         except Exception:
             continue  # B_rr randomly singular in indefinite mode
         after = dense_after(a, rec)
@@ -502,7 +500,6 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
     else:   # mf is hifde with no level skeletonized
         schedule = driver._hifde_schedule(grid, grid.nlevels if algo == "mf" else skip_levels or 0)
     with driver._factor_threads():
-        state = DofState(a.n)
         levels = []
         for tag, cs, is_skel in schedule(a):
             if verify and not is_skel:
@@ -511,9 +508,9 @@ def reference_factor(a, grid, algo: str, eps: float = 0.0, spd: bool = True,
             for i, members in enumerate(cs.cells):
                 try:
                     if is_skel:
-                        records.append(skeletonize_cell(a, state, members, eps, tag, spd))
+                        records.append(skeletonize_cell(a, members, eps, spd))
                     else:
-                        records.append(eliminate_cell(a, state, members, tag, spd))
+                        records.append(eliminate_cell(a, members, spd))
                 except FactorizationError as exc:
                     exc.locate(tag, i, len(members))
                     raise

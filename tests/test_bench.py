@@ -13,6 +13,7 @@ import pytest
 
 from hifde import (GeneralizedLDL, assemble, factor_hifde, load_factor, make_problem,
                    rows_to_csv, run_example, run_sweep)
+from hifde import bench
 from hifde.bench import CSV_COLUMNS
 
 TIMING_COLS = {"t_f", "t_a", "t_s", "t_s_first"}
@@ -49,6 +50,15 @@ class TestRunExample:
         assert row.e_a <= 1e-12
         assert row.n_i == 1
         assert row.s_L == 2 * 15 - 1
+
+    def test_unconverged_estimate_is_named_in_status(self, monkeypatch):
+        def estimate(*args, real=bench.estimate_apply_error, **kwargs):
+            return real(*args, **kwargs)._replace(converged=False, iterations=512)
+        monkeypatch.setattr(bench, "estimate_apply_error", estimate)
+        row = run_example(1, "hifde", 16, eps=1e-6)
+        assert row.status == "estimate_apply_error did not converge in 512 iterations"
+        head, fields = rows_to_csv([row]).splitlines()
+        assert head.split(",") == CSV_COLUMNS and fields.endswith("," + row.status)
 
     def test_hifde_requires_eps(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hifde import (DofState, SparseSymMatrix, assemble, build_grid, constant_field,
-                   eliminate_cell, interior_cells, skeletonize_cell)
+from hifde import (SparseSymMatrix, assemble, build_grid, constant_field, eliminate_cell,
+                   interior_cells, skeletonize_cell)
 
 from oracles import (check_elimination_properties, check_skeletonization_properties,
                      dense_after, dense_q_inv_t, dense_s,
@@ -21,8 +21,7 @@ class TestEliminateCell:
         a = from_dense(np.array([[2.0, 1.0, 0.0],
                                  [1.0, 2.0, 1.0],
                                  [0.0, 1.0, 2.0]]))
-        state = DofState(3)
-        rec = eliminate_cell(a, state, np.array([0]), 0.0, True)
+        rec = eliminate_cell(a, np.array([0]), True)
         d = a.to_dense()
         assert d[1, 1] == pytest.approx(1.5)
         assert d[1, 2] == 1.0 and d[2, 2] == 2.0
@@ -32,7 +31,7 @@ class TestEliminateCell:
     def test_diagonal_matrix_no_fill(self):
         a = from_dense(np.diag([3.0, 4.0, 5.0, 6.0]))
         before = a.to_dense()
-        rec = eliminate_cell(a, DofState(4), np.array([1, 2]), 0.0, True)
+        rec = eliminate_cell(a, np.array([1, 2]), True)
         assert len(rec.sk) == 0
         d = a.to_dense()
         others = [0, 3]
@@ -43,11 +42,10 @@ class TestEliminateCell:
         g = build_grid(2, 8, 2)
         a = assemble(g, constant_field(g, 1.0, 0.0))
         dense = a.to_dense()
-        state = DofState(a.n)
         cs = interior_cells(g, 0, a.active)
         acc = dense.copy()
         for c in cs.cells:
-            rec = eliminate_cell(a, state, c, 0.0, True)
+            rec = eliminate_cell(a, c, True)
             s = dense_s(rec, a.n)
             acc = s.T @ acc @ s
         active = np.flatnonzero(a.active)
@@ -59,9 +57,8 @@ class TestEliminateCell:
     def test_submatrix_of_eliminated_cell_is_zero(self):
         g = build_grid(2, 8, 2)
         a = assemble(g, constant_field(g, 1.0, 0.0))
-        state = DofState(a.n)
         c = interior_cells(g, 0, a.active).cells[5]
-        eliminate_cell(a, state, c, 0.0, True)
+        eliminate_cell(a, c, True)
         rest = np.setdiff1d(np.arange(a.n), c)
         assert not a.gather(c, rest).any()
 
@@ -76,7 +73,7 @@ class TestEliminateCell:
         q = a.neighbors(c)
         far = np.setdiff1d(np.arange(20), np.concatenate([c, q]))
         before = a.gather(far, far).copy()
-        eliminate_cell(a, DofState(20), c, 0.0, True)
+        eliminate_cell(a, c, True)
         assert np.array_equal(a.gather(far, far), before)
 
     def test_property_suite(self):
@@ -94,8 +91,7 @@ class TestSkeletonizeCell:
         d[:3, :3] = blk1
         d[3:, 3:] = blk2
         a = from_dense(d)
-        state = DofState(7)
-        rec = skeletonize_cell(a, state, np.arange(3), 1e-9, 0.5, True)
+        rec = skeletonize_cell(a, np.arange(3), 1e-9, True)
         assert rec.factor.n == 3
         assert len(rec.sk) == 0 and rec.rd.tolist() == [0, 1, 2]
         assert not a.active[:3].any()
@@ -114,8 +110,7 @@ class TestSkeletonizeCell:
         d[np.ix_(c, q)] = coupling.T
         d += 20 * np.eye(n)
         a = from_dense(d)
-        state = DofState(n)
-        rec = skeletonize_cell(a, state, c, 1e-12, 0.5, False)
+        rec = skeletonize_cell(a, c, 1e-12, False)
         assert len(rec.sk) == 1
         # redundant DOFs are fully decoupled in storage
         others = np.setdiff1d(np.arange(n), rec.rd)
@@ -138,8 +133,8 @@ class TestSkeletonizeCell:
         c = np.array([4, 5, 6])
         a1 = from_dense(base)
         a2 = from_dense(base)
-        rec_s = skeletonize_cell(a1, DofState(10), c, 1.0, 0.0, True)
-        rec_e = eliminate_cell(a2, DofState(10), c, 0.0, True)
+        rec_s = skeletonize_cell(a1, c, 1.0, True)
+        rec_e = eliminate_cell(a2, c, True)
         assert rec_s.factor.n == 3 and len(rec_s.sk) == 0
         # identical factorization of the cell block
         assert np.array_equal(rec_s.factor.lower, rec_e.factor.lower)
@@ -160,8 +155,7 @@ class TestSkeletonizeCell:
         d = random_spd(rng, 6, cond=10)
         a = from_dense(d)
         before = a.to_dense()
-        state = DofState(6)
-        rec = skeletonize_cell(a, state, np.arange(3), 1e-14, 0.5, True)
+        rec = skeletonize_cell(a, np.arange(3), 1e-14, True)
         assert rec.factor.n == 0 and rec.coupling.shape == (0, 3)
         assert len(rec.rd) == 0 and len(rec.sk) == 3
         assert np.array_equal(a.to_dense(), before)
@@ -171,14 +165,13 @@ class TestSkeletonizeCell:
         # a real edge group after level-0 elimination on the 5-point grid
         g = build_grid(2, 16, 4)
         a = assemble(g, constant_field(g, 1.0, 0.0))
-        state = DofState(a.n)
         from hifde import interface_cells
         for c in interior_cells(g, 0, a.active).cells:
-            eliminate_cell(a, state, c, 0.0, True)
+            eliminate_cell(a, c, True)
         before = a.to_dense()
         cs = interface_cells(g, 0, a.active, "edge")
         eps = 1e-6
-        rec = skeletonize_cell(a, state, cs.cells[10], eps, 0.5, True)
+        rec = skeletonize_cell(a, cs.cells[10], eps, True)
         after = dense_after(a, rec)
         stilde = dense_q_inv_t(rec, a.n) @ dense_s_inv_t(rec, a.n)
         after = stilde @ after @ stilde.T

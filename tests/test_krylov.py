@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from hifde import (assemble, build_grid, constant_field, estimate_apply_error,
-                   estimate_solve_error, factor_hifde, factor_mf, gmres, make_problem, pcg)
+                   estimate_solve_error, factor_hifde, factor_mf, gmres, krylov, make_problem,
+                   pcg)
 
 from oracles import random_spd
 
@@ -171,6 +172,27 @@ class TestEstimators:
         vals = [estimate_apply_error(csr, f, seed=s).value for s in range(4)]
         assert max(vals) <= 1.1 * min(vals) * (1 + 1e-9) or \
             (max(vals) - min(vals)) <= 0.1 * max(vals)
+
+    def test_exact_factor_stops_at_the_rounding_floor(self):
+        # ||A - F|| of an exact factor is rounding: its power iteration
+        # stops after one step, at most POWER_ITER_FLOOR ||A||
+        p = make_problem(1, 64)
+        a = assemble(p.grid, p.field)
+        csr = a.to_scipy()
+        est = estimate_apply_error(csr, factor_mf(a, p.grid))
+        den = krylov._power_norm(lambda x: csr @ x, lambda x: csr @ x, csr.shape[0], (0, 0xB))
+        assert est.converged and est.iterations == den.iterations + 1
+        assert est.value <= 1e-13
+
+    def test_floor_leaves_a_compressed_estimate_unchanged(self, monkeypatch):
+        p = make_problem(1, 32)
+        a = assemble(p.grid, p.field)
+        csr = a.to_scipy()
+        f = factor_hifde(a, p.grid, 1e-6)
+        est = estimate_apply_error(csr, f)
+        monkeypatch.setattr(krylov, "POWER_ITER_FLOOR", 0.0)
+        assert tuple(est) == tuple(estimate_apply_error(csr, f))
+        assert est.value > 1e-9
 
     def test_iteration_cap_flag(self):
         rng = np.random.default_rng(8)

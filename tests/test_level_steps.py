@@ -297,7 +297,8 @@ def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
     # (level 1.5 compresses; level 2 switches to dense) and on the dense
     # tail. A step reads its groups' rows (``entries`` of either storage) at
     # most twice if it eliminates (the neighbor pass, then the chunks), once
-    # if it skeletonizes; _goes_dense reads none
+    # if it skeletonizes; the switch (_goes_dense), which counts the kept
+    # entries of the matrix's own arrays, reads none
     if budget is not None:
         monkeypatch.setattr(factor_ops, "spans", lambda costs: spans(costs, budget))
     reads, steps, decisions = [], [], []

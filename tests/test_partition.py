@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hifde import (DofState, GridConfig, SparseSymMatrix, adaptive_interior_cells, assemble,
-                   build_grid, cells_to_csv, constant_field, eliminate_cell, factor_hifde,
-                   factor_hifde3x, interface_cells, interior_cells)
+from hifde import (GridConfig, SparseSymMatrix, adaptive_interior_cells, assemble, build_grid,
+                   cells_to_csv, constant_field, eliminate_cell, factor_hifde, factor_hifde3x,
+                   interface_cells, interior_cells)
 from hifde import driver, factor_ops, partition, sparse
 from hifde.sparse import DenseSymMatrix
 
@@ -20,11 +20,9 @@ def laplace(dim, n, m):
 
 
 def run_level0(g, a):
-    state = DofState(a.n)
     cs = interior_cells(g, 0, a.active)
     for c in cs.cells:
-        eliminate_cell(a, state, c, 0.0, True)
-    return state
+        eliminate_cell(a, c, True)
 
 
 class TestInteriorCells:
@@ -73,13 +71,12 @@ class TestInteriorCells:
 
     def test_mf_levels_cover_everything(self):
         g, a = laplace(2, 16, 2)
-        state = DofState(a.n)
         seen = []
         for ell in range(g.nlevels):
             cs = interior_cells(g, ell, a.active)
             for c in cs.cells:
                 seen.append(c)
-                eliminate_cell(a, state, c, float(ell), True)
+                eliminate_cell(a, c, True)
         covered = np.concatenate(seen)
         top = np.flatnonzero(a.active)
         assert len(covered) + len(top) == g.ndof
@@ -140,9 +137,8 @@ class TestInterfaceCells:
 
     def test_3d_faces_exclude_corner_edges(self):
         g, a = laplace(3, 8, 2)
-        state = DofState(a.n)
         for c in interior_cells(g, 0, a.active).cells:
-            eliminate_cell(a, state, c, 0.0, True)
+            eliminate_cell(a, c, True)
         cs = interface_cells(g, 0, a.active, "face")
         coords = g.dof_coords()
         on2 = (coords % 2 == 0).sum(axis=1) >= 2
@@ -337,9 +333,8 @@ class TestAdaptiveInteriorCells:
         cs = adaptive_interior_cells(a, g, 0)
         assert_noninteracting(a, cs)
         # after one elimination round the next level is still clean
-        state = DofState(a.n)
         for c in cs.cells:
-            eliminate_cell(a, state, c, 0.0, True)
+            eliminate_cell(a, c, True)
         cs1 = adaptive_interior_cells(a, g, 1)
         assert_noninteracting(a, cs1)
         assert len(cs1.cells) >= 1

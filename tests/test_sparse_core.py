@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hifde import DofState, SparseSymMatrix, build_grid, eliminate_cell, factor_mf
+from hifde import SparseSymMatrix, build_grid, eliminate_cell, factor_mf, skeletonize_cell
 from hifde import factor_ops, sparse
 from hifde.sparse import DenseSymMatrix
 
@@ -52,9 +52,8 @@ class TestConstruction:
     def test_to_scipy_and_nnz_match_row_loop(self):
         # retired (empty) rows, fill-in and explicitly stored zeros
         a, _ = random_sparse_sym(np.random.default_rng(4), 30, fill=0.1)
-        state = DofState(a.n)
-        eliminate_cell(a, state, np.array([2, 3, 11]), 0.0, True)
-        eliminate_cell(a, state, np.array([20]), 0.0, True)
+        eliminate_cell(a, np.array([2, 3, 11]), True)
+        eliminate_cell(a, np.array([20]), True)
         q = a.neighbors(np.array([5]))
         a.replace_rows(q, q, q, np.zeros((len(q), len(q))))
         csr, nnz = reference_csr(a)
@@ -136,6 +135,12 @@ class TestConstruction:
         assert np.allclose(b.to_dense(), dense)
 
 
+def kept(a, retired):
+    """The mask of the stored entries of ``a`` that couple no DOF of
+    ``retired``, as a level step builds it."""
+    return factor_ops._goes_dense(a, retired, np.zeros(0, np.int64))[0]
+
+
 def check_rebuilt(a, retired, cliques, sizes):
     """``a.rebuilt`` against a row scan of its output: the new matrix holds
     the kept entries with their values and every clique pair (a zero where
@@ -143,7 +148,7 @@ def check_rebuilt(a, retired, cliques, sizes):
     (i, j) in row i, and its round counts the earlier cliques that hold
     (i, j). ``a`` is not changed. Returns the new matrix and the rounds."""
     before = [x.copy() for x in (a.indptr, a.indices, a.data)]
-    new, offset, rnd = a.rebuilt(retired, cliques, sizes)
+    new, offset, rnd = a.rebuilt(kept(a, retired), cliques, sizes)
     for got, want in zip((a.indptr, a.indices, a.data), before):
         assert np.array_equal(got, want)
     assert new.active is a.active and len(offset) == len(rnd) == (sizes * sizes).sum()
@@ -238,7 +243,7 @@ class TestRebuilt:
         w, _ = random_sparse_sym(np.random.default_rng(6), 20, fill=0.2)
         retired = np.zeros(w.n, dtype=bool)
         retired[[1, 4]] = True
-        new = w.rebuilt(retired, np.array([2, 9, 15]), np.array([3]))[0]
+        new = w.rebuilt(kept(w, retired), np.array([2, 9, 15]), np.array([3]))[0]
         w.update(new)
         assert w.indptr is new.indptr and w.indices is new.indices and w.data is new.data
 
@@ -344,43 +349,37 @@ class TestBlockUpdate:
 class TestDeactivate:
     def test_deactivate_all(self):
         a = tridiag(4)
-        state = DofState(4)
-        eliminate_cell(a, state, np.arange(4), 0.0, True)
+        eliminate_cell(a, np.arange(4), True)
         assert not a.active.any()
-        assert np.isfinite(state.elim_level).sum() == 4
 
     def test_deactivate_empty(self):
         a = tridiag(4)
         before = a.to_dense()
-        eliminate_cell(a, DofState(4), np.array([], dtype=np.int64), 0.0, True)
+        eliminate_cell(a, np.array([], dtype=np.int64), True)
         assert np.array_equal(a.to_dense(), before)
 
     def test_double_deactivation_rejected(self):
-        state = DofState(4)
-        state.mark_eliminated([1], 0.0)
-        with pytest.raises(ValueError):
-            state.mark_eliminated([1], 1.0)
+        # a group holding a retired DOF is named before the matrix changes
+        for retire in (lambda a, c: eliminate_cell(a, c, True),
+                       lambda a, c: skeletonize_cell(a, c, 1e-9, True)):
+            a = tridiag(6)
+            eliminate_cell(a, [1], True)
+            before = [x.copy() for x in (a.indptr, a.indices, a.data, a.active)]
+            with pytest.raises(ValueError, match="DOF 1 is not active"):
+                retire(a, np.array([3, 1, 4]))
+            for got, want in zip((a.indptr, a.indices, a.data, a.active), before):
+                assert np.array_equal(got, want)
 
     def test_no_storage_between_inactive_and_active(self):
         rng = np.random.default_rng(4)
         a, _ = random_sparse_sym(rng, 20)
-        state = DofState(20)
         c = np.array([3, 7, 11])
-        eliminate_cell(a, state, c, 0.0, True)
+        eliminate_cell(a, c, True)
         for i in c:
             assert len(a.row_idx[i]) == 0
         for i in range(20):
             if i not in c:
                 assert not np.isin(a.row_idx[i], c).any()
-
-    def test_dof_state_tracks_level(self):
-        a = tridiag(6)
-        state = DofState(6)
-        eliminate_cell(a, state, [0, 1], 0.0, True)
-        eliminate_cell(a, state, [5], 0.5, True)
-        assert state.elim_level[0] == 0.0
-        assert state.elim_level[5] == 0.5
-        assert np.isnan(state.elim_level[3])
 
 
 class TestMirrorSequences:
@@ -391,7 +390,6 @@ class TestMirrorSequences:
             n = int(rng.integers(6, 25))
             a, dense = random_sparse_sym(rng, n)
             active = np.ones(n, dtype=bool)
-            state = DofState(n)
             for _ in range(int(rng.integers(2, 8))):
                 if rng.random() < 0.6:
                     cand = np.flatnonzero(active)
@@ -407,7 +405,7 @@ class TestMirrorSequences:
                         continue
                     k = int(rng.integers(1, len(cand)))
                     c = np.sort(rng.choice(cand, size=k, replace=False))
-                    eliminate_cell(a, state, c, 0.0, False)
+                    eliminate_cell(a, c, False)
                     eliminate_mirror(dense, active, c)
                 act = np.flatnonzero(active)
                 # the mirror's Schur complements round differently
@@ -444,7 +442,7 @@ def storages(seed: int, n: int):
     retired = rng.random(n) < 0.1
     retired[[i[0], j[0]]] = False
     retired[rng.choice(np.setdiff1d(np.arange(n), [i[0], j[0]]))] = True
-    csr = w.rebuilt(retired, np.zeros(0, np.int64), np.zeros(0, np.int64))[0]
+    csr = w.rebuilt(kept(w, retired), np.zeros(0, np.int64), np.zeros(0, np.int64))[0]
     d = DenseSymMatrix.kept(w, retired)
     return (SparseSymMatrix(n, csr.indptr, csr.indices, csr.data, ~retired),
             DenseSymMatrix(n, d.dofs, d.values, d.stored, ~retired), (i[0], j[0]))
@@ -497,6 +495,15 @@ class TestDenseStorage:
                 assert got.dtype == np.int64 and got.shape == (0,)
             assert np.array_equal(m.row_lengths([0, 5]), m.row_lengths(np.array([0, 5])))
 
+    def test_no_rows_read_no_entries(self):
+        # an empty tuple is no rows, not an index of the whole array
+        for m in storages(3, 12)[:2]:
+            cols = np.array([0, 4, 7])
+            for rows in ([], (), np.zeros(0, np.int64)):
+                assert [x.shape for x in m.entries(rows)] == [(0,)] * 3
+                assert m.neighbors(rows).shape == (0,)
+                assert m.gather(rows, cols).shape == (0, 3)
+
     def test_repeated_rows_and_cols_read_every_copy(self):
         assert np.array_equal(tridiag(3).gather([1], [1, 1]), [[2.0, 2.0]])
         rng = np.random.default_rng(12)
@@ -541,3 +548,32 @@ class TestDenseStorage:
             shared += np.bincount(flats["sk"]).max(initial=0) > 1
             compressed += np.count_nonzero(flats["rd_len"])
         assert compressed and (step == "skeletonize" or shared)
+
+
+class TestDenseSwitch:
+    def test_mask_and_decision_match_a_dense_count(self, monkeypatch):
+        # the mask of a step's kept entries against a dense stored pattern
+        # with every retired row and column cleared, and the switch against
+        # that pattern's count plus the pairs of cliques of ``sizes``, at a
+        # share just above and just below the one it reaches
+        rng = np.random.default_rng(14)
+        for seed in range(40):
+            n = int(rng.integers(5, 40))
+            w = storages(seed, n)[0]
+            retired = w.active & (rng.random(n) < 0.3)
+            live = np.flatnonzero(w.active & ~retired)
+            sizes = rng.integers(0, min(5, len(live)) + 1, int(rng.integers(0, 4)))
+            stored = np.zeros((n, n), dtype=bool)
+            for i, ix in enumerate(w.row_idx):
+                stored[i, ix] = True
+            stored[retired] = stored[:, retired] = False
+            keep, _ = factor_ops._goes_dense(w, retired, sizes)
+            row = np.repeat(np.arange(n), np.diff(w.indptr))
+            got = np.zeros((n, n), dtype=bool)
+            got[row[keep], w.indices[keep]] = True
+            assert keep.shape == w.indices.shape and np.array_equal(got, stored)
+            if len(live):
+                share = (np.count_nonzero(stored) + (sizes * sizes).sum()) / len(live) ** 2
+                for scale, dense in ((1 + 1e-9, False), (1 - 1e-9, True)):
+                    monkeypatch.setattr(factor_ops, "DENSE_SHARE", share * scale)
+                    assert factor_ops._goes_dense(w, retired, sizes)[1] == dense
