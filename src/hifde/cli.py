@@ -18,7 +18,11 @@ import sys
 
 
 def _positive_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    """One or more comma-separated sizes, each at least 1."""
+    sizes = [int(tok) for tok in text.split(",") if tok]
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"expected sizes >= 1, comma separated, got {text!r}")
+    return sizes
 
 
 def _float_list(text: str) -> list[float]:

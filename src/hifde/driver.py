@@ -290,9 +290,11 @@ class GeneralizedLDL:
         return 8 * (self.top.nfloats() + sum(lf.nfloats() for lf in self.levels))
 
     def check(self) -> None:
-        """Raise ValueError unless the level tags strictly increase and the
-        eliminated DOFs and ``top_idx`` cover 0..n-1 exactly once."""
+        """Raise ValueError unless the level tags are finite and increase
+        strictly, and the eliminated DOFs and ``top_idx`` cover 0..n-1 exactly once."""
         tags = [lf.level for lf in self.levels]
+        if not all(math.isfinite(t) for t in tags):
+            raise ValueError("level tags not finite")
         if any(b <= a for a, b in zip(tags, tags[1:])):
             raise ValueError("level tags not strictly increasing")
         idx = np.concatenate([lf.flats["rd"] for lf in self.levels] + [self.top_idx])
@@ -464,8 +466,9 @@ def factor_hifde3x(a: SparseSymMatrix, grid: GridConfig, eps: float,
 # -- serialization -----------------------------------------------------------
 
 _VERSION = 2
-_FIELDS = {"version", "n", "dim", "spd", "eps", "level_tags", "level_sizes", "top_idx",
-           *FLAT_DTYPES}
+# the scalar members of the archive; every other member is a 1-D array
+_SCALARS = {"version", "n", "dim", "spd", "eps"}
+_FIELDS = {*_SCALARS, "level_tags", "level_sizes", "top_idx", *FLAT_DTYPES}
 
 
 def _level(tag: float, spd: bool, p: dict) -> LevelFactor:
@@ -522,10 +525,11 @@ def save_factor(f: GeneralizedLDL, path) -> None:
 
 def load_factor(path) -> GeneralizedLDL:
     """Read a factor written by save_factor. A file that is not one (a
-    truncated or corrupted archive, a version-1 file, another dtype,
-    inconsistent lengths, an index outside [0, n), a pivot order that is not a permutation, a 2x2
-    pivot past the end of its block, a broken DOF partition) raises
-    ValueError.
+    truncated or corrupted archive, a version-1 file, a member of another
+    shape or dtype, an eps not finite and >= 0, inconsistent lengths, an
+    index outside [0, n), a pivot order that is not a permutation, 2x2
+    pivots that overlap or run past their block, a level tag not finite, a
+    broken DOF partition) raises ValueError naming the problem.
 
     Each level's flat arrays are views of the archive's, and so are its
     groups; no record is built. A file whose records are not in group order
@@ -546,12 +550,17 @@ def load_factor(path) -> GeneralizedLDL:
         if not ok:
             raise ValueError(f"{path}: {what}")
 
-    need(a.get("version") == _VERSION and a.keys() == _FIELDS,
-         f"not a version-{_VERSION} factor archive")
+    need(a.keys() == _FIELDS, f"not a version-{_VERSION} factor archive")
+    for key in sorted(_FIELDS):
+        scalar = key in _SCALARS
+        need(a[key].ndim == (0 if scalar else 1),
+             f"member {key} is not " + ("a scalar" if scalar else "a 1-D array"))
+    need(a["version"] == _VERSION, f"not a version-{_VERSION} factor archive")
     dtypes = dict(FLAT_DTYPES, top_idx="<i8", level_sizes="<i8")
     need(all(a[k].dtype == d for k, d in dtypes.items()),
          "array dtypes are not those save_factor writes")
-    n, spd, top_idx = int(a["n"]), bool(a["spd"]), a["top_idx"]
+    n, spd, top_idx, eps = int(a["n"]), bool(a["spd"]), a["top_idx"], float(a["eps"])
+    need(math.isfinite(eps) and eps >= 0.0, f"eps {eps} is not finite and >= 0")
     rd_len, sk_len, has_interp = a["rd_len"], a["sk_len"], a["has_interp"]
     need(len(sk_len) == len(has_interp) == len(rd_len) == a["level_sizes"].sum()
          and len(a["level_tags"]) == len(a["level_sizes"])
@@ -573,6 +582,8 @@ def load_factor(path) -> GeneralizedLDL:
          and np.all(np.bincount(a["perm"] + start, minlength=len(start)) == 1),
          "pivot order is not a permutation")
     need(not a["sub"][(np.cumsum(m) - 1)[m > 0]].any(), "a 2x2 pivot runs past its block")
+    pivot = a["sub"] != 0
+    need(not (pivot[1:] & pivot[:-1]).any(), "two 2x2 pivots overlap")
 
     # each flat array cut at the level boundaries
     level_ends = np.append(0, np.cumsum(a["level_sizes"]))
@@ -584,7 +595,7 @@ def load_factor(path) -> GeneralizedLDL:
     top = (LdlFactor("cholesky" if spd else "ldl", a["lower"][lo:].reshape(mt, mt),
                      BlockDiag(a["diag"][pd:], a["sub"][pd:]), a["perm"][pd:])
            if mt else EMPTY_FACTOR[spd])
-    f = GeneralizedLDL(n=n, dim=int(a["dim"]), spd=spd, eps=float(a["eps"]),
+    f = GeneralizedLDL(n=n, dim=int(a["dim"]), spd=spd, eps=eps,
                        levels=levels, top_idx=top_idx, top=top)
     f.check()
     return f

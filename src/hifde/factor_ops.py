@@ -38,10 +38,11 @@ results in the form they come: the ID's ``sk`` and ``rd`` ascending, D's
 ``sub`` zero-padded. A record holds data only: the driver applies a
 level's records together, stacked by shape (``driver.Group``).
 
-A step reads its groups' rows in row blocks, each once and with one sort
-(``_scan``). An elimination step, which needs every cell's neighbors
-before its first chunk, reads them twice: its neighbor pass keeps each
-entry's place for the chunks.
+Each step makes one neighbor pass over its level (``_neighbors``) and
+sizes its chunks by the real fronts it finds. On CSR the pass reads the
+groups' rows in row blocks, each once and with one sort (``_scan``), and
+keeps each entry's place for the chunks, which read the rows again for
+their values; on the dense storage it reads the stored pattern.
 
 Interactions outside the touched cell and its neighbor set are never read
 or written.
@@ -212,18 +213,18 @@ def _groups(w: SparseSymMatrix, cs: CellSet, level: float):
 
 
 def _scan(w: SparseSymMatrix, cs: CellSet, mark: np.ndarray, start: int):
-    """One read and one sort of the rows of the groups ``cs``, numbered from
-    ``start`` (``mark`` as _groups gives it): the stored entries (row, an
-    index into ``cs.members``, and value), each one's place ``at``, and
-    each group's active neighbors q, flat, ascending per group, and counts.
-    ``at`` is -2 - (i |c| + j) for an entry inside its group (A[c, c]),
-    k |c| + i for one in its group's k-th neighbor's column (A[q, c]), and
-    -1 for any other. One stable argsort of the packed keys (group << s) |
-    column orders the neighbors; its inverse numbers them per entry."""
+    """One read and one sort of the CSR rows of the groups ``cs``, numbered
+    from ``start`` (``mark`` as _groups gives it): each stored entry's
+    place ``at``, and each group's active neighbors q, flat, ascending per
+    group, and counts. ``at`` is -2 - (i |c| + j) for an entry inside its
+    group (A[c, c]), k |c| + i for one in its group's k-th neighbor's
+    column (A[q, c]), and -1 for any other. One stable argsort of the
+    packed keys (group << s) | column orders the neighbors; its inverse
+    numbers them per entry."""
     s = (w.n - 1).bit_length()
     lo = (1 << s) - 1
     clen = np.diff(cs.offsets)
-    row, cols, vals = w.entries(cs.members)
+    row, cols, _ = w.entries(cs.members)
     tag = mark[cs.members]
     own, m = tag[row], mark[cols]
     # inside: the column's mark holds the row's group in its high bits
@@ -243,50 +244,62 @@ def _scan(w: SparseSymMatrix, cs: CellSet, mark: np.ndarray, start: int):
     at[inside] = -2 - (pos * size)[row[inside]] - (m[inside] & lo)
     first, rn = np.repeat(np.cumsum(qlen) - qlen, clen), row[nb]
     at[nb] = rank * size[rn] + (pos - first * size)[rn]
-    return row, vals, at, keys & lo, qlen
+    return at, keys & lo, qlen
+
+
+def _neighbors(w: SparseSymMatrix | DenseSymMatrix, cs: CellSet, mark: np.ndarray,
+               row_nnz: np.ndarray):
+    """The neighbor pass of a level's groups ``cs`` (``mark`` and
+    ``row_nnz`` as _groups gives them): each group's active neighbors q,
+    flat, ascending per group, ``qlen`` each, and ``fronts(costs, stacks)``,
+    which yields stacks(f, a) per chunk of spans(costs), f its _Fronts and a
+    its first group; no f outlives its call, so a chunk's reads go before
+    the next chunk's. On CSR the pass reads the rows in row blocks (_scan),
+    which also places each entry; on the dense storage a group's neighbors
+    are the stored columns of its rows outside it."""
+    if isinstance(w, DenseSymMatrix):
+        live, at, slots = w.active[w.dofs], None, []
+        for c in cs.cells:
+            p = w.slot[c]
+            nb = w.stored[p].any(axis=0) & live
+            nb[p] = False
+            slots.append(np.flatnonzero(nb))
+        qlen = np.array([len(x) for x in slots], dtype=np.int64)
+        q = w.dofs[np.concatenate(slots)]
+    else:
+        at, q, qlen = (np.concatenate(x) for x in zip(*[
+            _scan(w, cs[a:b], mark, a) for a, b in spans(row_nnz)]))
+    qend, rend = np.cumsum(qlen), np.cumsum(row_nnz)
+
+    def fronts(costs: np.ndarray, stacks):
+        for a, b in spans(costs):
+            yield stacks(_Fronts(w, cs[a:b], q[qend[a] - qlen[a]:qend[b - 1]], qlen[a:b],
+                                 None if at is None else at[rend[a] - row_nnz[a]:rend[b - 1]]), a)
+    return q, qlen, fronts
 
 
 class _Fronts:
-    """The fronts of consecutive groups ``cs`` of a level, numbered from
-    ``start`` (``mark`` as _groups gives it), read from the working matrix
-    ``w``: each group's active neighbors (``q``, flat, ascending per group,
-    ``qlen`` each) and its blocks A[c, c] and A[q, c] (the mirror of
-    A[c, q]).
+    """The fronts of consecutive groups ``cs`` of a level, as the neighbor
+    pass (_neighbors) found them in the working matrix ``w``: each group's
+    active neighbors (``q``, flat, ascending per group, ``qlen`` each) and
+    its blocks A[c, c] and A[q, c] (the mirror of A[c, q]).
 
-    On CSR the groups' rows are read in one vectorized pass (_scan, or,
-    given a level pass's q, qlen and ``at`` in ``nbrs``, ``entries``) and
-    each entry goes to its place. On the dense storage a group's neighbors
-    are the stored columns of its rows outside it, and ``gather`` reads its
-    blocks by np.ix_ gathers: the same values, as a slot that is not stored
-    holds +0.0.
-    """
+    On CSR the groups' rows are read once (``entries``) and each entry goes
+    to its place ``at`` (_scan). On the dense storage ``gather`` reads each
+    group's blocks by np.ix_ gathers from the slots of c and of its q: the
+    same values, as a slot that is not stored holds +0.0."""
 
-    def __init__(self, w: SparseSymMatrix | DenseSymMatrix, cs: CellSet, mark: np.ndarray,
-                 start: int, nbrs: tuple | None = None):
-        self.members, self.cstart = cs.members, cs.offsets[:-1]
-        self.clen = np.diff(cs.offsets)
-        self._dense = w if isinstance(w, DenseSymMatrix) else None
-        if self._dense is not None:
-            live = w.active[w.dofs]
-            # each group's slots and its neighbors' slots
-            self._slots = []
-            for c in cs.cells:
-                p = w.slot[c]
-                nb = w.stored[p].any(axis=0) & live
-                nb[p] = False
-                self._slots.append((p, np.flatnonzero(nb)))
-            self.qlen = np.array([len(s) for _, s in self._slots], dtype=np.int64)
-            self.q = w.dofs[np.concatenate([s for _, s in self._slots])]
-        else:
-            if nbrs is None:
-                row, vals, at, self.q, self.qlen = _scan(w, cs, mark, start)
-            else:
-                (self.q, self.qlen, at), (row, _, vals) = nbrs, w.entries(cs.members)
+    def __init__(self, w: SparseSymMatrix | DenseSymMatrix, cs: CellSet, q: np.ndarray,
+                 qlen: np.ndarray, at: np.ndarray | None):
+        self.members, self.cstart, self.clen = cs.members, cs.offsets[:-1], np.diff(cs.offsets)
+        self.q, self.qlen, self.qstart = q, qlen, np.cumsum(qlen) - qlen
+        self._dense = w if at is None else None
+        if at is not None:
+            row, _, vals = w.entries(cs.members)
             g = np.repeat(np.arange(len(self.clen)), self.clen)[row]
             inside, nb = at < -1, at >= 0
             self._pp = (g[inside], -2 - at[inside], vals[inside])
             self._qp = (g[nb], at[nb], vals[nb])
-        self.qstart = np.cumsum(self.qlen) - self.qlen
 
     def cells(self, idx: np.ndarray) -> np.ndarray:
         """The members of the groups ``idx``, all of one size, stacked."""
@@ -305,9 +318,9 @@ class _Fronts:
         oqp[order] = np.cumsum(ql * cl) - ql * cl
         pp, qp = np.zeros(int((cl * cl).sum())), np.zeros(int((ql * cl).sum()))
         if self._dense is not None:
-            a = self._dense.values
+            a, slot = self._dense.values, self._dense.slot
             for i in order.tolist():
-                p, s = self._slots[i]
+                p, s = slot[self.cells([i])[0]], slot[self.neighbors([i])[0]]
                 pp[opp[i]:opp[i] + p.size * p.size] = a[np.ix_(p, p)].ravel()
                 qp[oqp[i]:oqp[i] + s.size * p.size].reshape(s.size, p.size)[...] = \
                     a[np.ix_(p, s)].T
@@ -477,27 +490,22 @@ def eliminate_level(w: SparseSymMatrix, cells: CellSet, level: float, spd: bool)
     interact raise ValueError before ``w`` is changed.
 
     No cell reads another's update: a cell's rows, its neighbors q and
-    A[q, c] stay those of the level's start. One pass over the level
-    (_scan) finds every cell's q, which the step needs before its first
-    chunk, and each entry's place; the chunks read the rows again, for
-    their values, as the elimination step (_retire) reaches them.
+    A[q, c] stay those of the level's start. The neighbor pass
+    (_neighbors) finds every cell's q, which the step needs before its
+    first chunk; the chunks read the cells' blocks as the elimination step
+    (_retire) reaches them.
     """
     if not len(cells):
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), False).out
     mark, clen, row_nnz = _groups(w, cells, level)
-    at, q, qlen = (np.concatenate(x) for x in zip(*[
-        _scan(w, cells[a:b], mark, a)[2:] for a, b in spans(row_nnz)]))
+    q, qlen, fronts = _neighbors(w, cells, mark, row_nnz)
     hit = np.flatnonzero(mark[q] >= 0)
     if len(hit):
         i = hit[0]
         raise ValueError(f"cells {np.searchsorted(np.cumsum(qlen), i, side='right')} and "
                          f"{mark[q[i]] >> (w.n - 1).bit_length()} of level {level:.4g} interact")
-    qend, rend = np.cumsum(qlen), np.cumsum(row_nnz)
-    nbrs = lambda a, b: (q[qend[a] - qlen[a]:qend[b - 1]], qlen[a:b],  # noqa: E731
-                         at[rend[a] - row_nnz[a]:rend[b - 1]])
     flats = _Flats(clen, qlen, False)
-    chunks = (_cell_stacks(_Fronts(w, cells[a:b], mark, a, nbrs(a, b)), a)
-              for a, b in spans(row_nnz + (clen + qlen) ** 2))
+    chunks = fronts(row_nnz + (clen + qlen) ** 2, _cell_stacks)
     _retire(w, mark >= 0, q, qlen, chunks, flats, cells, level, spd)
     return flats.out
 
@@ -542,14 +550,11 @@ def skeletonize_level(w: SparseSymMatrix, cells: CellSet, eps: float, level: flo
         return _Flats(np.zeros(0, np.int64), np.zeros(0, np.int64), True).out
     retired = np.zeros(w.n, dtype=bool)
     mark, clen, row_nnz = _groups(w, cells, level)
+    _, qlen, fronts = _neighbors(w, cells, mark, row_nnz)
     rd_len = np.zeros(len(cells), np.int64)
-    chunks, kept = [], []
-    # a group has at most as many neighbors as its rows have entries
-    for a, b in spans(row_nnz + (clen + row_nnz) * clen):
-        stacks = _skeleton_stacks(_Fronts(w, cells[a:b], mark, a), a, retired, eps, rd_len,
-                                  kept)
-        if stacks:
-            chunks.append(stacks)
+    kept = []
+    ids = lambda f, a: _skeleton_stacks(f, a, retired, eps, rd_len, kept)  # noqa: E731
+    chunks = [x for x in fronts(row_nnz + (clen + qlen) * clen, ids) if x]
     flats = _Flats(rd_len, clen - rd_len, True)
     for idx, sk in kept:
         flats.put(idx, sk=sk)

@@ -13,7 +13,7 @@ import pytest
 
 from hifde import (GeneralizedLDL, assemble, factor_hifde, load_factor, make_problem,
                    rows_to_csv, run_example, run_sweep)
-from hifde import bench
+from hifde import bench, cli
 from hifde.bench import CSV_COLUMNS
 
 TIMING_COLS = {"t_f", "t_a", "t_s", "t_s_first"}
@@ -183,6 +183,15 @@ class TestCli:
                            "--n", "16", "--eps", "1e-6")
         assert out.returncode == 1
         assert "error" in out.stdout
+
+    @pytest.mark.parametrize("sizes", ["", ",", "0", "16,-16"],
+                             ids=["empty", "comma", "zero", "negative"])
+    def test_no_size_or_size_below_one_is_a_usage_error(self, sizes, capsys):
+        # no row would run, or a row would fail: argparse's exit 2, naming --n
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--example", "1", "--algo", "mf", "--n", sizes])
+        assert info.value.code == 2
+        assert "argument --n: expected sizes >= 1" in capsys.readouterr().err
 
     def test_verify_too_large_exit_code(self):
         out = self.run_cli("--example", "4", "--algo", "hifde", "--n", "16",

@@ -476,6 +476,34 @@ class TestCorruptedFile:
         with pytest.raises(ValueError, match="2x2 pivot runs past its block"):
             load_factor(path)
 
+    @staticmethod
+    def overlapping_pivots(z):
+        # rows i, i + 1 and rows i + 1, i + 2 of one block as 2x2 pivots
+        rd_len, sub = z["rd_len"], z["sub"].copy()
+        i = int(rd_len[:np.argmax(rd_len >= 3)].sum())
+        sub[i] = sub[i + 1] = 0.5
+        return dict(sub=sub)
+
+    @pytest.mark.parametrize("change, what", [
+        (lambda z: dict(n=np.array([z["n"]] * 2)), "member n is not a scalar"),
+        (lambda z: dict(version=np.array([2, 2])), "member version is not a scalar"),
+        (lambda z: dict(spd=z["spd"][None]), "member spd is not a scalar"),
+        (lambda z: dict(level_tags=z["level_tags"][None]), "member level_tags is not a 1-D array"),
+        (lambda z: dict(top_idx=np.int64(0)), "member top_idx is not a 1-D array"),
+        (lambda z: dict(eps=np.float64("nan")), "eps nan is not finite and >= 0"),
+        (lambda z: dict(eps=np.float64(-1e-6)), "eps -1e-06 is not finite and >= 0"),
+        (lambda z: dict(level_tags=np.r_[z["level_tags"][:-1], np.nan]), "level tags not finite"),
+        (overlapping_pivots, "two 2x2 pivots overlap"),
+    ], ids=["n_array", "version_array", "spd_array", "tags_2d", "top_idx_scalar", "eps_nan",
+            "eps_negative", "tag_nan", "overlapping_pivots"])
+    def test_malformed_member(self, saved, change, what):
+        _, path = saved
+        with np.load(path) as z:
+            changes = change(z)
+        self.rewrite(path, **changes)
+        with pytest.raises(ValueError, match=re.escape(what)):
+            load_factor(path)
+
     @pytest.mark.parametrize("key", ["rd", "perm", "level_sizes"])
     def test_integer_array_of_another_dtype(self, saved, key):
         _, path = saved

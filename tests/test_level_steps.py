@@ -123,22 +123,24 @@ def spy(monkeypatch, name, log):
 
 
 def test_skeleton_level_in_chunks_of_mixed_groups(monkeypatch):
-    # a budget of 40,000 entries splits level 1.5 of Ex. 3 n=64 at eps=1e-3
+    # a budget of 10,000 entries splits level 1.5 of Ex. 3 n=64 at eps=1e-3
     # (112 groups, 28 of them compressed) into 8 chunks: 5 hold compressed
     # and uncompressed groups alike, 2 compress nothing
-    budget = 40000
+    budget = 10000
     monkeypatch.setattr(factor_ops, "spans", lambda costs: spans(costs, budget))
     levels, chunks = [], []
     spy(monkeypatch, "_skeleton_stacks", chunks)
     real = factor_ops.skeletonize_level
 
     def level(w, cells, eps, tag, spd):
-        # the step's chunk costs, as it computes them
+        # the step's chunk costs, as it computes them from each group's
+        # level-start neighbors
         clen = np.diff(cells.offsets)
         row_nnz = np.add.reduceat(w.row_lengths(cells.members), cells.offsets[:-1])
+        qlen = np.array([len(w.neighbors(c)) for c in cells.cells])
         start = len(chunks)
         out = real(w, cells, eps, tag, spd)
-        levels.append((tag, len(spans(row_nnz + (clen + row_nnz) * clen, budget)),
+        levels.append((tag, len(spans(row_nnz + (clen + qlen) * clen, budget)),
                        chunks[start:]))
         return out
     monkeypatch.setattr("hifde.driver.skeletonize_level", level)
@@ -151,6 +153,20 @@ def test_skeleton_level_in_chunks_of_mixed_groups(monkeypatch):
                   for (front, start, _, _, rd_len, _), _ in calls]
     mixed = [0 < c < len(front.clen) for c, ((front, *_), _) in zip(compressed, calls)]
     assert count == 8 and sum(mixed) == 5 and compressed.count(0) == 2
+    assert sum(compressed) == 28 and sum(len(front.clen) for (front, *_), _ in calls) == 112
+
+
+def test_skeleton_chunks_are_sized_by_their_fronts(monkeypatch):
+    # Ex. 1 n=256 at eps=1e-6: chunks sized by each group's row entries, as
+    # a bound on its neighbors, ran 287 skeleton chunks over the levels
+    # (106 for the 112 groups of level 3.5); sized by the real fronts,
+    # at most 60
+    chunks = []
+    spy(monkeypatch, "_skeleton_stacks", chunks)
+    make, grid = problem(1, 256)
+    f, g = both(make, grid, "hifde", 1e-6)
+    assert factor_digest(f) == factor_digest(g)
+    assert 0 < len(chunks) <= 60
 
 
 def test_skeleton_level_that_compresses_nothing(monkeypatch):
@@ -295,16 +311,19 @@ def test_entries_updated_by_many_cells(dim, n, m, depth, spd):
 def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
     # Ex. 3 n=64 at eps=1e-3 runs elimination and skeleton steps on CSR
     # (level 1.5 compresses; level 2 switches to dense) and on the dense
-    # tail. A step reads its groups' rows (``entries`` of either storage) at
-    # most twice if it eliminates (the neighbor pass, then the chunks), once
-    # if it skeletonizes; the switch (_goes_dense), which counts the kept
-    # entries of the matrix's own arrays, reads none
+    # tail. On CSR a step reads its groups' rows (``entries``) at most
+    # twice: the neighbor pass, then the chunks. A skeleton step that read
+    # them once sized its chunks by a bound; the second read is what sizing
+    # them by their real fronts costs. No step calls ``entries`` on the
+    # dense storage: its pass reads the stored pattern and its chunks
+    # gather. The switch (_goes_dense), which counts the kept entries of
+    # the matrix's own arrays, reads none
     if budget is not None:
         monkeypatch.setattr(factor_ops, "spans", lambda costs: spans(costs, budget))
     reads, steps, decisions = [], [], []
     for cls in (SparseSymMatrix, DenseSymMatrix):
         def entries(self, rows, real=cls.entries):
-            reads.append(np.array(rows, dtype=np.int64))
+            reads.append((type(self), np.array(rows, dtype=np.int64)))
             return real(self, rows)
         monkeypatch.setattr(cls, "entries", entries)
 
@@ -320,20 +339,23 @@ def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
             reads.clear()
             out = real(w, cells, *args)
             members = np.concatenate(list(cells))
-            count = np.bincount(np.concatenate([members[:0], *reads]), minlength=w.n)[members]
-            steps.append((name, storage, np.count_nonzero(out["rd_len"]), int(count.max())))
+            count = np.bincount(np.concatenate([members[:0], *(r for _, r in reads)]),
+                                minlength=w.n)[members]
+            dense_reads = sum(cls is DenseSymMatrix for cls, _ in reads)
+            steps.append((name, storage, np.count_nonzero(out["rd_len"]), int(count.max()),
+                          dense_reads))
             return out
         monkeypatch.setattr(f"hifde.driver.{name}", step)
     make, grid = problem(3, 64)
     f, g = both(make, grid, "hifde", 1e-3, spd=False)
     assert factor_digest(f) == factor_digest(g) and f.metrics["dense_from"] == 2.0
-    assert {(name, storage) for name, storage, _, _ in steps} == {
+    assert {(name, storage) for name, storage, *_ in steps} == {
         (name, storage) for name in ("eliminate_level", "skeletonize_level")
         for storage in (SparseSymMatrix, DenseSymMatrix)}
-    assert any(rd and storage is SparseSymMatrix for name, storage, rd, _ in steps
+    assert any(rd and storage is SparseSymMatrix for name, storage, rd, *_ in steps
                if name == "skeletonize_level")
-    for name, storage, _, most in steps:
-        assert most <= (2 if name == "eliminate_level" else 1), (name, storage)
+    for name, storage, _, most, dense_reads in steps:
+        assert most <= 2 and dense_reads == 0, (name, storage)
     assert len(decisions) == 4 and not any(decisions)
 
 

@@ -549,6 +549,40 @@ class TestDenseStorage:
             compressed += np.count_nonzero(flats["rd_len"])
         assert compressed and (step == "skeletonize" or shared)
 
+    @pytest.mark.parametrize("budget", [None, 40], ids=["one_block", "small_blocks"])
+    def test_neighbor_pass_finds_each_front(self, monkeypatch, budget):
+        # a level's neighbor pass on either storage, its rows read in one
+        # row block or in many: each group's q is the CSR matrix's neighbors
+        # of the group, and the chunks, in group order, gather its A[c, c]
+        # and A[q, c]
+        if budget is not None:
+            monkeypatch.setattr(factor_ops, "spans", lambda costs: sparse.spans(costs, budget))
+        rng = np.random.default_rng(15)
+        for seed in range(20):
+            n = int(rng.integers(5, 40))
+            s, d, _ = storages(seed, n)
+            dofs = rng.permutation(np.flatnonzero(s.active))[:max(1, 2 * n // 3)]
+            cuts = np.cumsum(rng.integers(1, 5, len(dofs)))
+            cells = [np.sort(c) for c in np.split(dofs, cuts[cuts < len(dofs)])]
+            for w in (s, d):
+                cs = cellset(cells, 0.5)
+                mark, clen, row_nnz = factor_ops._groups(w, cs, 0.5)
+                q, qlen, fronts = factor_ops._neighbors(w, cs, mark, row_nnz)
+                nbrs = np.split(q, np.cumsum(qlen)[:-1])
+                assert len(nbrs) == len(cells)
+                assert all(same(x, s.neighbors(c)) for x, c in zip(nbrs, cells))
+                done = 0
+                for a, f in fronts(row_nnz + (clen + qlen) * clen, lambda f, a: (a, f)):
+                    assert a == done
+                    pp, opp, qp, oqp = f.gather(np.arange(len(f.clen)))
+                    for i, c in enumerate(cells[a:a + len(f.clen)]):
+                        k, nb = len(c), nbrs[a + i]
+                        assert same(pp[opp[i]:][:k * k].reshape(k, k), s.gather(c, c))
+                        assert same(qp[oqp[i]:][:len(nb) * k].reshape(len(nb), k),
+                                    s.gather(nb, c))
+                    done += len(f.clen)
+                assert done == len(cells)
+
 
 class TestDenseSwitch:
     def test_mask_and_decision_match_a_dense_count(self, monkeypatch):
