@@ -24,14 +24,14 @@ fronts of all its groups are gathered in vectorized passes, the dense
 blocks are factored as stacks, and the matrix's entries are replaced once.
 The working matrix is one object across the levels, in one of two
 storages (``sparse``): it starts from the input's CSR arrays without a
-copy, and the first step whose output is at least 1/8 stored
-(``factor_ops.DENSE_SHARE``) turns it into a dense matrix over the DOFs
-still active, which the later steps write in place and the top block is
-gathered from. It never writes into the input's arrays, so the input is
-left unchanged. The result is bit-identical to eliminating or
-skeletonizing the groups one by one (``eliminate_cell``,
-``skeletonize_cell``), the reference the tests compare against; the steps
-write each level's records straight into its flat arrays.
+copy and takes over each step's new matrix, dense over the DOFs still
+active from the first step whose output is at least 1/8 stored
+(``factor_ops.DENSE_SHARE``) on, and smaller at each step up to the top
+block. No step writes into the matrix it reads, so the input is left
+unchanged. The result is bit-identical to eliminating or skeletonizing
+the groups one by one (``eliminate_cell``, ``skeletonize_cell``), the
+reference the tests compare against; the steps write each level's
+records straight into its flat arrays.
 
 The records of one level commute, so apply/apply_inverse do not visit them
 one by one: each level is compiled into a solve plan of ``Group``s, runs of

@@ -15,13 +15,14 @@ Both check their groups (``_groups``), then retire DOFs by one
 elimination step (``_retire``), as the per-cell operations below end in
 ``_eliminate``: the pivot blocks of one shape factored as a stack
 (``dense.ldl_stack``), each front's Schur update (``dense.schur_stack``)
-written into the matrix's output, and the records into their level's flat
-arrays (FLAT_DTYPES). On CSR the output is new arrays, laid out by
-``SparseSymMatrix.rebuilt``, which places each update. The first step
-whose output is at least DENSE_SHARE stored writes it into a new dense
-matrix instead (``sparse.DenseSymMatrix``), and the steps after it read
-their fronts from that matrix by np.ix_ gathers and write into it in
-place: the dense tail, which the merged fronts of the last levels fill.
+written into a new matrix laid out from the level-start one, and the
+records into their level's flat arrays (FLAT_DTYPES). On CSR that is new
+arrays (``SparseSymMatrix.rebuilt``), which place each update. The first
+step whose output is at least DENSE_SHARE stored, and each step after it,
+lays out a dense matrix over the DOFs it leaves active instead
+(``sparse.DenseSymMatrix.kept``) and reads its fronts from the level-start
+one by np.ix_ gathers: the dense tail, which the merged fronts of the last
+levels fill, shrinking with each step.
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
 through the matrix's per-cell methods, changing it in place and returning
@@ -40,8 +41,8 @@ level's records together, stacked by shape (``driver.Group``).
 
 Each step makes one neighbor pass over its level (``_neighbors``) and
 sizes its chunks by the real fronts it finds. On CSR the pass reads the
-groups' rows in row blocks, each once and with one sort (``_scan``), and
-keeps each entry's place for the chunks, which read the rows again for
+groups' row patterns in row blocks, each once and with one sort (``_scan``),
+and keeps each entry's place for the chunks, which read the rows again for
 their values; on the dense storage it reads the stored pattern.
 
 Interactions outside the touched cell and its neighbor set are never read
@@ -57,7 +58,7 @@ import numpy as np
 from .dense import (EMPTY_FACTOR, SCREEN_MAX_COLS, LdlFactor, interpolative_decomposition,
                     keeps_every_column, ldl, ldl_stack, schur_stack)
 from .partition import CellSet
-from .sparse import DenseSymMatrix, SparseSymMatrix, spans
+from .sparse import DenseSymMatrix, SparseSymMatrix, row_entries, spans
 
 __all__ = ["Record", "eliminate_cell", "skeletonize_cell", "eliminate_level",
            "skeletonize_level"]
@@ -213,18 +214,19 @@ def _groups(w: SparseSymMatrix, cs: CellSet, level: float):
 
 
 def _scan(w: SparseSymMatrix, cs: CellSet, mark: np.ndarray, start: int):
-    """One read and one sort of the CSR rows of the groups ``cs``, numbered
-    from ``start`` (``mark`` as _groups gives it): each stored entry's
-    place ``at``, and each group's active neighbors q, flat, ascending per
-    group, and counts. ``at`` is -2 - (i |c| + j) for an entry inside its
-    group (A[c, c]), k |c| + i for one in its group's k-th neighbor's
-    column (A[q, c]), and -1 for any other. One stable argsort of the
+    """One read and one sort of the pattern, not the values, of the CSR rows
+    of the groups ``cs``, numbered from ``start`` (``mark`` as _groups gives
+    it): each stored entry's place ``at``, and each group's active neighbors
+    q, flat, ascending per group, and counts. ``at`` is -2 - (i |c| + j) for
+    an entry inside its group (A[c, c]), k |c| + i for one in its group's
+    k-th neighbor's column (A[q, c]), and -1 for any other. One stable argsort of the
     packed keys (group << s) | column orders the neighbors; its inverse
     numbers them per entry."""
     s = (w.n - 1).bit_length()
     lo = (1 << s) - 1
     clen = np.diff(cs.offsets)
-    row, cols, _ = w.entries(cs.members)
+    row, e = row_entries(w.indptr, cs.members)
+    cols = w.indices[e]
     tag = mark[cs.members]
     own, m = tag[row], mark[cols]
     # inside: the column's mark holds the row's group in its high bits
@@ -254,14 +256,14 @@ def _neighbors(w: SparseSymMatrix | DenseSymMatrix, cs: CellSet, mark: np.ndarra
     flat, ascending per group, ``qlen`` each, and ``fronts(costs, stacks)``,
     which yields stacks(f, a) per chunk of spans(costs), f its _Fronts and a
     its first group; no f outlives its call, so a chunk's reads go before
-    the next chunk's. On CSR the pass reads the rows in row blocks (_scan),
-    which also places each entry; on the dense storage a group's neighbors
-    are the stored columns of its rows outside it."""
+    the next chunk's. On CSR the pass reads the rows' pattern in row blocks
+    (_scan), which also places each entry; on the dense storage a group's
+    neighbors are the stored columns of its rows outside it."""
     if isinstance(w, DenseSymMatrix):
-        live, at, slots = w.active[w.dofs], None, []
+        at, slots = None, []
         for c in cs.cells:
             p = w.slot[c]
-            nb = w.stored[p].any(axis=0) & live
+            nb = w.stored[p].any(axis=0)
             nb[p] = False
             slots.append(np.flatnonzero(nb))
         qlen = np.array([len(x) for x in slots], dtype=np.int64)
@@ -410,27 +412,23 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
     interpolation T (None on a cell elimination). Each entry of a front
     gets v <- 0.5 ((v - u_ij) + (v - u_ji)) once per group, in group order.
 
-    On CSR, and at the switch to the dense tail (_goes_dense), the output
-    is laid out first, as new arrays (``rebuilt``) or a new dense matrix
-    (``DenseSymMatrix.kept``), and ``w`` takes it over at the end, so a
-    failed pivot block, which raises located at the chunk's lowest failing
-    group, leaves ``w`` as it was. A CSR chunk writes one round at a time,
-    by the positions and rounds ``rebuilt`` gives; a dense one writes its
-    groups one by one (``schur_write``). On the dense storage the step
-    writes in place, so a failure leaves the earlier chunks' updates, and
-    it clears the retired DOFs at the end (``clear``).
+    The output is laid out first, as new CSR arrays (``rebuilt``) or, on
+    the dense storage and at the switch to it (_goes_dense), a new dense
+    matrix over the DOFs left active (``DenseSymMatrix.kept``); the chunks
+    read ``w`` and write the output, and ``w`` takes it over at the end.
+    So a failed pivot block, which raises located at the chunk's lowest
+    failing group, leaves ``w`` as it was. A CSR chunk writes one round at
+    a time, by the positions and rounds ``rebuilt`` gives; a dense one
+    writes its groups one by one (``schur_write``).
     """
-    if isinstance(w, DenseSymMatrix):
-        new = w
+    keep, dense = (None, True) if isinstance(w, DenseSymMatrix) else \
+        _goes_dense(w, retired, sizes)
+    if dense:
+        new = DenseSymMatrix.kept(w, retired)
     else:
-        keep, dense = _goes_dense(w, retired, sizes)
-        if dense:
-            new = DenseSymMatrix.kept(w, retired)
-        else:
-            new, offset, rnd = w.rebuilt(keep, cliques, sizes)
-            first = np.cumsum(sizes * sizes) - sizes * sizes
-        del keep
-    dense = isinstance(new, DenseSymMatrix)
+        new, offset, rnd = w.rebuilt(keep, cliques, sizes)
+        first = np.cumsum(sizes * sizes) - sizes * sizes
+    del keep
     pairs = {}   # per front width: the pairs r <= c and their offsets r nq + c, c nq + r
     for chunk in chunks:
         blocks, failures = [], []
@@ -476,10 +474,7 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
             i, j = pij[sel], pji[sel]
             v = new.data[i]
             new.data[i] = new.data[j] = 0.5 * ((v - uij[sel]) + (v - uji[sel]))
-    if new is w:
-        w.clear(retired)
-    else:
-        w.update(new)
+    w.update(new)
     w.active[retired] = False
 
 

@@ -58,8 +58,11 @@ def pcg(a, b, precond=None, tol: float = 1e-12, max_iter: int = 1000) -> SolveRe
     from it. If the next true residual has not fallen to half of the last
     one, it has reached the floor to which b - A x can be computed (the tol
     asked for lies below it), and the solve stops there as converged.
-    ``residual`` is the true value whenever ``converged``.
+    ``residual`` is the true value whenever ``converged``. A ``max_iter``
+    below 0 raises ValueError.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     amat = _as_matvec(a)
     mmat = _as_matvec(precond)
     b = np.asarray(b, dtype=float)
@@ -97,8 +100,12 @@ def gmres(a, b, precond=None, tol: float = 1e-12, max_iter: int = 1000,
           restart: int = 32) -> SolveReport:
     """Right-preconditioned restarted GMRES.
 
-    n_i counts total inner iterations (one operator application each).
+    n_i counts total inner iterations (one operator application each). A
+    ``max_iter`` below 0 or a ``restart`` below 1 raises ValueError.
     """
+    if max_iter < 0 or restart < 1:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}" if max_iter < 0 else
+                         f"restart must be >= 1, got {restart}")
     amat = _as_matvec(a)
     mmat = _as_matvec(precond)
     b = np.asarray(b, dtype=float)

@@ -17,18 +17,18 @@ bit for bit, the sign of a zero included, since the input is made so
 (``from_scipy``) and every write sets (i, j) and (j, i) to one value.
 
 The factorization reads a whole level's fronts from the matrix
-(``entries``) and replaces its entries once, at the level's end. On CSR,
+(``entries``) and replaces its entries once, at the level's end: a step
+lays out a new matrix from the level-start one, writes its Schur updates
+there and the working matrix takes it over (``update``). On CSR,
 ``rebuilt`` lays out new arrays from a mask of the entries the step keeps
-and places each front's pairs in them, the level step writes its Schur
-updates there and the matrix takes them over (``update``). ``rebuilt``
-sorts each block of rows once, by the packed keys (row << s) | col, s =
-(n - 1).bit_length(), which order as (row, col) does. The step whose
-output is at least 1/8 stored builds a dense matrix instead
-(``DenseSymMatrix.kept``), writes its updates into it, and the working
-matrix becomes it (``update``); from then on each step writes its updates
-in place (``schur_write``) and clears the DOFs it retires (``clear``). No
-method writes into arrays it did not make, so the factorization starts
-from its input's arrays without a copy and leaves the input unchanged.
+and places each front's pairs in them, sorting each block of rows once by
+the packed keys (row << s) | col, s = (n - 1).bit_length(), which order as
+(row, col) does. The step whose output is at least 1/8 stored, and every
+step after it, lays out a dense matrix over the DOFs it leaves active
+instead (``DenseSymMatrix.kept``) and writes its updates there
+(``schur_write``). No method writes into arrays it did not make, so the
+factorization starts from its input's arrays without a copy and leaves
+the input unchanged.
 
 The per-cell methods (``gather``, ``neighbors``, ``replace_rows``,
 ``drop_cols``, ``clear_rows``) are the storage of the per-cell elimination
@@ -82,7 +82,7 @@ def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
 
 class _SymMatrix:
     """The reads that both storages of the working matrix answer alike,
-    from their ``entries`` and ``_dense``."""
+    from their ``entries`` and ``_dense``, and their takeover (``update``)."""
 
     n: int
     active: np.ndarray
@@ -116,6 +116,11 @@ class _SymMatrix:
         u = np.sort(self.entries(c)[1]).astype(np.int64)
         u = u[(self._positions(c)[u] < 0) & self.active[u]]
         return u[np.r_[True, u[1:] != u[:-1]]] if len(u) else u
+
+    def update(self, other: "_SymMatrix") -> None:
+        """Take over ``other``, its class and its arrays, not copies: the
+        object stays the one its holders have."""
+        self.__class__, self.__dict__ = type(other), vars(other)
 
 
 class SparseSymMatrix(_SymMatrix):
@@ -261,16 +266,6 @@ class SparseSymMatrix(_SymMatrix):
             at += len(keys)
         return SparseSymMatrix(n, indptr, indices[:at], data[:at], self.active), offset, rnd
 
-    def update(self, other: "SparseSymMatrix | DenseSymMatrix") -> None:
-        """Take over the arrays of ``other``, not copies. A DenseSymMatrix
-        ``other`` is the switch to the dense tail: the matrix becomes it,
-        the object staying the one its holders have, and drops its CSR
-        arrays."""
-        if isinstance(other, DenseSymMatrix):
-            self.__class__, self.__dict__ = DenseSymMatrix, vars(other)
-            return
-        self.indptr, self.indices, self.data = other.indptr, other.indices, other.data
-
     # -- the per-cell reference's mutations ----------------------------------
 
     def drop_cols(self, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -351,10 +346,15 @@ class DenseSymMatrix(_SymMatrix):
         self.slot = self._positions(dofs)
 
     @classmethod
-    def kept(cls, w: SparseSymMatrix, retired: np.ndarray) -> "DenseSymMatrix":
+    def kept(cls, w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray) -> DenseSymMatrix:
         """The stored entries of ``w`` that couple no DOF of the boolean mask
         ``retired``, over the active DOFs outside it, sharing ``active``;
-        ``w`` is not changed."""
+        ``w`` is not changed. A dense ``w`` holds the active DOFs alone, so
+        its slots that stay are copied by one np.ix_ gather."""
+        if isinstance(w, DenseSymMatrix):
+            k = np.flatnonzero(~retired[w.dofs])
+            ix = np.ix_(k, k)
+            return cls(w.n, w.dofs[k], w.values[ix], w.stored[ix], w.active)
         dofs = np.flatnonzero(w.active & ~retired)
         m = len(dofs)
         new = cls(w.n, dofs, np.zeros((m, m)), np.zeros((m, m), dtype=bool), w.active)
@@ -409,12 +409,3 @@ class DenseSymMatrix(_SymMatrix):
         t *= 0.5
         self.values[ix] = t
         self.stored[ix] = True
-
-    def clear(self, retired: np.ndarray) -> None:
-        """Drop the stored entries in the rows and columns of the DOFs of the
-        boolean mask ``retired``: not stored, +0.0."""
-        p = self.slot[np.flatnonzero(retired)]
-        self.values[p] = 0.0
-        self.values[:, p] = 0.0
-        self.stored[p] = False
-        self.stored[:, p] = False

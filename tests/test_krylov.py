@@ -1,5 +1,7 @@
 """Iterative solvers and power-iteration error estimators."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,18 @@ from oracles import random_spd
 def tridiag(n):
     return sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                     [-1, 0, 1]).tocsr()
+
+
+@pytest.mark.parametrize("solve, kwargs, what", [
+    (pcg, dict(max_iter=-3), "max_iter must be >= 0, got -3"),
+    (gmres, dict(max_iter=-3), "max_iter must be >= 0, got -3"),
+    (gmres, dict(restart=0), "restart must be >= 1, got 0"),
+], ids=["pcg-max_iter", "gmres-max_iter", "gmres-restart"])
+def test_bad_counts_are_rejected(solve, kwargs, what):
+    # a negative max_iter used to return an unconverged report, and
+    # restart=0 made GMRES loop without end
+    with pytest.raises(ValueError, match="^" + re.escape(what) + "$"):
+        solve(tridiag(5), np.ones(5), **kwargs)
 
 
 class TestPcg:

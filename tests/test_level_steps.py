@@ -311,8 +311,9 @@ def test_entries_updated_by_many_cells(dim, n, m, depth, spd):
 def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
     # Ex. 3 n=64 at eps=1e-3 runs elimination and skeleton steps on CSR
     # (level 1.5 compresses; level 2 switches to dense) and on the dense
-    # tail. On CSR a step reads its groups' rows (``entries``) at most
-    # twice: the neighbor pass, then the chunks. A skeleton step that read
+    # tail. On CSR a step reads each of its groups' rows twice: the
+    # neighbor pass reads the pattern alone (``row_entries``), then the
+    # chunks read the entries (``entries``). A skeleton step that read
     # them once sized its chunks by a bound; the second read is what sizing
     # them by their real fronts costs. No step calls ``entries`` on the
     # dense storage: its pass reads the stored pattern and its chunks
@@ -327,6 +328,11 @@ def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
             return real(self, rows)
         monkeypatch.setattr(cls, "entries", entries)
 
+    def pattern(indptr, rows, real=factor_ops.row_entries):
+        reads.append((None, np.array(rows, dtype=np.int64)))
+        return real(indptr, rows)
+    monkeypatch.setattr(factor_ops, "row_entries", pattern)
+
     def goes_dense(*args, real=factor_ops._goes_dense):
         before = len(reads)
         out = real(*args)
@@ -339,11 +345,13 @@ def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
             reads.clear()
             out = real(w, cells, *args)
             members = np.concatenate(list(cells))
-            count = np.bincount(np.concatenate([members[:0], *(r for _, r in reads)]),
-                                minlength=w.n)[members]
+            count, scans = (np.bincount(np.concatenate([members[:0], *rows]),
+                                        minlength=w.n)[members]
+                            for rows in ([r for _, r in reads],
+                                         [r for cls, r in reads if cls is None]))
             dense_reads = sum(cls is DenseSymMatrix for cls, _ in reads)
             steps.append((name, storage, np.count_nonzero(out["rd_len"]), int(count.max()),
-                          dense_reads))
+                          dense_reads, (int(count.min()), int(scans.min()), int(scans.max()))))
             return out
         monkeypatch.setattr(f"hifde.driver.{name}", step)
     make, grid = problem(3, 64)
@@ -354,9 +362,56 @@ def test_group_rows_are_read_once_per_pass(monkeypatch, budget):
         for storage in (SparseSymMatrix, DenseSymMatrix)}
     assert any(rd and storage is SparseSymMatrix for name, storage, rd, *_ in steps
                if name == "skeletonize_level")
-    for name, storage, _, most, dense_reads in steps:
+    for name, storage, _, most, dense_reads, (least, *scans) in steps:
         assert most <= 2 and dense_reads == 0, (name, storage)
+        if storage is SparseSymMatrix:
+            assert least == most == 2 and scans == [1, 1], (name, storage)
     assert len(decisions) == 4 and not any(decisions)
+
+
+def test_failed_dense_step_leaves_the_matrix_unchanged(monkeypatch):
+    # cells [1] and [6] of a chain, on the dense storage, one per chunk:
+    # the first chunk's Schur update is computed and written, then the
+    # second cell's pivot is negative in SPD mode. The step raises, and the
+    # matrix is the level-start one, bit for bit
+    monkeypatch.setattr(factor_ops, "spans", lambda costs: spans(costs, 1))
+    chunks = []
+    spy(monkeypatch, "_cell_stacks", chunks)
+    d = np.full(10, 2.5)
+    d[6] = -5.0
+    k = sp.diags([-np.ones(9), d, -np.ones(9)], [-1, 0, 1])
+    w = DenseSymMatrix.kept(SparseSymMatrix.from_scipy(k), np.zeros(10, dtype=bool))
+    before = [(x.dtype, x.shape, x.tobytes()) for x in (w.values, w.stored, w.dofs, w.active)]
+    with pytest.raises(IndefiniteBlockError) as info:
+        factor_ops.eliminate_level(w, cellset([[1], [6]]), 0.0, True)
+    assert (info.value.level, info.value.group, info.value.block_size) == (0.0, 1, 1)
+    assert len(chunks) == 2 and type(w) is DenseSymMatrix
+    assert [(x.dtype, x.shape, x.tobytes())
+            for x in (w.values, w.stored, w.dofs, w.active)] == before
+
+
+@pytest.mark.parametrize("example, n, algo, tail", [
+    (1, 64, "hifde", [(2.0, 369), (2.5, 273), (3.0, 93), (3.5, 39)]),
+    (6, 16, "hifde3x", [(1.0, 631), (1.33, 583), (1.67, 468)]),
+], ids=["ex1-hifde-2d", "ex6-hifde3x-3d"])
+def test_dense_tail_holds_the_active_dofs(monkeypatch, example, n, algo, tail):
+    # each dense step lays out its output over the DOFs it leaves active,
+    # so the tail shrinks step by step from the order it switched at
+    # (dense_order) to the top block
+    seen = []
+    for name in ("eliminate_level", "skeletonize_level"):
+        def step(w, cells, *args, real=getattr(factor_ops, name)):
+            out = real(w, cells, *args)
+            if isinstance(w, DenseSymMatrix):
+                seen.append((round(args[-2], 2), len(w.dofs),
+                             np.array_equal(w.dofs, np.flatnonzero(w.active))))
+            return out
+        monkeypatch.setattr(f"hifde.driver.{name}", step)
+    make, grid = problem(example, n)
+    f = FACTORS[algo](make(), grid, 1e-6, spd=EXAMPLE_SPD[example])
+    assert [(tag, m) for tag, m, _ in seen] == tail and all(same for *_, same in seen)
+    assert (f.metrics["dense_from"], f.metrics["dense_order"]) == tail[0]
+    assert f.metrics["s_top"] == tail[-1][1]
 
 
 def raised(fn):

@@ -246,6 +246,10 @@ class TestRebuilt:
         new = w.rebuilt(kept(w, retired), np.array([2, 9, 15]), np.array([3]))[0]
         w.update(new)
         assert w.indptr is new.indptr and w.indices is new.indices and w.data is new.data
+        # the same takeover makes the matrix dense, the object staying the same
+        dense = DenseSymMatrix.kept(w, retired)
+        w.update(dense)
+        assert type(w) is DenseSymMatrix and w.values is dense.values and w.stored is dense.stored
 
 
 class TestSubmatrix:
@@ -516,6 +520,24 @@ class TestDenseStorage:
                 got, every = m.gather(rows, cols), np.arange(n)
                 assert np.array_equal(got, m.to_dense()[np.ix_(rows, cols)])
                 assert same(got, m.gather(every, every)[np.ix_(rows, cols)])
+
+    def test_kept_from_either_storage(self):
+        # the dense output of a step on either storage: the same DOFs,
+        # pattern and values, bit for bit, the stored -0.0 included; the
+        # dense input is copied, not changed
+        rng = np.random.default_rng(16)
+        for seed in range(30):
+            n = int(rng.integers(5, 40))
+            s, d, (i, j) = storages(seed, n)
+            retired = s.active & (rng.random(n) < 0.3)
+            retired[[i, j]] = False
+            before = [x.copy() for x in (d.values, d.stored, d.dofs)]
+            got, want = DenseSymMatrix.kept(d, retired), DenseSymMatrix.kept(s, retired)
+            assert all(same(getattr(got, key), getattr(want, key))
+                       for key in ("dofs", "stored", "values", "slot"))
+            assert got.active is d.active and same(got.gather([i], [j]), [[-0.0]])
+            assert all(same(x, y) for x, y in zip((d.values, d.stored, d.dofs), before))
+            assert not np.shares_memory(got.values, d.values)
 
     @pytest.mark.parametrize("step", ["eliminate", "skeletonize"])
     def test_level_step_on_each_storage(self, monkeypatch, step):
