@@ -19,8 +19,7 @@ from .driver import (GeneralizedLDL, LevelFactor, factor_hifde, factor_hifde3x, 
 from .factor_ops import Record, eliminate_cell, skeletonize_cell
 from .krylov import (EstimateResult, SolveReport, estimate_apply_error,
                      estimate_solve_error, gmres, pcg)
-from .partition import (CellSet, adaptive_interior_cells, cells_to_csv, interface_cells,
-                        interior_cells)
+from .partition import CellSet, adaptive_interior_cells, interface_cells, interior_cells
 from .sparse import SparseSymMatrix
 from .bench import BenchRow, make_problem, rows_to_csv, run_example, run_sweep
 

@@ -102,8 +102,7 @@ def run_example(example_id: int, algorithm: str, n: int,
                 eps: Optional[float] = None, seed: int = 0, *,
                 spd: Optional[bool] = None, m: Optional[int] = None,
                 skip_levels: Optional[int] = None, kappa: Optional[float] = None,
-                verify: bool = False, export_factor=None,
-                tol: float = 1e-12) -> BenchRow:
+                verify: bool = False, export_factor=None) -> BenchRow:
     """Run one benchmark instance and return its row.
 
     Factorization failures are reported in the row's status field rather
@@ -161,10 +160,7 @@ def run_example(example_id: int, algorithm: str, n: int,
         row.status = "; ".join(late)
 
     rhs = np.random.default_rng((seed, 1)).random(grid.ndof)
-    if spd:
-        rep = pcg(a_csr, rhs, f.apply_inverse, tol=tol)
-    else:
-        rep = gmres(a_csr, rhs, f.apply_inverse, tol=tol)
+    rep = (pcg if spd else gmres)(a_csr, rhs, f.apply_inverse, tol=1e-12)
     row.n_i = rep.n_i
     if not rep.converged:
         row.status = f"solve did not converge: residual {rep.residual:.3g}"

@@ -14,15 +14,14 @@ working matrix, in either of its storages (``sparse``):
 Both check their groups (``_groups``), then retire DOFs by one
 elimination step (``_retire``), as the per-cell operations below end in
 ``_eliminate``: the pivot blocks of one shape factored as a stack
-(``dense.ldl_stack``), each front's Schur update (``dense.schur_stack``)
-written into a new matrix laid out from the level-start one, and the
-records into their level's flat arrays (FLAT_DTYPES). On CSR that is new
-arrays (``SparseSymMatrix.rebuilt``), which place each update. The first
-step whose output is at least DENSE_SHARE stored, and each step after it,
-lays out a dense matrix over the DOFs it leaves active instead
-(``sparse.DenseSymMatrix.kept``) and reads its fronts from the level-start
-one by np.ix_ gathers: the dense tail, which the merged fronts of the last
-levels fill, shrinking with each step.
+(``dense.ldl_stack``), the records put into their level's flat arrays
+(FLAT_DTYPES), and each chunk's Schur updates (``dense.schur_stack``)
+handed as stacks to the writer of a new matrix laid out from the
+level-start one (``sparse``): new CSR arrays (``SparseSymMatrix.rebuilt``)
+or, from the first step whose output is at least DENSE_SHARE stored on, a
+dense matrix over the DOFs it leaves active (``DenseSymMatrix.kept``),
+whose next step reads its fronts by np.ix_ gathers: the dense tail, which
+the merged fronts of the last levels fill, shrinking with each step.
 
 eliminate_cell and skeletonize_cell do the same for one group at a time
 through the matrix's per-cell methods, changing it in place and returning
@@ -409,27 +408,24 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
     ``chunks`` yields, in group order, a chunk's groups as stacks of one
     shape (idx, rd, sk, A_pp, A_qp, interp): the groups' indices in the
     level, the DOFs eliminated, their front, the blocks over them and the
-    interpolation T (None on a cell elimination). Each entry of a front
-    gets v <- 0.5 ((v - u_ij) + (v - u_ji)) once per group, in group order.
+    interpolation T (None on a cell elimination).
 
     The output is laid out first, as new CSR arrays (``rebuilt``) or, on
     the dense storage and at the switch to it (_goes_dense), a new dense
-    matrix over the DOFs left active (``DenseSymMatrix.kept``); the chunks
-    read ``w`` and write the output, and ``w`` takes it over at the end.
-    So a failed pivot block, which raises located at the chunk's lowest
-    failing group, leaves ``w`` as it was. A CSR chunk writes one round at
-    a time, by the positions and rounds ``rebuilt`` gives; a dense one
-    writes its groups one by one (``schur_write``).
+    matrix over the DOFs left active (``DenseSymMatrix.kept``), with its
+    writer. The chunks read ``w`` and hand the writer their updates as
+    stacks (idx, sk, U), once per chunk; ``w`` takes the output over at
+    the end, so a failed pivot block, which raises located at the chunk's
+    lowest failing group, leaves ``w`` as it was.
     """
     keep, dense = (None, True) if isinstance(w, DenseSymMatrix) else \
         _goes_dense(w, retired, sizes)
     if dense:
         new = DenseSymMatrix.kept(w, retired)
+        write = new.schur_write
     else:
-        new, offset, rnd = w.rebuilt(keep, cliques, sizes)
-        first = np.cumsum(sizes * sizes) - sizes * sizes
+        new, write = w.rebuilt(keep, cliques, sizes)
     del keep
-    pairs = {}   # per front width: the pairs r <= c and their offsets r nq + c, c nq + r
     for chunk in chunks:
         blocks, failures = [], []
         for idx, rd, sk, m_pp, m_qp, interp in chunk:
@@ -447,33 +443,10 @@ def _retire(w: SparseSymMatrix | DenseSymMatrix, retired: np.ndarray, cliques: n
             x, u = schur_stack(m_qp, lower, perm, diag, sub)
             flats.put(idx, rd=rd, sk=sk, coupling=x, interp=interp, lower=lower,
                       perm=perm, diag=diag, sub=sub)
-            if dense:
-                updates += zip(idx.tolist(), sk, u)
-                continue
-            # the pairs (sk_r, sk_c), r <= c, of each group, row-major
-            nq = sk.shape[1]
-            if nq not in pairs:
-                r, c = np.triu_indices(nq)
-                pairs[nq] = r, c, r * nq + c, c * nq + r
-            r, c, rc, cr = pairs[nq]
-            ij, ji = first[idx][:, None] + rc, first[idx][:, None] + cr
-            updates.append((new.indptr[sk[:, r]] + offset[ij], new.indptr[sk[:, c]] + offset[ji],
-                            rnd[ij], u[:, r, c], u[:, c, r]))
-            del x, u, ij, ji
-        if dense:
-            for _, dofs, u in sorted(updates, key=lambda g: g[0]):
-                new.schur_write(dofs, u)
-            del updates, u, blocks
-            continue
-        pij, pji, depth, uij, uji = (np.concatenate([x.ravel() for x in xs])
-                                     for xs in zip(*updates))
+            updates.append((idx, sk, u))
+        del blocks, m_qp, x, u
+        write(updates)
         del updates
-        lo, hi = (int(depth.min()), int(depth.max())) if len(depth) else (0, -1)
-        for d in range(lo, hi + 1):
-            sel = depth == d if hi > lo else slice(None)
-            i, j = pij[sel], pji[sel]
-            v = new.data[i]
-            new.data[i] = new.data[j] = 0.5 * ((v - uij[sel]) + (v - uji[sel]))
     w.update(new)
     w.active[retired] = False
 
@@ -550,6 +523,8 @@ def skeletonize_level(w: SparseSymMatrix, cells: CellSet, eps: float, level: flo
     kept = []
     ids = lambda f, a: _skeleton_stacks(f, a, retired, eps, rd_len, kept)  # noqa: E731
     chunks = [x for x in fronts(row_nnz + (clen + qlen) * clen, ids) if x]
+    # the IDs have run: the pass's places go before the groups are eliminated
+    del fronts
     flats = _Flats(rd_len, clen - rd_len, True)
     for idx, sk in kept:
         flats.put(idx, sk=sk)

@@ -38,6 +38,21 @@ def _as_matvec(op) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: op @ x
 
 
+def _rhs(b, tol: float) -> np.ndarray:
+    """b as a float vector; ValueError unless b is real, 1-D and finite and
+    tol is >= 0."""
+    if np.iscomplexobj(b):
+        raise ValueError(f"b is complex ({np.asarray(b).dtype}); a real one is needed")
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"b must be 1-D, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("b has non-finite entries")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    return b
+
+
 @dataclass
 class SolveReport:
     """Outcome of an iterative solve."""
@@ -59,13 +74,14 @@ def pcg(a, b, precond=None, tol: float = 1e-12, max_iter: int = 1000) -> SolveRe
     one, it has reached the floor to which b - A x can be computed (the tol
     asked for lies below it), and the solve stops there as converged.
     ``residual`` is the true value whenever ``converged``. A ``max_iter``
-    below 0 raises ValueError.
+    below 0, a ``b`` that is complex, not 1-D or not finite, or a ``tol``
+    that is NaN or below 0 raises ValueError.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    b = _rhs(b, tol)
     amat = _as_matvec(a)
     mmat = _as_matvec(precond)
-    b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveReport(np.zeros_like(b), 0, 0.0, True)
@@ -101,14 +117,16 @@ def gmres(a, b, precond=None, tol: float = 1e-12, max_iter: int = 1000,
     """Right-preconditioned restarted GMRES.
 
     n_i counts total inner iterations (one operator application each). A
-    ``max_iter`` below 0 or a ``restart`` below 1 raises ValueError.
+    cycle ends before a column whose rotated diagonal is 0, which the back
+    substitution would divide by. A ``max_iter`` below 0, a ``restart``
+    below 1, or a ``b`` or ``tol`` as pcg rejects them raises ValueError.
     """
     if max_iter < 0 or restart < 1:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}" if max_iter < 0 else
                          f"restart must be >= 1, got {restart}")
+    b = _rhs(b, tol)
     amat = _as_matvec(a)
     mmat = _as_matvec(precond)
-    b = np.asarray(b, dtype=float)
     n = len(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -147,8 +165,10 @@ def gmres(a, b, precond=None, tol: float = 1e-12, max_iter: int = 1000,
                 h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
                 h[i, j] = t
             rho = np.hypot(h[j, j], h[j + 1, j])
-            cs[j] = 1.0 if rho == 0.0 else h[j, j] / rho
-            sn[j] = 0.0 if rho == 0.0 else h[j + 1, j] / rho
+            if rho == 0.0:
+                break
+            cs[j] = h[j, j] / rho
+            sn[j] = h[j + 1, j] / rho
             h[j, j] = rho
             h[j + 1, j] = 0.0
             g[j + 1] = -sn[j] * g[j]

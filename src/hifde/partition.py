@@ -31,7 +31,6 @@ __all__ = [
     "interior_cells",
     "interface_cells",
     "adaptive_interior_cells",
-    "cells_to_csv",
 ]
 
 
@@ -171,13 +170,3 @@ def adaptive_interior_cells(a, grid: GridConfig, ell: int) -> CellSet:
         shed[r0 + owner[cell_of[cols] > keys[r0 + owner]]] = True
     return _cellset(ell, "interior", act[~shed], keys[~shed], cen2[~shed])
 
-
-def cells_to_csv(cs: CellSet, path) -> None:
-    """Debug dump: one row per DOF, (dof, level, cell_id, kind)."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dof", "level", "cell", "kind"])
-        for cid, members in enumerate(cs.cells):
-            for dof in members:
-                w.writerow([int(dof), cs.level, cid, cs.kind])

@@ -18,17 +18,17 @@ bit for bit, the sign of a zero included, since the input is made so
 
 The factorization reads a whole level's fronts from the matrix
 (``entries``) and replaces its entries once, at the level's end: a step
-lays out a new matrix from the level-start one, writes its Schur updates
-there and the working matrix takes it over (``update``). On CSR,
-``rebuilt`` lays out new arrays from a mask of the entries the step keeps
-and places each front's pairs in them, sorting each block of rows once by
-the packed keys (row << s) | col, s = (n - 1).bit_length(), which order as
-(row, col) does. The step whose output is at least 1/8 stored, and every
-step after it, lays out a dense matrix over the DOFs it leaves active
-instead (``DenseSymMatrix.kept``) and writes its updates there
-(``schur_write``). No method writes into arrays it did not make, so the
-factorization starts from its input's arrays without a copy and leaves
-the input unchanged.
+lays out a new matrix from the level-start one with its writer, which
+takes each chunk's Schur updates as stacks (idx, sk, U), and the working
+matrix takes the new one over (``update``). On CSR, ``rebuilt`` lays out
+new arrays from a mask of the entries the step keeps and places each
+front's pairs in them, sorting each block of rows once by the packed keys
+(row << s) | col, s = (n - 1).bit_length(), which order as (row, col)
+does. The step whose output is at least 1/8 stored, and every step after
+it, lays out a dense matrix over the DOFs it leaves active instead
+(``DenseSymMatrix.kept``), whose writer is ``schur_write``. No method
+writes into arrays it did not make, so the factorization starts from its
+input's arrays without a copy and leaves the input unchanged.
 
 The per-cell methods (``gather``, ``neighbors``, ``replace_rows``,
 ``drop_cols``, ``clear_rows``) are the storage of the per-cell elimination
@@ -43,6 +43,8 @@ through the explicit truncation step of skeletonization, never by value.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -215,21 +217,22 @@ class SparseSymMatrix(_SymMatrix):
     # -- the level steps' replacement ----------------------------------------
 
     def rebuilt(self, keep: np.ndarray, cliques: np.ndarray,
-                sizes: np.ndarray) -> tuple["SparseSymMatrix", np.ndarray, np.ndarray]:
+                sizes: np.ndarray) -> tuple["SparseSymMatrix", Callable[[list], None]]:
         """A new matrix, sharing ``active``: the stored entries of the mask
         ``keep`` over the CSR arrays, and every pair (i, j) of each clique
         (``cliques`` flat, ``sizes`` each), zero where nothing was stored;
-        and per clique pair (i, j), clique-major and row-major, its offset
-        in row i and its round, the number of earlier cliques holding it.
-        Each block of rows is sorted once, stably, by the packed keys
-        ((row - first row) << s) | col, s = (n - 1).bit_length(): kept
-        entries first, then the pairs."""
+        and its writer. ``write`` takes a chunk's stacks (idx, sk, U) of
+        cliques, in any order, and sets each pair (sk_r, sk_c) at its place
+        to 0.5 ((v - U_rc) + (v - U_cr)), v its value, round by round: a
+        pair's round is the number of earlier cliques holding it. Each block
+        of rows is sorted once, stably, by the packed keys ((row - first
+        row) << s) | col, s = (n - 1).bit_length(): kept entries, then pairs."""
         n, s = self.n, (self.n - 1).bit_length()
         by_row = np.argsort(cliques, kind="stable")
         inc_row, o = cliques[by_row], np.repeat(np.arange(len(sizes)), sizes)[by_row]
-        start = np.cumsum(sizes) - sizes
+        start, first = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
         # each incidence's first pair in the clique-major, row-major order
-        inc_pair = (np.cumsum(sizes * sizes) - sizes * sizes)[o] + (by_row - start[o]) * sizes[o]
+        inc_pair = first[o] + (by_row - start[o]) * sizes[o]
         old_len = np.diff(self.indptr)
         cost = old_len + np.bincount(inc_row, weights=sizes[o], minlength=n)
         # a row has at most cost entries; a pair, as many rounds as its row has cliques
@@ -259,12 +262,27 @@ class SparseSymMatrix(_SymMatrix):
             data[at:at + len(keys)] = 0.0
             data[at + entry[is_kept]] = self.data[lo:hi][k]
             p = np.flatnonzero(~is_kept)
-            e, first = entry[p], np.flatnonzero(head)[entry[p]]
+            e, lead = entry[p], np.flatnonzero(head)[entry[p]]
             dest = (np.repeat(inc_pair[a:b], c) + local)[order[p] - len(kept)]
             offset[dest] = at + e - indptr[r0 + rows[e]]
-            rnd[dest] = p - first - is_kept[first]
+            rnd[dest] = p - lead - is_kept[lead]
             at += len(keys)
-        return SparseSymMatrix(n, indptr, indices[:at], data[:at], self.active), offset, rnd
+        new = SparseSymMatrix(n, indptr, indices[:at], data[:at], self.active)
+
+        def write(updates: list) -> None:
+            parts = []
+            for idx, sk, u in updates:
+                pair = (first[idx][:, None] + np.arange(u[0].size)).ravel()
+                parts.append((indptr[np.repeat(sk, sk.shape[1], 1)].ravel() + offset[pair],
+                              rnd[pair], u.ravel(), u.transpose(0, 2, 1).ravel()))
+            pos, depth, urc, ucr = (np.concatenate(x) for x in zip(*parts))
+            lo, hi = (int(depth.min()), int(depth.max())) if len(depth) else (0, -1)
+            for d in range(lo, hi + 1):
+                sel = depth == d if hi > lo else slice(None)
+                i = pos[sel]
+                v = new.data[i]
+                new.data[i] = 0.5 * ((v - urc[sel]) + (v - ucr[sel]))
+        return new, write
 
     # -- the per-cell reference's mutations ----------------------------------
 
@@ -397,15 +415,18 @@ class DenseSymMatrix(_SymMatrix):
 
     # -- the level steps' writes -------------------------------------------
 
-    def schur_write(self, dofs: np.ndarray, u: np.ndarray) -> None:
-        """A[dofs, dofs] <- 0.5 ((v - u) + (v - u^T)), v its values, and the
-        block stored: the arithmetic of a CSR step's write of one round,
-        which gives (i, j) and (j, i) one value, v being symmetric."""
-        ix = np.ix_(self.slot[dofs], self.slot[dofs])
-        v = self.values[ix]
-        t = v - u
-        v -= u.T
-        t += v
-        t *= 0.5
-        self.values[ix] = t
-        self.stored[ix] = True
+    def schur_write(self, updates: list) -> None:
+        """The writer of a dense output: each group of the stacks (idx, sk,
+        U), one at a time in group order, sets A[sk, sk] <- 0.5 ((v - U) +
+        (v - U^T)), v its values, and stores the block: the CSR writer's
+        arithmetic, which gives (i, j) and (j, i) one value."""
+        groups = [g for idx, sk, u in updates for g in zip(idx.tolist(), sk, u)]
+        for _, sk, u in sorted(groups, key=lambda g: g[0]):
+            ix = np.ix_(self.slot[sk], self.slot[sk])
+            v = self.values[ix]
+            t = v - u
+            v -= u.T
+            t += v
+            t *= 0.5
+            self.values[ix] = t
+            self.stored[ix] = True

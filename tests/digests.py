@@ -14,13 +14,21 @@ one does not.
 
 To check a change, run the script on a copy of the parent and on the
 change, at ``OPENBLAS_NUM_THREADS=1`` and at ``=2`` (the bits depend on
-the BLAS thread count), and diff the outputs. With ``--reference`` the
-cases take about 45 s on one BLAS thread of a 2-core host.
+the BLAS thread count), and diff the outputs. ``--against DIR`` does so
+in one command: it runs the script of the tree ``DIR`` (a ``git archive``
+copy of the parent) on that tree's ``src`` and this one on its own, at
+each thread count, one subprocess at a time, prints the lines that differ
+and exits 1 if any does or a run fails. With ``--reference`` the cases
+take about 45 s on one BLAS thread of a 2-core host.
+
+    PYTHONPATH=src python tests/digests.py --reference --against ../parent
 """
 
 import argparse
 import hashlib
+import itertools
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -80,11 +88,42 @@ def line(example, algo, n, eps, reference: bool, tmp: str) -> tuple[str, bool]:
     return " ".join(fields), same
 
 
+def against(tree: str, reference: bool) -> int:
+    """Run the script of ``tree`` and of this tree at 1 and at 2 BLAS
+    threads, one at a time; print the lines that differ, and return 1 if
+    any does or a run fails."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    failed = False
+    for threads in ("1", "2"):
+        outs = []
+        for root in (os.path.abspath(tree), here):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.join(root, "src"))
+            run = subprocess.run([sys.executable, os.path.join(root, "tests", "digests.py")]
+                                 + ["--reference"] * reference, env=env,
+                                 capture_output=True, text=True)
+            if run.returncode:
+                print(f"# {root} at {threads} thread(s) exited {run.returncode}\n{run.stderr}")
+            failed |= bool(run.returncode)
+            outs.append(run.stdout.splitlines())
+        print(f"# OPENBLAS_NUM_THREADS={threads}: {len(outs[1])} lines")
+        for old, new in itertools.zip_longest(*outs, fillvalue=""):
+            if old != new:
+                print(f"- {old}\n+ {new}")
+        failed |= outs[0] != outs[1]
+    return int(failed)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reference", action="store_true",
                         help="also compare each digest with the per-cell reference's")
+    parser.add_argument("--against", metavar="DIR",
+                        help="diff this tree's output against that of the tree DIR, "
+                             "at 1 and 2 BLAS threads")
     opts = parser.parse_args()
+    if opts.against:
+        return against(opts.against, opts.reference)
     print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '')}")
     ok = True
     with tempfile.TemporaryDirectory() as tmp:

@@ -30,6 +30,23 @@ def test_bad_counts_are_rejected(solve, kwargs, what):
         solve(tridiag(5), np.ones(5), **kwargs)
 
 
+@pytest.mark.parametrize("solve", [pcg, gmres])
+@pytest.mark.parametrize("b, kwargs, what", [
+    (1j * np.ones(5), {}, "b is complex (complex128); a real one is needed"),
+    (np.r_[1.0, np.nan, 1.0, 1.0, 1.0], {}, "b has non-finite entries"),
+    (np.r_[1.0, 1.0, 1.0, 1.0, -np.inf], {}, "b has non-finite entries"),
+    (np.ones((5, 1)), {}, "b must be 1-D, got shape (5, 1)"),
+    (np.ones(5), dict(tol=np.nan), "tol must be >= 0, got nan"),
+    (np.ones(5), dict(tol=-1e-3), "tol must be >= 0, got -0.001"),
+], ids=["complex-b", "nan-b", "inf-b", "2d-b", "nan-tol", "negative-tol"])
+def test_bad_input_is_rejected(solve, b, kwargs, what):
+    # a complex b lost its imaginary part, a non-finite b ran to max_iter,
+    # a NaN or negative tol divided by zero (pcg) or ran to max_iter
+    # (gmres), and a 2-D b failed inside NumPy
+    with pytest.raises(ValueError, match="^" + re.escape(what) + "$"):
+        solve(2.0 * np.eye(5), b, **kwargs)
+
+
 class TestPcg:
     def test_exact_preconditioner_one_iteration(self):
         rng = np.random.default_rng(0)
@@ -100,6 +117,15 @@ class TestGmres:
         b = rng.standard_normal(30)
         rep = gmres(a, b, precond=lambda x: np.linalg.solve(a, x), tol=1e-12)
         assert rep.converged and rep.n_i == 1
+
+    def test_breakdown_below_rounding_gives_a_finite_x(self):
+        # on 2I the first step leaves h_10 = 2.5e-16 of rounding, the next
+        # Arnoldi vector repeats v_0 and its rotated diagonal is 0: the
+        # cycle ends before that column instead of dividing by it
+        a, b = 2.0 * np.eye(5), np.ones(5)
+        rep = gmres(a, b, tol=0.0, max_iter=2)
+        assert np.isfinite(rep.x).all()
+        assert np.linalg.norm(b - a @ rep.x) / np.linalg.norm(b) <= 1e-15
 
     def test_identity_operator(self):
         b = np.linspace(1, 2, 12)

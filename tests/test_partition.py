@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from hifde import (GridConfig, SparseSymMatrix, adaptive_interior_cells, assemble, build_grid,
-                   cells_to_csv, constant_field, eliminate_cell, factor_hifde, factor_hifde3x,
-                   interface_cells, interior_cells)
+                   constant_field, eliminate_cell, factor_hifde, factor_hifde3x, interface_cells,
+                   interior_cells)
 from hifde import driver, factor_ops, partition, sparse
 from hifde.sparse import DenseSymMatrix
 
@@ -160,14 +160,6 @@ class TestInterfaceCells:
         g, a = laplace(2, 8, 2)
         with pytest.raises(ValueError):
             interface_cells(g, 0, a.active, "face")
-
-    def test_csv_dump(self, tmp_path):
-        g, a = laplace(2, 8, 2)
-        cs = interior_cells(g, 0, a.active)
-        path = tmp_path / "cells.csv"
-        cells_to_csv(cs, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(np.concatenate(cs.cells)) + 1
 
 
 class TestFlatCellSet:

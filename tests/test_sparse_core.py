@@ -1,5 +1,9 @@
 """Sparse working-matrix storage tests against a dense mirror."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -141,34 +145,74 @@ def kept(a, retired):
     return factor_ops._goes_dense(a, retired, np.zeros(0, np.int64))[0]
 
 
+def write_one_at_a_time(value, cliques, us):
+    """The reference of both writers: the cliques in turn, each pair (i, j)
+    of one, v <- 0.5 ((v - U_rc) + (v - U_cr)), in ``value``, a dict
+    (i, j) -> v."""
+    for s, u in zip(cliques, us):
+        for r, i in enumerate(s.tolist()):
+            for c, j in enumerate(s.tolist()):
+                v = value[i, j]
+                value[i, j] = 0.5 * ((v - u[r, c]) + (v - u[c, r]))
+
+
+def as_stacks(cliques, us, idx):
+    """The cliques ``idx`` as stacks (idx, sk, U) of one size, largest
+    first and each stack in reverse: out of clique order."""
+    sizes = np.array([len(cliques[i]) for i in idx])
+    out = []
+    for q in sorted(set(sizes.tolist()), reverse=True):
+        k = idx[sizes == q][::-1]
+        out.append((k, np.array([cliques[i] for i in k], np.int64).reshape(len(k), q),
+                    np.array([us[i] for i in k]).reshape(len(k), q, q)))
+    return out
+
+
+def random_updates(rng, cliques):
+    """A random U per clique, not symmetric, zero at the pairs (i, j) with
+    i + j divisible by 3, where a stored -0.0 stays -0.0."""
+    us = [rng.standard_normal((len(s), len(s))) for s in cliques]
+    for s, u in zip(cliques, us):
+        u[(s[:, None] + s[None, :]) % 3 == 0] = 0.0
+    return us
+
+
 def check_rebuilt(a, retired, cliques, sizes):
     """``a.rebuilt`` against a row scan of its output: the new matrix holds
     the kept entries with their values and every clique pair (a zero where
-    nothing was kept), ascending in each row; each pair's offset finds
-    (i, j) in row i, and its round counts the earlier cliques that hold
-    (i, j). ``a`` is not changed. Returns the new matrix and the rounds."""
+    nothing was kept), ascending in each row, and its writer, fed a random
+    U per clique in two chunks of stacks out of clique order, leaves the
+    values, bit for bit, that writing the cliques one at a time in order
+    does. ``a`` is not changed. Returns the new matrix and each clique
+    pair's round, clique-major and row-major: the number of earlier
+    cliques that hold it."""
     before = [x.copy() for x in (a.indptr, a.indices, a.data)]
-    new, offset, rnd = a.rebuilt(kept(a, retired), cliques, sizes)
+    new, write = a.rebuilt(kept(a, retired), cliques, sizes)
     for got, want in zip((a.indptr, a.indices, a.data), before):
         assert np.array_equal(got, want)
-    assert new.active is a.active and len(offset) == len(rnd) == (sizes * sizes).sum()
+    assert new.active is a.active
     want = {(i, j): v for i, (ix, vv) in enumerate(zip(a.row_idx, a.row_val))
             for j, v in zip(ix.tolist(), vv.tolist()) if not retired[i] and not retired[j]}
-    cols = [dict(zip(ix.tolist(), range(len(ix)))) for ix in new.row_idx]
-    seen, want_offset, want_rnd = {}, [], []
-    for s in np.split(cliques, np.cumsum(sizes)[:-1]):
+    split = np.split(cliques, np.cumsum(sizes)[:-1]) if len(sizes) else []
+    seen, rnd = {}, []
+    for s in split:
         pairs = [(i, j) for i in s.tolist() for j in s.tolist()]
         for i, j in pairs:
             want.setdefault((i, j), 0.0)
-            want_offset.append(cols[i][j])
-            want_rnd.append(seen.get((i, j), 0))
+            rnd.append(seen.get((i, j), 0))
         for p in pairs:
             seen[p] = seen.get(p, 0) + 1
     got = {(i, j): v for i, (ix, vv) in enumerate(zip(new.row_idx, new.row_val))
            for j, v in zip(ix.tolist(), vv.tolist())}
     assert got == want and all(np.all(np.diff(ix) > 0) for ix in new.row_idx)
-    assert offset.tolist() == want_offset and rnd.tolist() == want_rnd
-    return new, rnd
+    us = random_updates(np.random.default_rng(0), split)
+    for chunk in np.array_split(np.arange(len(split)), 2):
+        if len(chunk):
+            write(as_stacks(split, us, chunk))
+    write_one_at_a_time(want, split, us)
+    keys = [(i, j) for i, ix in enumerate(new.row_idx) for j in ix.tolist()]
+    assert same(new.data, [want[k] for k in keys])
+    return new, np.array(rnd, np.int64)
 
 
 @pytest.fixture
@@ -186,18 +230,22 @@ def small_blocks(monkeypatch):
 
 
 class TestRebuilt:
-    def test_positions_and_rounds_match_a_row_scan(self, small_blocks):
+    def test_writes_match_a_row_scan(self, small_blocks):
         # rows 5-8 retired, row 20 active with no stored entry, row 14 in no
-        # clique; empty cliques, an unsorted one, entries shared 3 deep
+        # clique; empty cliques, an unsorted one, entries shared 3 deep, and
+        # a stored -0.0 at (0, 3) that every write leaves as it is
         dense = random_sparse_sym(np.random.default_rng(2), 24, fill=0.2)[1]
         dense[20, :] = dense[:, 20] = 0.0
+        dense[0, 3] = dense[3, 0] = 1.0
         a = SparseSymMatrix.from_scipy(sp.csr_matrix(dense))
+        for i, j in ((0, 3), (3, 0)):
+            a.row_val[i][a.row_idx[i] == j] = -0.0
         retired = np.zeros(a.n, dtype=bool)
         retired[5:9] = True
         cliques = [[0, 3, 11, 20], [], [3, 11, 12], [], [22, 3, 0, 11], [13]]
         sizes = np.array([len(c) for c in cliques])
         new, rnd = check_rebuilt(a, retired, np.concatenate(cliques).astype(np.int64), sizes)
-        assert rnd.max() == 2
+        assert rnd.max() == 2 and same(new.gather([0, 3], [3, 0])[[0, 1], [0, 1]], [-0.0, -0.0])
         # blocks with kept entries and pairs, with either only, and with neither
         in_clique = np.isin(np.arange(a.n), np.concatenate(cliques))
         has_kept = (dense[:, ~retired] != 0).any(axis=1) & ~retired
@@ -238,6 +286,15 @@ class TestRebuilt:
         assert f.metrics["dense_from"] == 0.0 and len(calls) == 1
         rounds = [int(check_rebuilt(a, *args)[1].max(initial=0)) for a, args in calls]
         assert rounds[0] == depth - 1 and len(small_blocks) > 20 * len(rounds)
+
+    def test_retire_leaves_the_write_format_to_the_storages(self):
+        # the elimination step hands its updates to the output's writer: it
+        # reads no storage's arrays and lays out no pairs itself
+        tree = ast.parse(textwrap.dedent(inspect.getsource(factor_ops._retire)))
+        attrs = {x.attr for x in ast.walk(tree) if isinstance(x, ast.Attribute)}
+        names = {x.id for x in ast.walk(tree) if isinstance(x, ast.Name)}
+        assert not attrs & {"indptr", "indices", "data", "values", "stored", "slot"}
+        assert "triu_indices" not in attrs | names
 
     def test_update_takes_over_the_arrays(self):
         w, _ = random_sparse_sym(np.random.default_rng(6), 20, fill=0.2)
@@ -538,6 +595,31 @@ class TestDenseStorage:
             assert got.active is d.active and same(got.gather([i], [j]), [[-0.0]])
             assert all(same(x, y) for x, y in zip((d.values, d.stored, d.dofs), before))
             assert not np.shares_memory(got.values, d.values)
+
+    def test_schur_write_one_group_at_a_time(self):
+        # stacks out of group order, whose fronts overlap: each group's
+        # update lands in group order, as writing them one at a time does,
+        # bit for bit, and every front pair is stored after it
+        rng, shared = np.random.default_rng(17), 0
+        for seed in range(20):
+            n = int(rng.integers(8, 40))
+            s, _, _ = storages(seed, n)
+            d = DenseSymMatrix.kept(s, np.zeros(n, dtype=bool))
+            cliques = [np.sort(rng.choice(d.dofs, int(rng.integers(0, min(6, len(d.dofs)) + 1)),
+                                          replace=False)) for _ in range(int(rng.integers(2, 9)))]
+            us = random_updates(rng, cliques)
+            want = {(i, j): v for i, row in zip(d.dofs.tolist(), d.values.tolist())
+                    for j, v in zip(d.dofs.tolist(), row)}
+            stored = d.stored.copy()
+            for c in cliques:
+                stored[np.ix_(d.slot[c], d.slot[c])] = True
+            write_one_at_a_time(want, cliques, us)
+            d.schur_write(as_stacks(cliques, us, np.arange(len(cliques))))
+            assert same(d.values.ravel(), [want[i, j] for i in d.dofs.tolist()
+                                           for j in d.dofs.tolist()])
+            assert same(d.stored, stored)
+            shared += np.bincount(np.concatenate(cliques), minlength=n).max() > 1
+        assert shared > 10
 
     @pytest.mark.parametrize("step", ["eliminate", "skeletonize"])
     def test_level_step_on_each_storage(self, monkeypatch, step):
